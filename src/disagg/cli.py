@@ -277,9 +277,12 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
                               "kind": kind, "step": step})
 
     checkpoint_every = max(1, budget // 4) if budget >= 1000 else None
-    result = architectures.train(
-        network, batches, optimizer, budget,
-        on_checkpoint=on_checkpoint, checkpoint_every=checkpoint_every)
+    try:
+        result = architectures.train(
+            network, batches, optimizer, budget,
+            on_checkpoint=on_checkpoint, checkpoint_every=checkpoint_every)
+    finally:
+        batches.close()
 
     with open(base.with_name(base.name + "_loss.csv"), "w", newline="") as f:
         writer = csv.writer(f)

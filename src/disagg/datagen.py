@@ -11,6 +11,7 @@ appliance's maximum power so they live in [0, 1].
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -164,24 +165,89 @@ def _finish_pair(raw_input, raw_target, spec: WindowSpec, target_kind: str,
                         target=target, placements=tuple(placements))
 
 
-def _covered_mask(length: int, activations) -> np.ndarray:
-    mask = np.zeros(length, dtype=bool)
-    for a in activations:
-        mask[a.source_offset : a.source_offset + len(a)] = True
-    return mask
+class WindowIndex:
+    """Where windows of one width may start in one house, built once.
+
+    Clear starts, whose window holds no sample of any target activation,
+    are the complement in [0, N-W] of the union of [o-W+1, o+len-1] over
+    the activations.  They are kept as sorted disjoint intervals with
+    their cumulative lengths, so the k-th clear start costs one
+    searchsorted.  Activations are also kept sorted by offset (stably, so
+    equal offsets keep their list order) for the first-complete lookup.
+    Memory is O(activations), not O(samples).
+    """
+
+    def __init__(self, total: int, width: int, activations):
+        if total < width:
+            raise DataError(f"aggregate ({total} samples) shorter than window ({width})")
+        self.total = total
+        self.width = width
+        self.activations = tuple(activations)
+
+        self._by_offset = sorted(self.activations, key=lambda a: a.source_offset)
+        self._offsets = [a.source_offset for a in self._by_offset]
+        self._ends = [a.source_offset + len(a) for a in self._by_offset]
+
+        starts = total - width + 1
+        offsets = np.array(self._offsets, dtype=np.int64)
+        ends = np.array(self._ends, dtype=np.int64)
+        lo = np.maximum(offsets - width + 1, 0)
+        hi = np.minimum(ends, starts)
+        keep = (hi > lo) & (ends > offsets)
+        lo, hi = lo[keep], hi[keep]  # offsets were sorted, so lo is too
+        # Gap i runs from the furthest blocked start before blocked interval i to its lo.
+        gap_lo = np.maximum.accumulate(np.concatenate(([0], hi)))
+        gap_hi = np.concatenate((lo, [starts]))
+        keep = gap_hi > gap_lo
+        lengths = gap_hi[keep] - gap_lo[keep]
+        self._clear_ends = np.cumsum(lengths)
+        self._clear_base = gap_lo[keep] - (self._clear_ends - lengths)
+        self.clear_count = int(self._clear_ends[-1]) if lengths.size else 0
+
+    def draw_clear_start(self, rng) -> int:
+        """A uniform window start whose window holds no target activation."""
+        if self.clear_count == 0:
+            # Every window overlaps some activation; fall back to any window.
+            return int(rng.integers(0, self.total - self.width + 1))
+        k = int(rng.integers(0, self.clear_count))
+        i = int(np.searchsorted(self._clear_ends, k, side="right"))
+        return int(self._clear_base[i]) + k
+
+    def first_complete(self, start: int):
+        """The activation with the lowest offset wholly inside [start, start+W).
+
+        Ties go to the earliest in the original list.  For activations
+        that do not overlap, as extraction yields, the scan stops after at
+        most two candidates.
+        """
+        limit = start + self.width
+        for j in range(bisect.bisect_left(self._offsets, start), len(self._offsets)):
+            if self._offsets[j] > limit:
+                break
+            if self._ends[j] <= limit:
+                return self._by_offset[j]
+        return None
 
 
 def select_real_window_raw(aggregate: PowerSeries, target_activations, spec: WindowSpec,
                            rng, include_prob: float = 0.5):
     """Window selection before standardization: (input W, target W, placements)."""
+    index = WindowIndex(len(aggregate), spec.window_width, target_activations)
+    return _cut_real_window(aggregate, index, spec, rng, include_prob)
+
+
+def _cut_real_window(aggregate: PowerSeries, index: WindowIndex, spec: WindowSpec,
+                     rng, include_prob: float = 0.5):
     width = spec.window_width
     total = len(aggregate)
-    if total < width:
-        raise DataError(f"aggregate ({total} samples) shorter than window ({width})")
+    if (index.total, index.width) != (total, width):
+        raise DataError(f"window index built for {index.total} samples and width "
+                        f"{index.width}, not {total} and {width}")
+    target_activations = index.activations
 
     include = rng.random() < include_prob and len(target_activations) > 0
     if not include:
-        start = _draw_clear_window(total, width, target_activations, rng)
+        start = index.draw_clear_start(rng)
         raw_input = aggregate.values[start : start + width]
         return raw_input, np.zeros(width), ()
 
@@ -199,7 +265,7 @@ def select_real_window_raw(aggregate: PowerSeries, target_activations, spec: Win
     raw_input = aggregate.values[start : start + width]
 
     raw_target = np.zeros(width)
-    first = _first_complete(target_activations, start, width)
+    first = index.first_complete(start)
     if first is not None:
         raw_target[first.source_offset - start : first.source_offset - start + len(first)] = first.values
         placed = first
@@ -232,26 +298,6 @@ def select_real_window(aggregate: PowerSeries, target_activations, spec: WindowS
     raw_input, raw_target, placements = select_real_window_raw(
         aggregate, target_activations, spec, rng, include_prob)
     return _finish_pair(raw_input, raw_target, spec, target_kind, placements)
-
-
-def _draw_clear_window(total: int, width: int, activations, rng) -> int:
-    """A uniform window start whose window holds no target activation."""
-    covered = _covered_mask(total, activations)
-    window_hits = np.convolve(covered, np.ones(width, dtype=np.int64), mode="valid")
-    clear = np.flatnonzero(window_hits == 0)
-    if clear.size == 0:
-        # Every window overlaps some activation; fall back to any window.
-        return int(rng.integers(0, total - width + 1))
-    return int(clear[rng.integers(0, clear.size)])
-
-
-def _first_complete(activations, start: int, width: int):
-    best = None
-    for a in activations:
-        if a.source_offset >= start and a.source_offset + len(a) <= start + width:
-            if best is None or a.source_offset < best.source_offset:
-                best = a
-    return best
 
 
 def synthesize_aggregate_raw(library: ActivationLibrary, target_class: str, spec: WindowSpec,
@@ -317,15 +363,20 @@ class RealWindowSource:
     target_activations: list[Activation]
     spec: WindowSpec
     target_kind: str = "sequence"
+    index: WindowIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.index = WindowIndex(len(self.aggregate), self.spec.window_width,
+                                 self.target_activations)
 
     def sample(self, rng) -> TrainingPair:
-        return select_real_window(self.aggregate, self.target_activations, self.spec,
-                                  rng, self.target_kind)
+        raw_input, raw_target, placements = _cut_real_window(
+            self.aggregate, self.index, self.spec, rng)
+        return _finish_pair(raw_input, raw_target, self.spec, self.target_kind, placements)
 
     def sample_raw_input(self, rng) -> np.ndarray:
         """Unstandardized input window, for dataset std estimation."""
-        raw_input, _, _ = select_real_window_raw(self.aggregate, self.target_activations,
-                                                 self.spec, rng)
+        raw_input, _, _ = _cut_real_window(self.aggregate, self.index, self.spec, rng)
         return raw_input
 
 
@@ -402,25 +453,48 @@ def prefetch(iterator, depth: int = 2):
 
     Batches are immutable once emitted and the producer owns the
     iterator's random state, so training can overlap with preparing the
-    next batch without changing the stream's contents or order.
+    next batch without changing the stream's contents or order.  An
+    exception raised by the iterator is re-raised in the consumer.
+    Closing the generator stops the producer and joins its thread.
     """
     import queue
     import threading
 
     q: "queue.Queue" = queue.Queue(maxsize=depth)
+    stop = threading.Event()
     done = object()
 
+    class Failure:
+        def __init__(self, exc):
+            self.exc = exc
+
     def producer():
+        # After `stop` is set and the queue drained, at most one more put
+        # happens before the producer returns, so no put blocks forever.
         try:
             for item in iterator:
                 q.put(item)
-        finally:
+                if stop.is_set():
+                    return
             q.put(done)
+        except BaseException as exc:  # re-raised by the consumer
+            q.put(Failure(exc))
 
-    thread = threading.Thread(target=producer, daemon=True)
+    thread = threading.Thread(target=producer, name="prefetch", daemon=True)
     thread.start()
-    while True:
-        item = q.get()
-        if item is done:
-            return
-        yield item
+    try:
+        while True:
+            item = q.get()
+            if item is done:
+                return
+            if isinstance(item, Failure):
+                raise item.exc
+            yield item
+    finally:
+        stop.set()
+        while True:
+            try:
+                q.get_nowait()
+            except queue.Empty:
+                break
+        thread.join()

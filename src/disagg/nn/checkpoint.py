@@ -46,14 +46,32 @@ def load_checkpoint(path):
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not a checkpoint file ({exc})") from None
-        if header.get("format") != FORMAT_TAG:
-            raise DataError(f"{path}: unknown checkpoint format {header.get('format')!r}")
+        if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
+            raise DataError(f"{path}: not a {FORMAT_TAG} checkpoint")
         body = f.read()
+    tensors, meta = header.get("tensors"), header.get("meta")
+    if not isinstance(tensors, list) or not isinstance(meta, dict):
+        raise DataError(f"{path}: checkpoint header lacks its tensors or meta")
     params = {}
-    for entry in header["tensors"]:
-        lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
+    for entry in tensors:
+        name, lo, nbytes, shape = _tensor_entry(path, entry)
+        hi = lo + nbytes
         if hi > len(body):
-            raise DataError(f"{path}: truncated checkpoint (tensor {entry['name']!r})")
-        arr = np.frombuffer(body[lo:hi], dtype="<f8").reshape(entry["shape"])
-        params[entry["name"]] = arr.astype(np.float64)
-    return params, header["meta"]
+            raise DataError(f"{path}: truncated checkpoint (tensor {name!r})")
+        arr = np.frombuffer(body[lo:hi], dtype="<f8").reshape(shape)
+        params[name] = arr.astype(np.float64)
+    return params, meta
+
+
+def _tensor_entry(path, entry):
+    """(name, offset, nbytes, shape) of one header entry, checked for consistency."""
+    try:
+        name, lo, nbytes, shape = entry["name"], entry["offset"], entry["nbytes"], entry["shape"]
+    except (KeyError, TypeError):
+        raise DataError(f"{path}: malformed tensor entry {entry!r}") from None
+    if not (isinstance(name, str) and isinstance(shape, list)
+            and all(type(v) is int and v >= 0 for v in [lo, nbytes, *shape])):
+        raise DataError(f"{path}: malformed tensor entry {entry!r}")
+    if 8 * int(np.prod(shape, dtype=np.int64)) != nbytes:
+        raise DataError(f"{path}: tensor {name!r} has shape {shape} but {nbytes} bytes")
+    return name, lo, nbytes, shape

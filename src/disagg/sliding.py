@@ -159,7 +159,9 @@ def combine_rectangles(window_outputs: WindowOutputs, config: DisaggConfig) -> E
         if decoded is None:
             continue
         r_lo, r_hi, watts = decoded
-        r_lo, r_hi = max(0, r_lo), min(total, r_hi)
+        # A triple may decode past its own window (start < 0 or end > 1); the
+        # window only votes on the samples it covers, so probability <= 1.
+        r_lo, r_hi = max(lo, r_lo), min(hi, r_hi)
         if r_hi > r_lo:
             rect_count[r_lo:r_hi] += 1
             height_sum[r_lo:r_hi] += watts

@@ -171,6 +171,15 @@ class TestCliPipeline:
                      "--kind", "dae"]) == 0
         assert (tmp_path / "out" / "models" / "kettle_dae.ckpt").exists()
 
+    def test_batch_draw_error_exits_2(self, tmp_path, capsys):
+        # An odd batch size is rejected by the batch stream on the producer thread.
+        path = world_config(tmp_path, batch=7)
+        main(["extract", "--config", str(path)])
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "dae"]) == 2
+        assert "even" in capsys.readouterr().err
+
     def test_same_seed_identical_loss_log(self, tmp_path):
         path = world_config(tmp_path)
         main(["extract", "--config", str(path)])

@@ -1,10 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 
-from disagg.datagen import (Batch, MultiSource, RealWindowSource, RectangleTriple,
-                            SyntheticSource, TrainingPair, WindowSpec, batch_stream,
-                            encode_rectangle, estimate_input_std, prefetch,
-                            scale_target, select_real_window, standardize_input,
+from disagg.datagen import (Batch, MultiSource, Placement, RealWindowSource,
+                            RectangleTriple, SyntheticSource, TrainingPair, WindowIndex,
+                            WindowSpec, batch_stream, encode_rectangle,
+                            estimate_input_std, prefetch, scale_target, select_real_window,
+                            select_real_window_raw, standardize_input,
                             synthesize_aggregate)
 from disagg.errors import DataError
 from disagg.timeseries import Activation, ActivationLibrary, PowerSeries
@@ -326,6 +329,34 @@ class TestBatchStream:
         for a, b in zip(direct, buffered):
             np.testing.assert_array_equal(a.inputs, b.inputs)
 
+    def test_prefetch_reraises_producer_error(self):
+        def failing():
+            yield 1
+            raise DataError("bad batch")
+
+        batches = prefetch(failing())
+        assert next(batches) == 1
+        with pytest.raises(DataError, match="bad batch"):
+            next(batches)
+
+    def test_prefetch_close_stops_producer(self):
+        producers = []
+
+        def endless():
+            producers.append(threading.current_thread())
+            count = 0
+            while True:
+                count += 1
+                yield count
+
+        batches = prefetch(endless(), depth=2)
+        assert [next(batches) for _ in range(3)] == [1, 2, 3]
+        closer = threading.Thread(target=batches.close)  # bounds a hang in close
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        assert producers and not producers[0].is_alive()
+
     def test_multi_source_mixes_houses(self, rng):
         spec = make_spec()
         agg1, acts1 = make_world()
@@ -334,3 +365,156 @@ class TestBatchStream:
                              RealWindowSource(agg2, acts2, spec)])
         pair = multi.sample(rng)
         assert isinstance(pair, TrainingPair)
+
+
+# Reference implementations: the per-draw coverage mask, convolution and
+# linear scan that `WindowIndex` replaces.  The index must reproduce them
+# draw for draw.
+
+def reference_clear_starts(total, width, activations):
+    covered = np.zeros(total, dtype=bool)
+    for a in activations:
+        covered[a.source_offset : a.source_offset + len(a)] = True
+    window_hits = np.convolve(covered, np.ones(width, dtype=np.int64), mode="valid")
+    return np.flatnonzero(window_hits == 0)
+
+
+def reference_first_complete(activations, start, width):
+    best = None
+    for a in activations:
+        if a.source_offset >= start and a.source_offset + len(a) <= start + width:
+            if best is None or a.source_offset < best.source_offset:
+                best = a
+    return best
+
+
+def reference_real_window_raw(aggregate, activations, spec, rng, include_prob=0.5):
+    width, total = spec.window_width, len(aggregate)
+    if not (rng.random() < include_prob and len(activations) > 0):
+        clear = reference_clear_starts(total, width, activations)
+        if clear.size == 0:
+            start = int(rng.integers(0, total - width + 1))
+        else:
+            start = int(clear[rng.integers(0, clear.size)])
+        return aggregate.values[start : start + width], np.zeros(width), ()
+    chosen = activations[int(rng.integers(0, len(activations)))]
+    a0, alen = chosen.source_offset, len(chosen)
+    if alen <= width:
+        offset = int(rng.integers(max(0, a0 + width - total), min(width - alen, a0) + 1))
+        start = a0 - offset
+    else:
+        start = min(a0, total - width)
+    raw_target = np.zeros(width)
+    placed = reference_first_complete(activations, start, width)
+    if placed is not None:
+        raw_target[placed.source_offset - start : placed.source_offset - start + len(placed)] = \
+            placed.values
+    else:
+        span = min(width, a0 + alen - start) - max(0, a0 - start)
+        rel, src = max(0, a0 - start), max(0, start - a0)
+        raw_target[rel : rel + span] = chosen.values[src : src + span]
+        placed = chosen
+    placement = Placement(spec.appliance_id, placed.house, placed.source_offset - start,
+                          placed.values, is_target=True)
+    return aggregate.values[start : start + width], raw_target, (placement,)
+
+
+def random_world(rng):
+    """A short house with possibly overlapping, tied and edge-touching activations."""
+    width = int(rng.integers(1, 40))
+    total = width + int(rng.integers(0, 300))
+    acts = []
+    for _ in range(int(rng.integers(0, 9))):
+        if acts and rng.random() < 0.2:
+            a0 = acts[int(rng.integers(0, len(acts)))].source_offset  # tie
+        else:
+            a0 = int(rng.choice([0, total - 1, int(rng.integers(0, total))]))
+        alen = int(rng.integers(1, min(total - a0, 2 * width + 5) + 1))
+        acts.append(Activation(a0, rng.uniform(100, 2000, size=alen), house=len(acts)))
+    aggregate = PowerSeries(0, 6, rng.uniform(0, 300, size=total))
+    return aggregate, acts, make_spec(width=width)
+
+
+def assert_index_matches_reference(aggregate, acts, width):
+    total = len(aggregate)
+    index = WindowIndex(total, width, acts)
+    clear = reference_clear_starts(total, width, acts)
+    assert index.clear_count == clear.size
+    drawn = [index.draw_clear_start(ScriptedRng(integers=[k])) for k in range(clear.size)]
+    assert drawn == clear.tolist()
+    for start in range(total - width + 1):
+        assert index.first_complete(start) is reference_first_complete(acts, start, width)
+
+
+def assert_same_draws(new, ref):
+    for got, want in zip(new[:2], ref[:2]):
+        np.testing.assert_array_equal(got, want)
+    assert len(new[2]) == len(ref[2])
+    for got, want in zip(new[2], ref[2]):
+        assert (got.appliance, got.house, got.offset, got.is_target) == \
+            (want.appliance, want.house, want.offset, want.is_target)
+        assert got.values is want.values
+
+
+class TestWindowIndexOracle:
+    def test_random_worlds_match_reference(self):
+        for seed in range(300):
+            aggregate, acts, spec = random_world(np.random.default_rng(seed))
+            assert_index_matches_reference(aggregate, acts, spec.window_width)
+            new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                assert_same_draws(select_real_window_raw(aggregate, acts, spec, new_rng),
+                                  reference_real_window_raw(aggregate, acts, spec, ref_rng))
+
+    @pytest.mark.parametrize("target_kind", ["sequence", "rectangle"])
+    def test_source_stream_matches_reference(self, target_kind):
+        for seed in range(40):
+            aggregate, acts, spec = random_world(np.random.default_rng(seed))
+            source = RealWindowSource(aggregate, acts, spec, target_kind)
+            new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                pair = source.sample(new_rng)
+                raw_input, raw_target, placements = reference_real_window_raw(
+                    aggregate, acts, spec, ref_rng)
+                np.testing.assert_array_equal(
+                    pair.input, standardize_input(raw_input, spec.input_std))
+                target = scale_target(raw_target, spec.max_power)
+                if target_kind == "rectangle":
+                    assert pair.target == encode_rectangle(target)
+                else:
+                    np.testing.assert_array_equal(pair.target, target)
+                assert [p.offset for p in pair.placements] == [p.offset for p in placements]
+            assert new_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("total, positions", [
+        (400, ()),                                   # no activations
+        (200, ((100, 10),)),                         # no clear window: fallback
+        (400, ((0, 5), (395, 5))),                   # touching index 0 and N-1
+        (600, ((100, 200), (350, 20))),              # longer than the window
+        (128, ((30, 10),)),                          # len(aggregate) == width
+        (128, ()),
+        (400, ((50, 10), (50, 30), (55, 5))),        # tied and overlapping
+        (400, ((60, 0), (200, 10))),                 # an empty activation blocks nothing
+    ])
+    def test_edge_cases_match_reference(self, total, positions):
+        aggregate, acts = make_world(total=total, act_positions=positions)
+        spec = make_spec(width=128)
+        assert_index_matches_reference(aggregate, acts, 128)
+        for seed in range(30):
+            new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                assert_same_draws(select_real_window_raw(aggregate, acts, spec, new_rng),
+                                  reference_real_window_raw(aggregate, acts, spec, ref_rng))
+
+    def test_fallback_draws_any_window(self):
+        aggregate, acts = make_world(total=200, act_positions=((100, 10),))
+        index = WindowIndex(200, 128, acts)
+        assert index.clear_count == 0
+        assert index.draw_clear_start(ScriptedRng(integers=[72])) == 72
+
+    def test_source_rejects_spec_of_another_width(self):
+        aggregate, acts = make_world()
+        source = RealWindowSource(aggregate, acts, make_spec(width=128))
+        source.spec = make_spec(width=64)
+        with pytest.raises(DataError, match="window index"):
+            source.sample(np.random.default_rng(0))

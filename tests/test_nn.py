@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -268,4 +270,21 @@ class TestNetwork:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint\n")
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda h: h["tensors"][0].update(shape=[5, 4]), "has shape"),
+        (lambda h: h.pop("tensors"), "lacks its tensors"),
+        (lambda h: h["tensors"][0].pop("offset"), "malformed tensor entry"),
+        (lambda h: h["tensors"][0].pop("shape"), "malformed tensor entry"),
+        (lambda h: h["tensors"][0].update(offset=-8), "malformed tensor entry"),
+    ], ids=["shape-vs-nbytes", "no-tensors", "no-offset", "no-shape", "negative-offset"])
+    def test_malformed_header_is_data_error(self, tmp_path, corrupt, match):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, {"w": np.arange(16.0).reshape(4, 4)})
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        corrupt(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(DataError, match=match):
             load_checkpoint(path)

@@ -228,6 +228,16 @@ class TestCombineRectangles:
         assert np.all(estimate.probability >= 0) and np.all(estimate.probability <= 1)
         assert np.all(estimate.series.values >= 0)
 
+    def test_rectangle_past_its_window_clipped_to_that_window(self):
+        # Each triple decodes to [origin - 8, origin + 24): wider than its window on both sides.
+        width, total = 16, 48
+        wide = RectangleTriple(-0.5, 1.5, 2000.0 / 2400.0)
+        outputs = rect_outputs([wide, wide], [0, 16], width, total)
+        estimate = combine_rectangles(outputs, DisaggConfig(1, 500.0, 0.5))
+        np.testing.assert_array_equal(estimate.probability, np.r_[np.ones(32), np.zeros(16)])
+        np.testing.assert_allclose(estimate.series.values,
+                                   np.r_[np.full(32, 2000.0), np.zeros(16)])
+
 
 class TestDeterminism:
     def test_bitwise_identical_runs(self, rng):
