@@ -221,9 +221,14 @@ def fhmm_disaggregate(aggregate: PowerSeries, models):
         return {m.appliance_id: EstimateSeries(series=PowerSeries(
             aggregate.start_time, aggregate.sample_period, np.empty(0))) for m in models}
 
-    # log N(y | total, var), vectorized over (t, joint state)
+    # log N(y | total, var) over (t, joint state), built in one T x J
+    # buffer with the operations of log_norm - 0.5 * (y - total)**2 / var.
     log_norm = -0.5 * np.log(2 * np.pi * variances)
-    emission = log_norm[None, :] - 0.5 * np.square(y[:, None] - totals[None, :]) / variances[None, :]
+    emission = np.subtract(y[:, None], totals[None, :])
+    np.square(emission, out=emission)
+    emission *= 0.5
+    emission /= variances
+    np.subtract(log_norm, emission, out=emission)
 
     path = _viterbi(log_init, log_trans, emission)
     out = {}
@@ -235,14 +240,20 @@ def fhmm_disaggregate(aggregate: PowerSeries, models):
 
 
 def _viterbi(log_init, log_trans, emission):
-    """Most probable state path; standard max-product recursion in log space."""
+    """Most probable state path; standard max-product recursion in log space.
+
+    Backpointers are stored as uint16, which holds every state index
+    below FHMM_MAX_JOINT_STATES.
+    """
     horizon, n_states = emission.shape
-    backptr = np.zeros((horizon, n_states), dtype=np.int64)
+    backptr = np.zeros((horizon, n_states), dtype=np.uint16)
+    states = np.arange(n_states)
     delta = log_init + emission[0]
     for t in range(1, horizon):
         scores = delta[:, None] + log_trans
-        backptr[t] = np.argmax(scores, axis=0)
-        delta = scores[backptr[t], np.arange(n_states)] + emission[t]
+        best = np.argmax(scores, axis=0)
+        backptr[t] = best
+        delta = scores[best, states] + emission[t]
     path = np.zeros(horizon, dtype=np.int64)
     path[-1] = int(np.argmax(delta))
     for t in range(horizon - 1, 0, -1):

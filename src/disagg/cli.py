@@ -461,16 +461,10 @@ def _check_alignment(name_a, series_a, name_b, series_b):
 
 
 def _read_estimate_csv(path, sample_period: int) -> ts.PowerSeries:
-    timestamps, watts = [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)  # header
-        for row in reader:
-            timestamps.append(float(row[0]))
-            watts.append(float(row[1]))
-    if not timestamps:
+    rows = ts.read_rows(path, extra_columns=True)  # a probability column is ignored
+    if not len(rows):
         return ts.PowerSeries(0.0, sample_period, np.empty(0))
-    return ts.PowerSeries(timestamps[0], sample_period, np.array(watts))
+    return ts.PowerSeries(float(rows[0, 0]), sample_period, np.ascontiguousarray(rows[:, 1]))
 
 
 def cmd_evaluate(cfg: ExperimentConfig, appliance: str, algorithms=None,

@@ -10,6 +10,7 @@ and metadata always produce identical files.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -48,18 +49,22 @@ def load_checkpoint(path):
             raise DataError(f"{path}: not a checkpoint file ({exc})") from None
         if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
             raise DataError(f"{path}: not a {FORMAT_TAG} checkpoint")
-        body = f.read()
-    tensors, meta = header.get("tensors"), header.get("meta")
-    if not isinstance(tensors, list) or not isinstance(meta, dict):
-        raise DataError(f"{path}: checkpoint header lacks its tensors or meta")
-    params = {}
-    for entry in tensors:
-        name, lo, nbytes, shape = _tensor_entry(path, entry)
-        hi = lo + nbytes
-        if hi > len(body):
-            raise DataError(f"{path}: truncated checkpoint (tensor {name!r})")
-        arr = np.frombuffer(body[lo:hi], dtype="<f8").reshape(shape)
-        params[name] = arr.astype(np.float64)
+        tensors, meta = header.get("tensors"), header.get("meta")
+        if not isinstance(tensors, list) or not isinstance(meta, dict):
+            raise DataError(f"{path}: checkpoint header lacks its tensors or meta")
+        body_start = f.tell()
+        body_size = os.fstat(f.fileno()).st_size - body_start
+        params = {}
+        for entry in tensors:
+            name, lo, nbytes, shape = _tensor_entry(path, entry)
+            if lo + nbytes > body_size:
+                raise DataError(f"{path}: truncated checkpoint (tensor {name!r})")
+            # Read straight into the tensor's own array, so loading peaks
+            # at the parameters' size rather than a multiple of the file.
+            arr = np.empty(shape, dtype="<f8")
+            f.seek(body_start + lo)
+            f.readinto(arr.reshape(-1).view(np.uint8))
+            params[name] = arr.astype(np.float64, copy=False)
     return params, meta
 
 

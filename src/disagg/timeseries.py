@@ -12,6 +12,7 @@ rest of the pipeline is gap-free.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,45 +102,85 @@ def load_csv(path, sample_period: int = DEFAULT_SAMPLE_PERIOD,
     last value), then missing slots are filled with `fill_gaps`.  An
     empty file yields an empty series with the declared period.
     """
-    timestamps: list[float] = []
-    values: list[float] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (lineno == 1 and row[0].strip().lower() == "timestamp"):
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}: expected 2 columns at line {lineno}, got {len(row)}")
-            try:
-                t = float(row[0])
-                w = float(row[1])
-            except ValueError as exc:
-                raise DataError(f"{path}: malformed row at line {lineno}: {exc}") from None
-            if not np.isfinite(w) or not np.isfinite(t):
-                raise DataError(f"{path}: non-finite value at line {lineno}")
-            if w < 0:
-                raise DataError(f"{path}: negative power at line {lineno}")
-            if timestamps and t <= timestamps[-1]:
-                raise DataError(
-                    f"{path}: non-increasing timestamp at line {lineno} "
-                    f"({t} follows {timestamps[-1]})"
-                )
-            timestamps.append(t)
-            values.append(w)
-    if not timestamps:
+    rows = read_rows(path)
+    if not len(rows):
         return PowerSeries(start_time=0.0, sample_period=sample_period, values=np.empty(0))
+    timestamps, values = rows[:, 0], rows[:, 1]
 
-    # Snap to the grid anchored at the first timestamp; keep the last
-    # value when two rows land on the same slot.
+    # Snap to the grid anchored at the first timestamp.  Slots never
+    # decrease, so keeping the last row of each run of equal slots keeps
+    # the last value when two rows land on the same slot.
     start = timestamps[0]
-    slots = np.rint((np.asarray(timestamps) - start) / sample_period).astype(np.int64)
-    snapped_t = {}
-    for slot, w in zip(slots, values):
-        snapped_t[int(slot)] = w
-    grid_slots = np.array(sorted(snapped_t), dtype=np.int64)
-    grid_values = np.array([snapped_t[int(s)] for s in grid_slots])
-    return fill_gaps(start + grid_slots * float(sample_period), grid_values,
+    slots = np.rint((timestamps - start) / sample_period).astype(np.int64)
+    keep = np.append(slots[:-1] != slots[1:], True)
+    return fill_gaps(start + slots[keep] * float(sample_period), values[keep],
                      sample_period, max_forward_fill)
+
+
+def read_rows(path, extra_columns: bool = False) -> np.ndarray:
+    """The (n, 2) float array of (timestamp, watts) rows of a meter CSV.
+
+    The file holds an optional header line whose first field is
+    `timestamp`, then rows of two numbers separated by a comma; blank
+    lines are skipped and fields may be double-quoted.  With
+    `extra_columns`, columns after the second are allowed and ignored.
+    Values must be finite, watts non-negative and timestamps strictly
+    increasing.  Any other input raises DataError, which names the first
+    bad line whenever a row fails those checks.
+    """
+    with open(path) as f:
+        if not _is_header(next(csv.reader([f.readline()]), [])):
+            f.seek(0)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(f, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                                  usecols=(0, 1) if extra_columns else None)
+        except ValueError as exc:
+            raise DataError(_first_bad_line(path, extra_columns)
+                            or f"{path}: unreadable CSV ({exc})") from None
+    if not rows.size:
+        return np.empty((0, 2))
+    if (rows.shape[1] == 2 and np.isfinite(rows).all() and (rows[:, 1] >= 0).all()
+            and (np.diff(rows[:, 0]) > 0).all()):
+        return rows
+    raise DataError(_first_bad_line(path, extra_columns) or f"{path}: unreadable CSV")
+
+
+def _is_header(row: list[str]) -> bool:
+    return bool(row) and row[0].strip().lower() == "timestamp"
+
+
+def _first_bad_line(path, extra_columns: bool) -> str | None:
+    """The message naming the first line `read_rows` rejects, or None.
+
+    Only diagnoses a file `read_rows` already refused: each row is
+    checked in turn, the earliest fault winning.
+    """
+    previous = None
+    with open(path, newline="") as f:
+        try:
+            for lineno, row in enumerate(csv.reader(f), start=1):
+                if not row or (lineno == 1 and _is_header(row)):
+                    continue
+                if len(row) < 2 or (len(row) > 2 and not extra_columns):
+                    return f"{path}: expected 2 columns at line {lineno}, got {len(row)}"
+                try:
+                    t = float(row[0])
+                    w = float(row[1])
+                except ValueError as exc:
+                    return f"{path}: malformed row at line {lineno}: {exc}"
+                if not np.isfinite(w) or not np.isfinite(t):
+                    return f"{path}: non-finite value at line {lineno}"
+                if w < 0:
+                    return f"{path}: negative power at line {lineno}"
+                if previous is not None and t <= previous:
+                    return (f"{path}: non-increasing timestamp at line {lineno} "
+                            f"({t} follows {previous})")
+                previous = t
+        except (csv.Error, UnicodeDecodeError):
+            return None
+    return None
 
 
 def fill_gaps(timestamps, values, sample_period: int,
@@ -161,19 +202,20 @@ def fill_gaps(timestamps, values, sample_period: int,
 
     start = timestamps[0]
     slots = np.rint((timestamps - start) / sample_period).astype(np.int64)
-    if np.any(np.diff(slots) <= 0):
+    gaps = np.diff(slots)
+    if np.any(gaps <= 0):
         raise DataError("timestamps must be strictly increasing on the grid")
-    n = int(slots[-1]) + 1
-    out = np.zeros(n)
+    # Each slot is owned by the last sample at or before it; a sample
+    # followed by a gap longer than max_forward_fill hands zeros to the
+    # slots it owns (meter assumed off).
+    owner = np.zeros(int(slots[-1]) + 1, dtype=np.intp)
+    owner[slots] = np.arange(len(slots))
+    np.maximum.accumulate(owner, out=owner)
+    filled = (gaps - 1) * sample_period <= max_forward_fill
+    carried = values.copy()
+    carried[:-1][~filled] = 0.0
+    out = carried[owner]
     out[slots] = values
-    for i in range(len(slots) - 1):
-        lo, hi = int(slots[i]), int(slots[i + 1])
-        n_missing = hi - lo - 1
-        if n_missing == 0:
-            continue
-        if n_missing * sample_period <= max_forward_fill:
-            out[lo + 1 : hi] = values[i]
-        # else: leave zeros (meter assumed off)
     return PowerSeries(start_time=float(start), sample_period=sample_period, values=out)
 
 

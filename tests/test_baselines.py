@@ -175,7 +175,37 @@ def random_models(rng, n_appl, max_states=3):
     return models
 
 
+def int64_viterbi(log_init, log_trans, emission):
+    """Viterbi with int64 backpointers, the reference for the uint16 store."""
+    horizon, n_states = emission.shape
+    backptr = np.zeros((horizon, n_states), dtype=np.int64)
+    delta = log_init + emission[0]
+    for t in range(1, horizon):
+        scores = delta[:, None] + log_trans
+        backptr[t] = np.argmax(scores, axis=0)
+        delta = scores[backptr[t], np.arange(n_states)] + emission[t]
+    path = np.zeros(horizon, dtype=np.int64)
+    path[-1] = int(np.argmax(delta))
+    for t in range(horizon - 1, 0, -1):
+        path[t - 1] = backptr[t, path[t]]
+    return path
+
+
 class TestFHMM:
+    @pytest.mark.parametrize("n_states", [3, 300, 1000])
+    def test_uint16_backpointers_match_int64_reference(self, rng, n_states):
+        horizon = 60
+        log_trans = np.log(rng.dirichlet(np.ones(n_states), size=n_states))
+        log_init = np.log(rng.dirichlet(np.ones(n_states)))
+        emission = rng.normal(scale=5.0, size=(horizon, n_states))
+        np.testing.assert_array_equal(_viterbi(log_init, log_trans, emission),
+                                      int64_viterbi(log_init, log_trans, emission))
+        # Flat transitions and integer emissions: argmax ties everywhere.
+        flat = np.full((n_states, n_states), -np.log(n_states))
+        ties = np.round(emission / 5.0)
+        np.testing.assert_array_equal(_viterbi(log_init, flat, ties),
+                                      int64_viterbi(log_init, flat, ties))
+
     def test_single_appliance_matches_plain_viterbi(self, rng):
         models = random_models(rng, 1)
         y = rng.uniform(0, 2200, size=20)

@@ -230,6 +230,21 @@ class TestCliPipeline:
         assert main(["evaluate", "--config", str(path), "--appliance", "kettle"]) == 2
         assert "misaligned grids" in capsys.readouterr().err
 
+    def test_evaluate_malformed_estimate_row_exits_2(self, tmp_path, capsys):
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        main(["train", "--config", str(path), "--appliance", "kettle", "--kind", "dae"])
+        main(["disaggregate", "--config", str(path), "--appliance", "kettle",
+              "--kind", "dae"])
+        est = tmp_path / "out" / "estimates" / "kettle_dae_house2.csv"
+        rows = est.read_text().splitlines()
+        rows[4] = "oops,1"
+        est.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(path), "--appliance", "kettle"]) == 2
+        err = capsys.readouterr().err
+        assert f"{est}: malformed row at line 5: could not convert string to float: 'oops'" in err
+
     def test_hash_mismatch_refuses_to_run(self, tmp_path, capsys):
         path = world_config(tmp_path)
         main(["extract", "--config", str(path)])

@@ -266,6 +266,16 @@ class TestNetwork:
         save_checkpoint(b, net.parameters(), meta={"step": 3})
         assert a.read_bytes() == b.read_bytes()
 
+    def test_empty_tensor_roundtrip(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        params = {"empty": np.zeros((0, 3)), "w": np.arange(6.0).reshape(2, 3)}
+        save_checkpoint(path, params)
+        loaded, _ = load_checkpoint(path)
+        assert sorted(loaded) == sorted(params)
+        for name, value in params.items():
+            assert loaded[name].dtype == np.float64 and loaded[name].shape == value.shape
+            np.testing.assert_array_equal(loaded[name], value)
+
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint\n")
@@ -278,7 +288,11 @@ class TestNetwork:
         (lambda h: h["tensors"][0].pop("offset"), "malformed tensor entry"),
         (lambda h: h["tensors"][0].pop("shape"), "malformed tensor entry"),
         (lambda h: h["tensors"][0].update(offset=-8), "malformed tensor entry"),
-    ], ids=["shape-vs-nbytes", "no-tensors", "no-offset", "no-shape", "negative-offset"])
+        (lambda h: h["tensors"][0].update(offset=8), "truncated checkpoint"),
+        (lambda h: h["tensors"][0].update(shape=[2**20, 2**20], nbytes=2**43),
+         "truncated checkpoint"),
+    ], ids=["shape-vs-nbytes", "no-tensors", "no-offset", "no-shape", "negative-offset",
+            "past-end", "huge-shape"])
     def test_malformed_header_is_data_error(self, tmp_path, corrupt, match):
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, {"w": np.arange(16.0).reshape(4, 4)})

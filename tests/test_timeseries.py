@@ -1,9 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disagg.errors import DataError
 from disagg.timeseries import (ActivationLibrary, ActivationParams, PowerSeries,
-                               extract_activations, fill_gaps, load_csv, resample)
+                               extract_activations, fill_gaps, load_csv, read_rows,
+                               resample)
 
 KETTLE = ActivationParams(max_power=3100, on_power_threshold=2000,
                           min_on_duration=12, min_off_duration=0)
@@ -96,6 +101,217 @@ class TestFillGaps:
         values = rng.uniform(0, 100, size=20)
         series = fill_gaps(slots * 6, values, sample_period=6)
         assert len(series) == slots[-1] - slots[0] + 1
+
+
+def reference_load_csv(path, sample_period=6, max_forward_fill=180.0):
+    """The original per-row reader: csv.reader, one float() per field, a
+    dict for grid collisions.  Kept as the oracle for `load_csv`."""
+    timestamps, values = [], []
+    with open(path, newline="") as f:
+        for lineno, row in enumerate(csv.reader(f), start=1):
+            if not row or (lineno == 1 and row[0].strip().lower() == "timestamp"):
+                continue
+            if len(row) != 2:
+                raise DataError(f"{path}: expected 2 columns at line {lineno}, got {len(row)}")
+            try:
+                t = float(row[0])
+                w = float(row[1])
+            except ValueError as exc:
+                raise DataError(f"{path}: malformed row at line {lineno}: {exc}") from None
+            if not np.isfinite(w) or not np.isfinite(t):
+                raise DataError(f"{path}: non-finite value at line {lineno}")
+            if w < 0:
+                raise DataError(f"{path}: negative power at line {lineno}")
+            if timestamps and t <= timestamps[-1]:
+                raise DataError(f"{path}: non-increasing timestamp at line {lineno} "
+                                f"({t} follows {timestamps[-1]})")
+            timestamps.append(t)
+            values.append(w)
+    if not timestamps:
+        return PowerSeries(start_time=0.0, sample_period=sample_period, values=np.empty(0))
+    start = timestamps[0]
+    slots = np.rint((np.asarray(timestamps) - start) / sample_period).astype(np.int64)
+    snapped = {}
+    for slot, w in zip(slots, values):
+        snapped[int(slot)] = w
+    grid_slots = np.array(sorted(snapped), dtype=np.int64)
+    grid_values = np.array([snapped[int(s)] for s in grid_slots])
+    return reference_fill_gaps(start + grid_slots * float(sample_period), grid_values,
+                               sample_period, max_forward_fill)
+
+
+def reference_fill_gaps(timestamps, values, sample_period, max_forward_fill=180.0):
+    """The original gap loop, kept as the oracle for `fill_gaps`."""
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if timestamps.size == 0:
+        return PowerSeries(start_time=0.0, sample_period=sample_period, values=np.empty(0))
+    start = timestamps[0]
+    slots = np.rint((timestamps - start) / sample_period).astype(np.int64)
+    out = np.zeros(int(slots[-1]) + 1)
+    out[slots] = values
+    for i in range(len(slots) - 1):
+        lo, hi = int(slots[i]), int(slots[i + 1])
+        n_missing = hi - lo - 1
+        if n_missing and n_missing * sample_period <= max_forward_fill:
+            out[lo + 1 : hi] = values[i]
+    return PowerSeries(start_time=float(start), sample_period=sample_period, values=out)
+
+
+def assert_same_series(got, want):
+    assert type(got.start_time) is type(want.start_time)
+    assert got.start_time == want.start_time
+    assert got.sample_period == want.sample_period
+    assert got.values.dtype == want.values.dtype
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def outcome(reader, path, *args):
+    try:
+        return reader(path, *args)
+    except DataError as exc:
+        return str(exc)
+
+
+def random_csv(rng, path, fault_rate=0.0):
+    """A meter CSV with off-grid and colliding timestamps, gaps just under,
+    at and over 180 s on a 6 s grid, an optional header, blank lines, CRLF
+    or LF endings and quoted fields; with `fault_rate`, some rows are bad."""
+    t = float(rng.choice([0.0, 1.4e9, rng.uniform(0, 1e6)]))
+    lines = ["timestamp,watts"] if rng.random() < 0.5 else []
+    for _ in range(int(rng.integers(0, 60))):
+        t += float(rng.choice([1, 2, 3, 4, 5, 6, 6, 6, 7, 11, 174, 180, 186, 192, 181.5, 600]))
+        w = float(rng.choice([0.0, 1.5, rng.uniform(0, 3000), rng.integers(0, 3000)]))
+        fields = [repr(t), repr(w)]
+        if rng.random() < 0.1:
+            fields = [f'"{f}"' for f in fields]
+        if rng.random() < fault_rate:
+            faults = [[fields[0]], fields + ["1"], [fields[0], "oops"], [fields[0], "nan"],
+                      [fields[0], "-inf"], [fields[0], "-2.5"], ["0", fields[1]],
+                      [repr(t - 6), fields[1]], ["", ""]]
+            fields = faults[rng.integers(len(faults))]
+        lines.append(",".join(fields))
+        if rng.random() < 0.1:
+            lines.append("")
+    newline = "\r\n" if rng.random() < 0.3 else "\n"
+    with open(path, "w", newline="") as f:
+        f.write(newline.join(lines) + (newline if lines and rng.random() < 0.8 else ""))
+    return path
+
+
+class TestLoadCsvOracle:
+    def test_matches_row_scanner_bitwise(self, rng, tmp_path):
+        path = tmp_path / "channel.csv"
+        for _ in range(400):
+            random_csv(rng, path)
+            for period, fill in ((6, 180.0), (1, 4.0), (10, 0.0)):
+                assert_same_series(load_csv(path, period, fill),
+                                   reference_load_csv(path, period, fill))
+
+    def test_rejections_match_row_scanner(self, rng, tmp_path):
+        path = tmp_path / "channel.csv"
+        rejected = 0
+        for _ in range(400):
+            random_csv(rng, path, fault_rate=0.05)
+            got, want = outcome(load_csv, path), outcome(reference_load_csv, path)
+            if isinstance(want, str):
+                rejected += 1
+                assert got == want
+            else:
+                assert_same_series(got, want)
+        assert rejected > 50
+
+    @pytest.mark.parametrize("text", [
+        "", "timestamp,watts\n", "timestamp,watts\n\n\n", "\n", "TimeStamp , watts\n0,1\n",
+        "timestamp\n0,1\n", '"0","5"\r\n"6","7"\r\n', "0,1\r\n\r\n12,2", "0, 1 \n 6 ,2\n",
+        "0,1e3\n6,.5\n12,5.\n18,+5\n",
+    ])
+    def test_edge_files(self, tmp_path, text):
+        path = tmp_path / "channel.csv"
+        path.write_bytes(text.encode())
+        assert_same_series(load_csv(path), reference_load_csv(path))
+
+
+class TestLoadCsvRejections:
+    """Each kind of bad row is named by its line, blank lines counted."""
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("12,5,1", "expected 2 columns at line 5, got 3"),
+        ("12", "expected 2 columns at line 5, got 1"),
+        ("12,five", "malformed row at line 5: could not convert string to float: 'five'"),
+        (",", "malformed row at line 5: could not convert string to float: ''"),
+        ("12,nan", "non-finite value at line 5"),
+        ("inf,5", "non-finite value at line 5"),
+        ("12,-0.5", "negative power at line 5"),
+        ("6,5", "non-increasing timestamp at line 5 (6.0 follows 6.0)"),
+        ("3,5", "non-increasing timestamp at line 5 (3.0 follows 6.0)"),
+    ])
+    def test_exact_message(self, tmp_path, bad_row, message):
+        path = tmp_path / "channel.csv"
+        path.write_text(f"timestamp,watts\n0,1\n\n6,2\n{bad_row}\n18,3\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1\n6,-1\n12,x\n", "negative power at line 4"),
+        ("0,1\n6,x\n12,-1\n", "malformed row at line 4: could not convert string to float: 'x'"),
+        ("0,1\n6,2,3\n0,1\n", "expected 2 columns at line 4, got 3"),
+        ("0,1\n0,1\n6,nan\n", "non-increasing timestamp at line 4 (0.0 follows 0.0)"),
+        ("0,inf\n6\n", "non-finite value at line 3"),
+    ])
+    def test_earlier_of_two_faults_named(self, tmp_path, rows, message):
+        path = tmp_path / "channel.csv"
+        path.write_text(f"timestamp,watts\n\n{rows}")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_header_after_blank_line_is_a_bad_row(self, tmp_path):
+        path = tmp_path / "channel.csv"
+        path.write_text("\ntimestamp,watts\n0,1\n")
+        with pytest.raises(DataError, match="malformed row at line 2"):
+            load_csv(path)
+
+    def test_input_the_row_grammar_cannot_name_still_rejected(self, tmp_path):
+        path = tmp_path / "channel.csv"
+        path.write_text("0,1_000\n")
+        with pytest.raises(DataError, match="unreadable CSV"):
+            load_csv(path)
+
+
+class TestReadRows:
+    def test_extra_columns_ignored(self, tmp_path):
+        path = tmp_path / "estimate.csv"
+        path.write_text("timestamp,estimated_watts,probability\n0,1.5,0.25\n6,2,x\n")
+        np.testing.assert_array_equal(read_rows(path, extra_columns=True), [[0, 1.5], [6, 2]])
+
+    def test_extra_columns_still_need_two(self, tmp_path):
+        path = tmp_path / "estimate.csv"
+        path.write_text("timestamp,estimated_watts,probability\n0,1.5,0.25\n6\n")
+        with pytest.raises(DataError, match="expected 2 columns at line 3, got 1"):
+            read_rows(path, extra_columns=True)
+
+
+@st.composite
+def gappy_series(draw):
+    period = draw(st.sampled_from([1, 6, 10]))
+    slots = sorted(draw(st.sets(st.integers(0, 400), min_size=1, max_size=40)))
+    start = draw(st.sampled_from([0.0, 1.4e9, 12345.678]))
+    values = draw(st.lists(st.floats(0, 5000, allow_subnormal=False),
+                           min_size=len(slots), max_size=len(slots)))
+    fill = draw(st.one_of(st.sampled_from([0.0, 180.0, float(period)]),
+                          st.floats(0, 2000), st.integers(0, 400).map(lambda k: k * period)))
+    timestamps = start + (np.asarray(slots) - slots[0]) * float(period)
+    return timestamps, np.asarray(values, dtype=np.float64), period, fill
+
+
+@settings(max_examples=300, deadline=None)
+@given(gappy_series())
+def test_fill_gaps_matches_gap_loop(case):
+    timestamps, values, period, fill = case
+    assert_same_series(fill_gaps(timestamps, values, period, fill),
+                       reference_fill_gaps(timestamps, values, period, fill))
 
 
 class TestResample:
