@@ -43,25 +43,6 @@ DEFAULT_LEARNING_RATE = 0.01
 BPTT_TRUNCATE = 500
 
 
-@dataclass(frozen=True)
-class ArchitectureSpec:
-    """Training recipe for one (appliance, architecture) pair."""
-
-    kind: str
-    window_width: int
-    update_budget: int
-    batch_size: int
-    learning_rate: float = DEFAULT_LEARNING_RATE
-
-    @classmethod
-    def defaults(cls, kind: str, window_width: int, **overrides) -> "ArchitectureSpec":
-        if kind not in KINDS:
-            raise ConfigError(f"unknown architecture kind {kind!r}; choose from {KINDS}")
-        base = {"update_budget": UPDATE_BUDGETS[kind], "batch_size": BATCH_SIZES[kind]}
-        base.update(overrides)
-        return cls(kind=kind, window_width=window_width, **base)
-
-
 def build_network(kind: str, window_width: int, rng) -> Network:
     if kind == "lstm":
         return build_lstm(window_width, rng)
@@ -167,14 +148,17 @@ def train(network: Network, batches, optimizer: NesterovSGD, update_budget: int,
           min_learning_rate: float = 1e-5,
           log_every: int = 1,
           on_checkpoint=None,
-          checkpoint_every: int | None = None) -> TrainResult:
+          checkpoint_every: int | None = None,
+          on_log=None) -> TrainResult:
     """Run exactly `update_budget` clipped Nesterov-SGD steps.
 
     The smoothed loss is an exponential moving average; when it fails to
     improve by `plateau_improvement` (relative) within
-    `plateau_patience` steps, the learning rate is halved.  A non-finite
-    loss or gradient aborts training, checkpointing the last finite
-    state via `on_checkpoint(tag, step)` before re-raising.
+    `plateau_patience` steps, the learning rate is halved.  Each logged
+    row also goes to `on_log(step, loss, smoothed, wallclock)` as it is
+    recorded.  A non-finite loss or gradient aborts training,
+    checkpointing the last finite state via `on_checkpoint(tag, step)`
+    before re-raising.
     """
     result = TrainResult()
     ema = None
@@ -193,6 +177,8 @@ def train(network: Network, batches, optimizer: NesterovSGD, update_budget: int,
             ema = loss if ema is None else (1 - smoothing) * ema + smoothing * loss
             if step % log_every == 0 or step == update_budget:
                 result.append(step, loss, ema, time.monotonic() - start)
+                if on_log:
+                    on_log(step, loss, ema, result.wallclock[-1])
             if plateau_patience:
                 if ema < best_ema * (1 - plateau_improvement):
                     best_ema = ema

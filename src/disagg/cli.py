@@ -191,12 +191,10 @@ def _model_base(cfg: ExperimentConfig, appliance: str, kind: str) -> Path:
     return models / f"{channel_slug(appliance)}_{kind}"
 
 
-def _build_sources(cfg: ExperimentConfig, appliance: str, target_kind: str,
-                   library: ts.ActivationLibrary, spec: datagen.WindowSpec):
-    """Real windows from every train house, and the activation-sum simulator."""
-    app = cfg.appliance(appliance)
-    real_sources = []
-    for house in app.train_houses:
+def _train_houses(cfg: ExperimentConfig, appliance: str, library: ts.ActivationLibrary):
+    """(aggregate, target activations on the aggregate's grid) of every train house."""
+    houses = []
+    for house in cfg.appliance(appliance).train_houses:
         aggregate = _load_channel(cfg, house, "aggregate")
         _, channel_start = _load_store(cfg, appliance, house)
         # Shift channel-relative offsets onto the aggregate's grid.
@@ -208,21 +206,8 @@ def _build_sources(cfg: ExperimentConfig, appliance: str, target_kind: str,
             offset = a.source_offset + shift
             if 0 <= offset and offset + len(a) <= len(aggregate):
                 house_acts.append(ts.Activation(offset, a.values, house=house))
-        real_sources.append(datagen.RealWindowSource(aggregate, house_acts, spec,
-                                                     target_kind))
-    real = datagen.MultiSource(real_sources) if len(real_sources) != 1 else real_sources[0]
-    synth = datagen.SyntheticSource(library, appliance, spec, target_kind)
-    return real, synth
-
-
-def _estimate_std(real, synth, sample_count: int, rng) -> float:
-    def draw(r):
-        # Mirror the 50:50 training mixture.
-        if r.random() < 0.5:
-            return real.sample_raw_input(r)
-        return synth.sample_raw_input(r)
-
-    return datagen.estimate_input_std(draw, sample_count, rng)
+        houses.append((aggregate, house_acts))
+    return houses
 
 
 def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
@@ -235,14 +220,10 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
     target_kind = "rectangle" if kind == "rectangles" else "sequence"
 
     library = _build_library(cfg)
-    base_spec = datagen.WindowSpec(appliance, width, app.activation_params.max_power)
-    real, synth = _build_sources(cfg, appliance, target_kind, library, base_spec)
-    input_std = _estimate_std(real, synth, cfg.std_sample_count,
-                              rng_for(cfg.seed, "std", appliance, kind))
-    spec = base_spec.with_input_std(input_std)
-    for source in ([real] if not isinstance(real, datagen.MultiSource) else real.sources):
-        source.spec = spec
-    synth.spec = spec
+    real, synth, spec = datagen.training_sources(
+        _train_houses(cfg, appliance, library), library, appliance, width,
+        app.activation_params.max_power, cfg.std_sample_count,
+        rng_for(cfg.seed, "std", appliance, kind))
 
     manifest = {
         "toolkit_version": __version__,
@@ -250,7 +231,7 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
         "kind": kind,
         "window_width": width,
         "max_power": app.activation_params.max_power,
-        "input_std": input_std,
+        "input_std": spec.input_std,
         "seed": cfg.seed,
         "profile": cfg.profile,
         "sample_period": cfg.sample_period,
@@ -268,7 +249,8 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
     network = architectures.build_network(kind, width, rng_for(cfg.seed, "init", appliance, kind))
     optimizer = NesterovSGD(network.parameters(), arch.learning_rate)
     batches = datagen.prefetch(datagen.batch_stream(
-        real, synth, arch.batch_size, rng_for(cfg.seed, "batches", appliance, kind)))
+        real, synth, spec, target_kind, arch.batch_size,
+        rng_for(cfg.seed, "batches", appliance, kind)))
 
     def on_checkpoint(tag, step):
         suffix = "" if tag == "final" else f"_step{step}" if tag == "interval" else "_abort"
@@ -277,23 +259,24 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
                               "kind": kind, "step": step})
 
     checkpoint_every = max(1, budget // 4) if budget >= 1000 else None
-    try:
-        result = architectures.train(
-            network, batches, optimizer, budget,
-            on_checkpoint=on_checkpoint, checkpoint_every=checkpoint_every)
-    finally:
-        batches.close()
-
+    # Rows are written as they are logged, so an aborted run keeps its log.
     with open(base.with_name(base.name + "_loss.csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "loss", "smoothed_loss", "wallclock_s"])
-        for step, loss, smoothed, wallclock in zip(result.steps, result.losses,
-                                                   result.smoothed, result.wallclock):
+
+        def log_row(step, loss, smoothed, wallclock):
             writer.writerow([step, format(loss, ".10g"), format(smoothed, ".10g"),
                              format(wallclock, ".3f")])
+
+        try:
+            result = architectures.train(
+                network, batches, optimizer, budget, on_checkpoint=on_checkpoint,
+                checkpoint_every=checkpoint_every, on_log=log_row)
+        finally:
+            batches.close()
     final_loss = result.smoothed[-1] if result.smoothed else float("nan")
     print(f"trained {appliance}/{kind}: {budget} updates, "
-          f"final smoothed loss {final_loss:.6g}, input_std {input_std:.3f}")
+          f"final smoothed loss {final_loss:.6g}, input_std {spec.input_std:.3f}")
 
 
 # -- synth-preview ----------------------------------------------------------
@@ -302,18 +285,18 @@ def cmd_synth_preview(cfg: ExperimentConfig, appliance: str, count: int):
     app = cfg.appliance(appliance)
     width = cfg.window_width(appliance)
     library = _build_library(cfg)
-    spec = datagen.WindowSpec(appliance, width, app.activation_params.max_power)
-    synth = datagen.SyntheticSource(library, appliance, spec)
     rng = rng_for(cfg.seed, "synth-preview", appliance)
-    std = _estimate_std(synth, synth, min(cfg.std_sample_count, 100), rng)
-    synth.spec = spec.with_input_std(std)
+    # No real houses: the preview shows the simulator alone.
+    _, synth, spec = datagen.training_sources(
+        [], library, appliance, width, app.activation_params.max_power,
+        min(cfg.std_sample_count, 100), rng)
 
     preview_dir = cfg.out_dir / "preview"
     preview_dir.mkdir(parents=True, exist_ok=True)
     windows = []
     with_target = 0
     for _ in range(count):
-        pair = synth.sample(rng)
+        pair = datagen.finish_pair(synth.sample(rng), spec, "sequence")
         has_target = any(p.is_target for p in pair.placements)
         with_target += has_target
         windows.append({
@@ -324,7 +307,7 @@ def cmd_synth_preview(cfg: ExperimentConfig, appliance: str, count: int):
                  "is_target": p.is_target} for p in pair.placements
             ],
         })
-    payload = {"appliance": appliance, "window_width": width, "input_std": std,
+    payload = {"appliance": appliance, "window_width": width, "input_std": spec.input_std,
                "count": count, "windows": windows}
     out = preview_dir / f"{channel_slug(appliance)}_synth.json"
     out.write_text(canonical_json(payload))

@@ -12,7 +12,8 @@ appliance's maximum power so they live in [0, 1].
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,18 +28,14 @@ class WindowSpec:
     appliance_id: str
     window_width: int
     max_power: float
-    input_std: float | None = None
+    input_std: float
 
     def __post_init__(self):
-        if self.window_width <= 0:
-            raise DataError("window_width must be positive")
-        if self.max_power <= 0:
-            raise DataError("max_power must be positive")
-        if self.input_std is not None and self.input_std <= 0:
-            raise DataError("input_std must be positive")
-
-    def with_input_std(self, input_std: float) -> "WindowSpec":
-        return replace(self, input_std=input_std)
+        # Inference reads these from a manifest file: refuse nulls and strings too.
+        for name in ("window_width", "max_power", "input_std"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value > 0):
+                raise DataError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -150,10 +147,13 @@ def encode_rectangle(target) -> RectangleTriple:
     return RectangleTriple(start_idx / width, end_idx / width, height)
 
 
-def _finish_pair(raw_input, raw_target, spec: WindowSpec, target_kind: str,
-                 placements) -> TrainingPair:
-    if spec.input_std is None:
-        raise DataError("WindowSpec.input_std is unset; estimate it first")
+def finish_pair(raw, spec: WindowSpec, target_kind: str) -> TrainingPair:
+    """Scale one raw draw `(input, target, placements)`, in watts, for training.
+
+    This is where every training input is standardized and every target
+    scaled (and, for the rectangles net, encoded as a triple).
+    """
+    raw_input, raw_target, placements = raw
     scaled = scale_target(raw_target, spec.max_power)
     if target_kind == "rectangle":
         target = encode_rectangle(scaled)
@@ -162,7 +162,7 @@ def _finish_pair(raw_input, raw_target, spec: WindowSpec, target_kind: str,
     else:
         raise DataError(f"unknown target kind {target_kind!r}")
     return TrainingPair(input=standardize_input(raw_input, spec.input_std),
-                        target=target, placements=tuple(placements))
+                        target=target, placements=placements)
 
 
 class WindowIndex:
@@ -229,174 +229,124 @@ class WindowIndex:
         return None
 
 
-def select_real_window_raw(aggregate: PowerSeries, target_activations, spec: WindowSpec,
-                           rng, include_prob: float = 0.5):
-    """Window selection before standardization: (input W, target W, placements)."""
-    index = WindowIndex(len(aggregate), spec.window_width, target_activations)
-    return _cut_real_window(aggregate, index, spec, rng, include_prob)
-
-
-def _cut_real_window(aggregate: PowerSeries, index: WindowIndex, spec: WindowSpec,
-                     rng, include_prob: float = 0.5):
-    width = spec.window_width
-    total = len(aggregate)
-    if (index.total, index.width) != (total, width):
-        raise DataError(f"window index built for {index.total} samples and width "
-                        f"{index.width}, not {total} and {width}")
-    target_activations = index.activations
-
-    include = rng.random() < include_prob and len(target_activations) > 0
-    if not include:
-        start = index.draw_clear_start(rng)
-        raw_input = aggregate.values[start : start + width]
-        return raw_input, np.zeros(width), ()
-
-    chosen = target_activations[int(rng.integers(0, len(target_activations)))]
-    a0, alen = chosen.source_offset, len(chosen)
-    if alen <= width:
-        # Draw the activation's offset inside the window, uniform over
-        # placements that keep it complete and the window in range.
-        lo = max(0, a0 + width - total)
-        hi = min(width - alen, a0)
-        offset = int(rng.integers(lo, hi + 1))
-        start = a0 - offset
-    else:
-        start = min(a0, total - width)
-    raw_input = aggregate.values[start : start + width]
-
-    raw_target = np.zeros(width)
-    first = index.first_complete(start)
-    if first is not None:
-        raw_target[first.source_offset - start : first.source_offset - start + len(first)] = first.values
-        placed = first
-    else:
-        # Only reachable when the chosen activation overflows the window.
-        span = min(width, a0 + alen - start) - max(0, a0 - start)
-        rel = max(0, a0 - start)
-        src = max(0, start - a0)
-        raw_target[rel : rel + span] = chosen.values[src : src + span]
-        placed = chosen
-    placement = Placement(spec.appliance_id, placed.house, placed.source_offset - start,
-                          placed.values, is_target=True)
-    return raw_input, raw_target, (placement,)
-
-
-def select_real_window(aggregate: PowerSeries, target_activations, spec: WindowSpec,
-                       rng, target_kind: str = "sequence",
-                       include_prob: float = 0.5) -> TrainingPair:
-    """Cut one training window out of a real aggregate series.
-
-    With probability `include_prob` the window is positioned so that a
-    randomly chosen target activation is completely contained (the
-    activation's in-window offset is drawn uniformly over the feasible
-    range); otherwise a window containing no target activation at all is
-    drawn.  The target sequence copies only the first complete target
-    activation in the window; any other target-appliance activity stays
-    in the input but not in the target.  Activations longer than the
-    window are truncated and placed at offset zero.
-    """
-    raw_input, raw_target, placements = select_real_window_raw(
-        aggregate, target_activations, spec, rng, include_prob)
-    return _finish_pair(raw_input, raw_target, spec, target_kind, placements)
-
-
-def synthesize_aggregate_raw(library: ActivationLibrary, target_class: str, spec: WindowSpec,
-                             rng, target_prob: float = 0.5, distractor_prob: float = 0.25):
-    """Synthesis before standardization: (input W, target W, placements)."""
-    width = spec.window_width
-    raw_input = np.zeros(width)
-    raw_target = np.zeros(width)
-    placements: list[Placement] = []
-
-    if rng.random() < target_prob:
-        pool = library.train_activations(target_class)
-        if pool:
-            act = pool[int(rng.integers(0, len(pool)))]
-            offset = 0 if len(act) >= width else int(rng.integers(0, width - len(act) + 1))
-            contrib = Placement(target_class, act.house, offset, act.values, is_target=True)
-            added = contrib.contribution(width)
-            raw_input += added
-            raw_target += added
-            placements.append(contrib)
-
-    for cls in library.classes():
-        if cls == target_class:
-            continue
-        if rng.random() >= distractor_prob:
-            continue
-        pool = library.train_activations(cls)
-        if not pool:
-            continue  # empty class: skip, draw order stays fixed
-        act = pool[int(rng.integers(0, len(pool)))]
-        offset = int(rng.integers(-(len(act) - 1), width))
-        contrib = Placement(cls, act.house, offset, act.values, is_target=False)
-        raw_input += contrib.contribution(width)
-        placements.append(contrib)
-
-    return raw_input, raw_target, tuple(placements)
-
-
-def synthesize_aggregate(library: ActivationLibrary, target_class: str, spec: WindowSpec,
-                         rng, target_kind: str = "sequence",
-                         target_prob: float = 0.5,
-                         distractor_prob: float = 0.25) -> TrainingPair:
-    """Build a synthetic aggregate window by summing placed activations.
-
-    The target class appears with probability `target_prob` and, when it
-    does, is completely contained in the window (truncated at offset
-    zero only if longer than the window).  Every other class in the
-    library acts as a distractor appearing independently with
-    probability `distractor_prob`, placed anywhere, partial overlap
-    allowed.  The input is the elementwise sum of all contributions; the
-    target holds the target-class contribution only.
-    """
-    raw_input, raw_target, placements = synthesize_aggregate_raw(
-        library, target_class, spec, rng, target_prob, distractor_prob)
-    return _finish_pair(raw_input, raw_target, spec, target_kind, placements)
-
-
 @dataclass
 class RealWindowSource:
-    """Infinite sampler of real-aggregate training pairs."""
+    """Infinite sampler of windows cut out of one house's real aggregate.
+
+    Each draw is `(input, target, placements)` in watts.  With
+    probability 1/2 the window is positioned so that a randomly chosen
+    target activation is completely contained (the activation's
+    in-window offset is drawn uniformly over the feasible range);
+    otherwise a window containing no target activation at all is drawn.
+    The target sequence copies only the first complete target activation
+    in the window; any other target-appliance activity stays in the
+    input but not in the target.  Activations longer than the window are
+    truncated and placed at offset zero.
+    """
 
     aggregate: PowerSeries
     target_activations: list[Activation]
-    spec: WindowSpec
-    target_kind: str = "sequence"
+    appliance_id: str
+    window_width: int
     index: WindowIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.index = WindowIndex(len(self.aggregate), self.spec.window_width,
+        self.index = WindowIndex(len(self.aggregate), self.window_width,
                                  self.target_activations)
 
-    def sample(self, rng) -> TrainingPair:
-        raw_input, raw_target, placements = _cut_real_window(
-            self.aggregate, self.index, self.spec, rng)
-        return _finish_pair(raw_input, raw_target, self.spec, self.target_kind, placements)
+    def sample(self, rng):
+        width = self.window_width
+        total = len(self.aggregate)
+        target_activations = self.index.activations
 
-    def sample_raw_input(self, rng) -> np.ndarray:
-        """Unstandardized input window, for dataset std estimation."""
-        raw_input, _, _ = _cut_real_window(self.aggregate, self.index, self.spec, rng)
-        return raw_input
+        include = rng.random() < 0.5 and len(target_activations) > 0
+        if not include:
+            start = self.index.draw_clear_start(rng)
+            raw_input = self.aggregate.values[start : start + width]
+            return raw_input, np.zeros(width), ()
+
+        chosen = target_activations[int(rng.integers(0, len(target_activations)))]
+        a0, alen = chosen.source_offset, len(chosen)
+        if alen <= width:
+            # Draw the activation's offset inside the window, uniform over
+            # placements that keep it complete and the window in range.
+            lo = max(0, a0 + width - total)
+            hi = min(width - alen, a0)
+            offset = int(rng.integers(lo, hi + 1))
+            start = a0 - offset
+        else:
+            start = min(a0, total - width)
+        raw_input = self.aggregate.values[start : start + width]
+
+        raw_target = np.zeros(width)
+        first = self.index.first_complete(start)
+        if first is not None:
+            raw_target[first.source_offset - start : first.source_offset - start + len(first)] = \
+                first.values
+            placed = first
+        else:
+            # Only reachable when the chosen activation overflows the window.
+            span = min(width, a0 + alen - start) - max(0, a0 - start)
+            rel = max(0, a0 - start)
+            src = max(0, start - a0)
+            raw_target[rel : rel + span] = chosen.values[src : src + span]
+            placed = chosen
+        placement = Placement(self.appliance_id, placed.house, placed.source_offset - start,
+                              placed.values, is_target=True)
+        return raw_input, raw_target, (placement,)
 
 
 @dataclass
 class SyntheticSource:
-    """Infinite sampler of synthesised-aggregate training pairs."""
+    """Infinite sampler of synthetic aggregates built by summing placed activations.
+
+    Each draw is `(input, target, placements)` in watts.  The target
+    class appears with probability 1/2 and, when it does, is completely
+    contained in the window (truncated at offset zero only if longer
+    than the window).  Every other class in the library acts as a
+    distractor appearing independently with probability 1/4, placed
+    anywhere, partial overlap allowed.  The input is the elementwise sum
+    of all contributions; the target holds the target-class contribution
+    only.
+    """
 
     library: ActivationLibrary
     target_class: str
-    spec: WindowSpec
-    target_kind: str = "sequence"
+    window_width: int
 
-    def sample(self, rng) -> TrainingPair:
-        return synthesize_aggregate(self.library, self.target_class, self.spec,
-                                    rng, self.target_kind)
+    def sample(self, rng):
+        width = self.window_width
+        raw_input = np.zeros(width)
+        raw_target = np.zeros(width)
+        placements: list[Placement] = []
 
-    def sample_raw_input(self, rng) -> np.ndarray:
-        raw_input, _, _ = synthesize_aggregate_raw(self.library, self.target_class,
-                                                   self.spec, rng)
-        return raw_input
+        if rng.random() < 0.5:
+            pool = self.library.train_activations(self.target_class)
+            if pool:
+                act = pool[int(rng.integers(0, len(pool)))]
+                offset = 0 if len(act) >= width else int(rng.integers(0, width - len(act) + 1))
+                contrib = Placement(self.target_class, act.house, offset, act.values,
+                                    is_target=True)
+                added = contrib.contribution(width)
+                raw_input += added
+                raw_target += added
+                placements.append(contrib)
+
+        for cls in self.library.classes():
+            if cls == self.target_class:
+                continue
+            if rng.random() >= 0.25:
+                continue
+            pool = self.library.train_activations(cls)
+            if not pool:
+                continue  # empty class: skip, draw order stays fixed
+            act = pool[int(rng.integers(0, len(pool)))]
+            offset = int(rng.integers(-(len(act) - 1), width))
+            contrib = Placement(cls, act.house, offset, act.values, is_target=False)
+            raw_input += contrib.contribution(width)
+            placements.append(contrib)
+
+        return raw_input, raw_target, tuple(placements)
 
 
 @dataclass
@@ -405,11 +355,38 @@ class MultiSource:
 
     sources: list
 
-    def sample(self, rng) -> TrainingPair:
+    def sample(self, rng):
         return self.sources[int(rng.integers(0, len(self.sources)))].sample(rng)
 
-    def sample_raw_input(self, rng) -> np.ndarray:
-        return self.sources[int(rng.integers(0, len(self.sources)))].sample_raw_input(rng)
+
+def training_sources(houses, library: ActivationLibrary, appliance_id: str,
+                     window_width: int, max_power: float, std_sample_count: int,
+                     std_rng):
+    """The samplers of the 50:50 real/synthetic training mixture, and its WindowSpec.
+
+    `houses` are the train houses as (aggregate, target activations on
+    the aggregate's grid) pairs.  The input std is estimated over raw
+    inputs drawn from the same mixture (a coin, then a house, then a
+    window), and the returned spec carries it, so `batch_stream` and
+    inference scale inputs identically.  With no houses, both halves of
+    the mixture come from the simulator.  Returns (real, synth, spec).
+    """
+    synth = SyntheticSource(library, appliance_id, window_width)
+    real_sources = [RealWindowSource(aggregate, acts, appliance_id, window_width)
+                    for aggregate, acts in houses]
+    if not real_sources:
+        real = synth
+    elif len(real_sources) == 1:
+        # Unwrapped, so no draw of a house index (rng.integers(0, 1)) per window.
+        real = real_sources[0]
+    else:
+        real = MultiSource(real_sources)
+
+    def draw_input(rng):
+        return (real if rng.random() < 0.5 else synth).sample(rng)[0]
+
+    input_std = estimate_input_std(draw_input, std_sample_count, std_rng)
+    return real, synth, WindowSpec(appliance_id, window_width, max_power, input_std)
 
 
 @dataclass(frozen=True)
@@ -418,7 +395,6 @@ class Batch:
 
     inputs: np.ndarray
     targets: np.ndarray
-    pairs: tuple[TrainingPair, ...]
 
 
 def stack_pairs(pairs) -> Batch:
@@ -428,24 +404,26 @@ def stack_pairs(pairs) -> Batch:
         targets = np.stack([p.target.as_array() for p in pairs])
     else:
         targets = np.stack([p.target for p in pairs])
-    return Batch(inputs=inputs, targets=targets, pairs=tuple(pairs))
+    return Batch(inputs=inputs, targets=targets)
 
 
-def batch_stream(source_real, source_synth, batch_size: int, rng):
-    """Yield batches drawn half from real and half from synthetic pairs.
+def batch_stream(source_real, source_synth, spec: WindowSpec, target_kind: str,
+                 batch_size: int, rng):
+    """Yield batches drawn half from real and half from synthetic windows.
 
     Both sources resample with replacement, so the stream never runs
-    dry.  All randomness flows through `rng`, making the stream fully
-    determined by its seed; run it on a producer thread if batch
-    preparation should overlap training.
+    dry.  Each draw is scaled by `spec` through `finish_pair`.  All
+    randomness flows through `rng`, making the stream fully determined
+    by its seed; run it on a producer thread if batch preparation should
+    overlap training.
     """
     if batch_size % 2 != 0:
         raise DataError("batch_size must be even for a 50:50 real/synthetic split")
     half = batch_size // 2
     while True:
-        pairs = [source_real.sample(rng) for _ in range(half)]
-        pairs += [source_synth.sample(rng) for _ in range(half)]
-        yield stack_pairs(pairs)
+        raws = [source_real.sample(rng) for _ in range(half)]
+        raws += [source_synth.sample(rng) for _ in range(half)]
+        yield stack_pairs([finish_pair(raw, spec, target_kind) for raw in raws])
 
 
 def prefetch(iterator, depth: int = 2):

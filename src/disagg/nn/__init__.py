@@ -4,12 +4,12 @@ clipping, and truncated backpropagation through time."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .layers import LSTM, Bidirectional, Conv1D, Dense, Flatten, Reshape
-from .network import Network, mse
+from .network import Network
 from .optim import GRADIENT_CLIP_BOUND, MOMENTUM, NesterovSGD, clip_gradients
 
 __all__ = [
     "LSTM", "Bidirectional", "Conv1D", "Dense", "Flatten", "Reshape",
-    "Network", "mse", "NesterovSGD", "clip_gradients",
+    "Network", "NesterovSGD", "clip_gradients",
     "GRADIENT_CLIP_BOUND", "MOMENTUM",
     "save_checkpoint", "load_checkpoint",
 ]

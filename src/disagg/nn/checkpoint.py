@@ -25,7 +25,7 @@ def save_checkpoint(path, params: dict, meta: dict | None = None):
     blobs = []
     offset = 0
     for name in names:
-        arr = np.ascontiguousarray(params[name], dtype="<f8")
+        arr = np.asarray(params[name], dtype="<f8")  # keeps a 0-d shape
         blob = arr.tobytes()
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset,
                         "nbytes": len(blob)})

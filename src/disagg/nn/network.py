@@ -112,10 +112,3 @@ class Network:
 
     def describe(self):
         return [dict(layer.describe(), name=layer.name) for layer in self.layers]
-
-
-def mse(prediction, target) -> float:
-    prediction = np.asarray(prediction, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    diff = prediction - target
-    return float(np.mean(diff * diff))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import RectangleTriple, WindowSpec, standardize_input
-from .errors import ConfigError, DataError
+from .datagen import RectangleTriple, WindowSpec
+from .errors import ConfigError
 from .timeseries import PowerSeries
 
 
@@ -73,8 +73,6 @@ def slide(network, aggregate: PowerSeries, spec: WindowSpec, config: DisaggConfi
     Windows are standardized with the training-time dataset std;
     sequence outputs are scaled back to watts.
     """
-    if spec.input_std is None:
-        raise DataError("WindowSpec.input_std is unset; load it from the manifest")
     width = spec.window_width
     config.validate(width)
 

@@ -34,32 +34,14 @@ class DeskRun:
     final_loss: float
 
 
-def build_training_stream(width, seed, target_kind, batch_size, train_length=4000,
-                          per_house=80):
-    library = make_library(DESK_APPLIANCES, TRAIN_HOUSES, (TEST_HOUSE,),
-                           per_house=per_house, rng=rng_for(seed, "library"))
-    spec = datagen.WindowSpec(TARGET, width, MAX_POWER)
-    real_sources = []
+def train_houses(seed, length=4000):
+    """(aggregate, kettle activations) of each synthetic train household."""
+    houses = []
     for house in TRAIN_HOUSES:
-        aggregate, channels = make_household(DESK_APPLIANCES, train_length,
+        aggregate, channels = make_household(DESK_APPLIANCES, length,
                                              rng_for(seed, "train-house", house))
-        acts = extract_activations(channels[TARGET], EXTRACT_PARAMS)
-        real_sources.append(datagen.RealWindowSource(aggregate, acts, spec, target_kind))
-    real = datagen.MultiSource(real_sources)
-    synth = datagen.SyntheticSource(library, TARGET, spec, target_kind)
-
-    def draw_raw(r):
-        if r.random() < 0.5:
-            return real.sample_raw_input(r)
-        return synth.sample_raw_input(r)
-
-    input_std = datagen.estimate_input_std(draw_raw, 200, rng_for(seed, "std"))
-    spec = spec.with_input_std(input_std)
-    for source in real.sources:
-        source.spec = spec
-    synth.spec = spec
-    stream = datagen.batch_stream(real, synth, batch_size, rng_for(seed, "batches"))
-    return stream, spec
+        houses.append((aggregate, extract_activations(channels[TARGET], EXTRACT_PARAMS)))
+    return houses
 
 
 def held_out_household(seed, length=3000):
@@ -70,7 +52,12 @@ def run_desk_experiment(kind, width=32, updates=2000, batch_size=64,
                         learning_rate=0.01, stride=4, seed=33,
                         eval_length=3000) -> DeskRun:
     target_kind = "rectangle" if kind == "rectangles" else "sequence"
-    stream, spec = build_training_stream(width, seed, target_kind, batch_size)
+    library = make_library(DESK_APPLIANCES, TRAIN_HOUSES, (TEST_HOUSE,), per_house=80,
+                           rng=rng_for(seed, "library"))
+    real, synth, spec = datagen.training_sources(train_houses(seed), library, TARGET, width,
+                                                 MAX_POWER, 200, rng_for(seed, "std"))
+    stream = datagen.batch_stream(real, synth, spec, target_kind, batch_size,
+                                  rng_for(seed, "batches"))
     network = architectures.build_network(kind, width, rng_for(seed, "init", kind))
     optimizer = NesterovSGD(network.parameters(), learning_rate)
     result = architectures.train(network, stream, optimizer, updates,

@@ -3,9 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from disagg.architectures import (ArchitectureSpec, BATCH_SIZES, UPDATE_BUDGETS,
-                                  build_dae, build_lstm, build_network,
-                                  build_rectangles, train)
+from disagg.architectures import (BATCH_SIZES, UPDATE_BUDGETS, build_dae, build_lstm,
+                                  build_network, build_rectangles, train)
 from disagg.datagen import Batch
 from disagg.errors import ConfigError, NumericError
 from disagg.nn import NesterovSGD
@@ -81,7 +80,7 @@ class TestDaeStack:
 
     def test_zero_training_on_zeros_reconstructs_zeros(self, rng):
         net = build_dae(16, rng, conv_filters=2, code_units=3)
-        batch = Batch(inputs=np.zeros((4, 16)), targets=np.zeros((4, 16)), pairs=())
+        batch = Batch(inputs=np.zeros((4, 16)), targets=np.zeros((4, 16)))
         opt = NesterovSGD(net.parameters(), learning_rate=0.01)
         train(net, repeat_batch(batch), opt, 50, plateau_patience=None)
         np.testing.assert_allclose(net.forward(np.zeros((1, 16))), np.zeros((1, 10)),
@@ -127,7 +126,6 @@ class TestRectanglesStack:
 class TestSpecDefaults:
     def test_update_budgets(self):
         assert UPDATE_BUDGETS == {"lstm": 10_000, "dae": 100_000, "rectangles": 300_000}
-        assert ArchitectureSpec.defaults("dae", 128).update_budget == 100_000
 
     def test_batch_sizes(self):
         assert BATCH_SIZES == {"lstm": 16, "dae": 64, "rectangles": 64}
@@ -148,7 +146,7 @@ class TestTraining:
         else:
             net = build_rectangles(16, rng, conv_filters=2, dense_units=(8, 6, 4, 3))
             targets = rng.uniform(0, 1, size=(8, 3))
-        batch = Batch(inputs=rng.normal(size=(8, 16)), targets=targets, pairs=())
+        batch = Batch(inputs=rng.normal(size=(8, 16)), targets=targets)
         return net, batch
 
     def test_budget_zero_returns_unchanged(self, rng):
@@ -196,7 +194,7 @@ class TestTraining:
     def test_plateau_halves_learning_rate(self, rng):
         net, batch = self._toy_net_and_batch("dae", rng)
         # Zero-error target: loss stalls at a constant, triggering plateaus.
-        batch = Batch(inputs=batch.inputs, targets=net.forward(batch.inputs), pairs=())
+        batch = Batch(inputs=batch.inputs, targets=net.forward(batch.inputs))
         opt = NesterovSGD(net.parameters(), learning_rate=0.01)
         train(net, repeat_batch(batch), opt, 30, plateau_patience=10)
         assert opt.learning_rate < 0.01

@@ -8,6 +8,7 @@ import pytest
 from disagg.cli import main
 from disagg.config import load_config, parse_config
 from disagg.errors import ConfigError
+from disagg.nn import Network
 from disagg.synthworld import DESK_APPLIANCES, write_world
 
 
@@ -179,6 +180,28 @@ class TestCliPipeline:
         assert main(["train", "--config", str(path), "--appliance", "kettle",
                      "--kind", "dae"]) == 2
         assert "even" in capsys.readouterr().err
+
+    def test_numeric_abort_keeps_loss_log(self, tmp_path, capsys, monkeypatch):
+        path = world_config(tmp_path, budget=6)
+        main(["extract", "--config", str(path)])
+        original = Network.loss_and_gradients
+        calls = []
+
+        def non_finite_at_step_4(self, x, target):
+            calls.append(1)
+            loss, grads = original(self, x, target)
+            return (float("nan") if len(calls) == 4 else loss), grads
+
+        monkeypatch.setattr(Network, "loss_and_gradients", non_finite_at_step_4)
+        assert main(["train", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "dae"]) == 3
+        assert "non-finite loss at step 4" in capsys.readouterr().err
+        out = tmp_path / "out" / "models"
+        with open(out / "kettle_dae_loss.csv") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["step", "loss", "smoothed_loss", "wallclock_s"]
+        assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
+        assert (out / "kettle_dae_abort.ckpt").exists()
 
     def test_same_seed_identical_loss_log(self, tmp_path):
         path = world_config(tmp_path)

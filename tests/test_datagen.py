@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from disagg.datagen import (Batch, MultiSource, Placement, RealWindowSource,
-                            RectangleTriple, SyntheticSource, TrainingPair, WindowIndex,
-                            WindowSpec, batch_stream, encode_rectangle,
-                            estimate_input_std, prefetch, scale_target, select_real_window,
-                            select_real_window_raw, standardize_input,
-                            synthesize_aggregate)
+                            RectangleTriple, SyntheticSource, WindowIndex, WindowSpec,
+                            batch_stream, encode_rectangle, estimate_input_std, finish_pair,
+                            prefetch, scale_target, standardize_input, training_sources)
 from disagg.errors import DataError
 from disagg.timeseries import Activation, ActivationLibrary, PowerSeries
 
@@ -31,6 +29,28 @@ class ScriptedRng:
 
 def make_spec(width=128, max_power=2400.0, input_std=500.0):
     return WindowSpec("kettle", width, max_power, input_std)
+
+
+def real_source(aggregate, acts, spec):
+    return RealWindowSource(aggregate, acts, spec.appliance_id, spec.window_width)
+
+
+def real_pair(aggregate, acts, spec, rng, target_kind="sequence"):
+    return finish_pair(real_source(aggregate, acts, spec).sample(rng), spec, target_kind)
+
+
+def synth_pair(library, target_class, spec, rng):
+    source = SyntheticSource(library, target_class, spec.window_width)
+    return finish_pair(source.sample(rng), spec, "sequence")
+
+
+class TestWindowSpec:
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), None, "500"])
+    @pytest.mark.parametrize("name", ["window_width", "max_power", "input_std"])
+    def test_rejects_what_is_not_a_positive_number(self, name, value):
+        fields = {"window_width": 128, "max_power": 2400.0, "input_std": 500.0, name: value}
+        with pytest.raises(DataError, match=f"{name} must be positive"):
+            WindowSpec("kettle", **fields)
 
 
 class TestStandardize:
@@ -129,22 +149,27 @@ class TestSelectRealWindow:
     def test_exclude_branch_gives_zero_target(self):
         aggregate, acts = make_world()
         rng = ScriptedRng(randoms=[0.9], integers=[0])  # exclude; clear-window index
-        pair = select_real_window(aggregate, acts, make_spec(), rng)
+        pair = real_pair(aggregate, acts, make_spec(), rng)
         np.testing.assert_array_equal(pair.target, np.zeros(128))
 
     def test_exclude_branch_window_avoids_activations(self, rng):
         aggregate, acts = make_world()
         spec = make_spec()
-        for _ in range(50):
-            pair = select_real_window(aggregate, acts, spec, rng, include_prob=0.0)
+        excluded = 0
+        for _ in range(100):
+            pair = real_pair(aggregate, acts, spec, rng)
+            if pair.placements:
+                continue  # include branch
+            excluded += 1
             assert pair.target.max() == 0.0
             # input had the vampire load removed by centring; no kettle bump
             assert pair.input.max() * spec.input_std < 1000
+        assert excluded > 0
 
     def test_include_branch_placement(self):
         aggregate, acts = make_world(act_positions=((100, 40),))
         rng = ScriptedRng(randoms=[0.0], integers=[0, 10])  # include; act 0; offset 10
-        pair = select_real_window(aggregate, acts, make_spec(), rng)
+        pair = real_pair(aggregate, acts, make_spec(), rng)
         expected = np.zeros(128)
         expected[10:50] = 2000.0 / 2400.0
         np.testing.assert_allclose(pair.target, expected)
@@ -153,14 +178,14 @@ class TestSelectRealWindow:
     def test_oversized_activation_truncated_at_offset_zero(self):
         aggregate, acts = make_world(total=600, act_positions=((100, 200),))
         rng = ScriptedRng(randoms=[0.0], integers=[0])
-        pair = select_real_window(aggregate, acts, make_spec(width=128), rng)
+        pair = real_pair(aggregate, acts, make_spec(width=128), rng)
         np.testing.assert_allclose(pair.target, np.full(128, 2000.0 / 2400.0))
 
     def test_first_complete_activation_wins(self):
         # Window will contain both activations; the earlier one is the target.
         aggregate, acts = make_world(total=400, act_positions=((110, 10), (130, 10)))
         rng = ScriptedRng(randoms=[0.0], integers=[1, 90])  # choose 2nd act, offset 90
-        pair = select_real_window(aggregate, acts, make_spec(), rng)
+        pair = real_pair(aggregate, acts, make_spec(), rng)
         # window start = 130 - 90 = 40; first complete activation starts at 110
         scaled = 2000.0 / 2400.0
         np.testing.assert_allclose(pair.target[70:80], np.full(10, scaled))
@@ -169,19 +194,19 @@ class TestSelectRealWindow:
     def test_fallback_when_no_activations(self):
         aggregate, _ = make_world(act_positions=())
         rng = ScriptedRng(randoms=[0.0], integers=[5])
-        pair = select_real_window(aggregate, [], make_spec(), rng)
+        pair = real_pair(aggregate, [], make_spec(), rng)
         np.testing.assert_array_equal(pair.target, np.zeros(128))
 
     def test_aggregate_shorter_than_window_rejected(self):
         aggregate, acts = make_world(total=100)
         with pytest.raises(DataError, match="shorter than window"):
-            select_real_window(aggregate, acts, make_spec(width=128), ScriptedRng([0.9]))
+            RealWindowSource(aggregate, acts, "kettle", 128)
 
     def test_input_uses_real_aggregate(self):
         aggregate, acts = make_world()
         spec = make_spec()
         rng = ScriptedRng(randoms=[0.0], integers=[0, 0])
-        pair = select_real_window(aggregate, acts, spec, rng)
+        pair = real_pair(aggregate, acts, spec, rng)
         window = aggregate.values[100 : 100 + 128]
         np.testing.assert_allclose(pair.input, (window - window.mean()) / spec.input_std)
 
@@ -201,7 +226,7 @@ class TestSynthesizeAggregate:
     def test_all_draws_false(self):
         library = make_library()
         rng = ScriptedRng(randoms=[0.9, 0.9, 0.9])  # target, fridge, microwave
-        pair = synthesize_aggregate(library, "kettle", make_spec(), rng)
+        pair = synth_pair(library, "kettle", make_spec(), rng)
         np.testing.assert_array_equal(pair.input, np.zeros(128))
         np.testing.assert_array_equal(pair.target, np.zeros(128))
 
@@ -209,7 +234,7 @@ class TestSynthesizeAggregate:
         library = make_library()
         rng = ScriptedRng(randoms=[0.0, 0.9, 0.9], integers=[0, 17])
         spec = make_spec()
-        pair = synthesize_aggregate(library, "kettle", spec, rng)
+        pair = synth_pair(library, "kettle", spec, rng)
         raw_target = pair.target * spec.max_power
         expected = np.zeros(128)
         expected[17:21] = 2000.0
@@ -223,7 +248,7 @@ class TestSynthesizeAggregate:
         # target drawn at offset 10; fridge drawn overlapping at offset 12
         rng = ScriptedRng(randoms=[0.0, 0.0, 0.9], integers=[0, 10, 0, 12])
         spec = make_spec()
-        pair = synthesize_aggregate(library, "kettle", spec, rng)
+        pair = synth_pair(library, "kettle", spec, rng)
         raw_target = pair.target * spec.max_power
         assert raw_target[10:14].max() == pytest.approx(2000.0)
         assert raw_target[20:].max() == 0.0
@@ -232,7 +257,7 @@ class TestSynthesizeAggregate:
         library = make_library()
         spec = make_spec()
         for _ in range(100):
-            pair = synthesize_aggregate(library, "kettle", spec, rng)
+            pair = synth_pair(library, "kettle", spec, rng)
             total = np.zeros(spec.window_width)
             for placement in pair.placements:
                 total += placement.contribution(spec.window_width)
@@ -243,7 +268,7 @@ class TestSynthesizeAggregate:
         library = make_library()
         spec = make_spec()
         for _ in range(200):
-            pair = synthesize_aggregate(library, "kettle", spec, rng)
+            pair = synth_pair(library, "kettle", spec, rng)
             targets = [p for p in pair.placements if p.is_target]
             for p in targets:
                 assert p.offset >= 0
@@ -254,7 +279,7 @@ class TestSynthesizeAggregate:
         spec = make_spec()
         seen_partial = False
         for _ in range(300):
-            pair = synthesize_aggregate(library, "kettle", spec, rng)
+            pair = synth_pair(library, "kettle", spec, rng)
             for p in pair.placements:
                 if not p.is_target and (p.offset < 0 or
                                         p.offset + len(p.values) > spec.window_width):
@@ -265,66 +290,63 @@ class TestSynthesizeAggregate:
         library = make_library()
         library._train["microwave"] = []
         rng = ScriptedRng(randoms=[0.9, 0.9, 0.0])  # only microwave drawn, but empty
-        pair = synthesize_aggregate(library, "kettle", make_spec(), rng)
+        pair = synth_pair(library, "kettle", make_spec(), rng)
         np.testing.assert_array_equal(pair.input, np.zeros(128))
 
     def test_no_test_house_activation_in_training_pairs(self, rng):
         library = make_library()
         spec = make_spec()
         for _ in range(200):
-            pair = synthesize_aggregate(library, "kettle", spec, rng)
+            pair = synth_pair(library, "kettle", spec, rng)
             for p in pair.placements:
                 assert p.house == 1
 
 
 class TestBatchStream:
-    def _sources(self, target_kind="sequence"):
-        library = make_library()
+    def _stream(self, batch_size, seed, target_kind="sequence"):
         aggregate, acts = make_world()
         spec = make_spec()
-        real = RealWindowSource(aggregate, acts, spec, target_kind)
-        synth = SyntheticSource(library, "kettle", spec, target_kind)
-        return real, synth
+        real = real_source(aggregate, acts, spec)
+        synth = SyntheticSource(make_library(), "kettle", spec.window_width)
+        return batch_stream(real, synth, spec, target_kind, batch_size,
+                            np.random.default_rng(seed))
 
     def test_even_split(self):
-        real, synth = self._sources()
-        batch = next(batch_stream(real, synth, 64, np.random.default_rng(0)))
+        batch = next(self._stream(64, 0))
         assert isinstance(batch, Batch)
         assert batch.inputs.shape == (64, 128)
         assert batch.targets.shape == (64, 128)
 
     def test_batch_16(self):
-        real, synth = self._sources()
-        batch = next(batch_stream(real, synth, 16, np.random.default_rng(0)))
+        batch = next(self._stream(16, 0))
         assert batch.inputs.shape == (16, 128)
 
     def test_rectangle_targets_stack(self):
-        real, synth = self._sources("rectangle")
-        batch = next(batch_stream(real, synth, 8, np.random.default_rng(0)))
+        batch = next(self._stream(8, 0, "rectangle"))
         assert batch.targets.shape == (8, 3)
 
     def test_determinism(self):
         for _ in range(2):
             batches = []
             for run in range(2):
-                real, synth = self._sources()
-                stream = batch_stream(real, synth, 8, np.random.default_rng(42))
+                stream = self._stream(8, 42)
                 batches.append([next(stream) for _ in range(3)])
             for a, b in zip(*batches):
                 np.testing.assert_array_equal(a.inputs, b.inputs)
                 np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_odd_batch_rejected(self):
-        real, synth = self._sources()
         with pytest.raises(DataError, match="even"):
-            next(batch_stream(real, synth, 7, np.random.default_rng(0)))
+            next(self._stream(7, 0))
+
+    def test_unknown_target_kind_rejected(self):
+        with pytest.raises(DataError, match="unknown target kind"):
+            next(self._stream(8, 0, "triangle"))
 
     def test_prefetch_preserves_stream(self):
-        real, synth = self._sources()
-        plain = batch_stream(real, synth, 8, np.random.default_rng(5))
+        plain = self._stream(8, 5)
         direct = [next(plain) for _ in range(4)]
-        real2, synth2 = self._sources()
-        threaded = prefetch(batch_stream(real2, synth2, 8, np.random.default_rng(5)))
+        threaded = prefetch(self._stream(8, 5))
         buffered = [next(threaded) for _ in range(4)]
         for a, b in zip(direct, buffered):
             np.testing.assert_array_equal(a.inputs, b.inputs)
@@ -361,10 +383,50 @@ class TestBatchStream:
         spec = make_spec()
         agg1, acts1 = make_world()
         agg2, acts2 = make_world(power=1500.0)
-        multi = MultiSource([RealWindowSource(agg1, acts1, spec),
-                             RealWindowSource(agg2, acts2, spec)])
-        pair = multi.sample(rng)
-        assert isinstance(pair, TrainingPair)
+        multi = MultiSource([real_source(agg1, acts1, spec), real_source(agg2, acts2, spec)])
+        powers = {p.values[0] for _ in range(50) for p in multi.sample(rng)[2]}
+        assert powers == {2000.0, 1500.0}
+
+
+def reference_input_std(real_sources, synth, sample_count, rng):
+    """The std estimate over the 50:50 mixture: a coin, then a house, then a window."""
+    pooled = []
+    for _ in range(sample_count):
+        if rng.random() < 0.5 and real_sources:
+            if len(real_sources) > 1:
+                source = real_sources[int(rng.integers(0, len(real_sources)))]
+            else:
+                source = real_sources[0]
+        else:
+            source = synth
+        pooled.append(source.sample(rng)[0])
+    return float(np.concatenate(pooled).std())
+
+
+class TestTrainingSources:
+    @pytest.mark.parametrize("house_count", [0, 1, 2])
+    def test_std_estimated_over_the_mixture(self, house_count):
+        library = make_library()
+        houses = [make_world(power=1000.0 + 500 * h) for h in range(house_count)]
+        real, synth, spec = training_sources(houses, library, "kettle", 128, 2400.0, 60,
+                                             np.random.default_rng(9))
+        assert spec == WindowSpec("kettle", 128, 2400.0, spec.input_std)
+        real_sources = [RealWindowSource(agg, acts, "kettle", 128) for agg, acts in houses]
+        expected = reference_input_std(real_sources, SyntheticSource(library, "kettle", 128),
+                                       60, np.random.default_rng(9))
+        assert spec.input_std == expected
+
+    def test_one_house_is_drawn_without_a_house_index(self):
+        houses = [make_world()]
+        real, synth, _ = training_sources(houses, make_library(), "kettle", 128, 2400.0, 10,
+                                          np.random.default_rng(0))
+        assert isinstance(real, RealWindowSource)
+        assert real.aggregate is houses[0][0]
+
+    def test_no_houses_draws_both_halves_from_the_simulator(self):
+        real, synth, _ = training_sources([], make_library(), "kettle", 128, 2400.0, 10,
+                                          np.random.default_rng(0))
+        assert real is synth
 
 
 # Reference implementations: the per-draw coverage mask, convolution and
@@ -461,19 +523,20 @@ class TestWindowIndexOracle:
         for seed in range(300):
             aggregate, acts, spec = random_world(np.random.default_rng(seed))
             assert_index_matches_reference(aggregate, acts, spec.window_width)
+            source = real_source(aggregate, acts, spec)
             new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(20):
-                assert_same_draws(select_real_window_raw(aggregate, acts, spec, new_rng),
+                assert_same_draws(source.sample(new_rng),
                                   reference_real_window_raw(aggregate, acts, spec, ref_rng))
 
     @pytest.mark.parametrize("target_kind", ["sequence", "rectangle"])
     def test_source_stream_matches_reference(self, target_kind):
         for seed in range(40):
             aggregate, acts, spec = random_world(np.random.default_rng(seed))
-            source = RealWindowSource(aggregate, acts, spec, target_kind)
+            source = real_source(aggregate, acts, spec)
             new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(20):
-                pair = source.sample(new_rng)
+                pair = finish_pair(source.sample(new_rng), spec, target_kind)
                 raw_input, raw_target, placements = reference_real_window_raw(
                     aggregate, acts, spec, ref_rng)
                 np.testing.assert_array_equal(
@@ -500,10 +563,11 @@ class TestWindowIndexOracle:
         aggregate, acts = make_world(total=total, act_positions=positions)
         spec = make_spec(width=128)
         assert_index_matches_reference(aggregate, acts, 128)
+        source = real_source(aggregate, acts, spec)
         for seed in range(30):
             new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(10):
-                assert_same_draws(select_real_window_raw(aggregate, acts, spec, new_rng),
+                assert_same_draws(source.sample(new_rng),
                                   reference_real_window_raw(aggregate, acts, spec, ref_rng))
 
     def test_fallback_draws_any_window(self):
@@ -511,10 +575,3 @@ class TestWindowIndexOracle:
         index = WindowIndex(200, 128, acts)
         assert index.clear_count == 0
         assert index.draw_clear_start(ScriptedRng(integers=[72])) == 72
-
-    def test_source_rejects_spec_of_another_width(self):
-        aggregate, acts = make_world()
-        source = RealWindowSource(aggregate, acts, make_spec(width=128))
-        source.spec = make_spec(width=64)
-        with pytest.raises(DataError, match="window index"):
-            source.sample(np.random.default_rng(0))

@@ -267,8 +267,10 @@ class TestNetwork:
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_tensor_roundtrip(self, tmp_path):
+        # Empty and 0-d tensors keep their shapes.
         path = tmp_path / "net.ckpt"
-        params = {"empty": np.zeros((0, 3)), "w": np.arange(6.0).reshape(2, 3)}
+        params = {"empty": np.zeros((0, 3)), "s": np.array(2.5),
+                  "w": np.arange(6.0).reshape(2, 3)}
         save_checkpoint(path, params)
         loaded, _ = load_checkpoint(path)
         assert sorted(loaded) == sorted(params)

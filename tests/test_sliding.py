@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disagg.datagen import RectangleTriple, WindowSpec
 from disagg.errors import ConfigError
@@ -258,3 +260,98 @@ class TestDeterminism:
         net = ConstantNetwork(100.0, width, 2048.0)
         estimate = disaggregate(net, aggregate, spec_for(width), DisaggConfig(4, 100.0))
         assert len(estimate.series) == 0
+
+
+# Property tests against plain per-timestep loops over the windows.  The
+# references add each window's contribution in window order, as the
+# combiners do, so the results must be bitwise equal.
+
+@st.composite
+def window_geometry(draw, min_width=1):
+    """(width, total, origins): slide()'s strided origins through the
+    padding, or arbitrary origins, some wholly outside the series."""
+    width = draw(st.integers(min_width, 24))
+    total = draw(st.integers(0, 80))
+    if draw(st.booleans()):
+        stride = draw(st.integers(1, width))
+        origins = np.arange(0, total + width + 1, stride) - width
+    else:
+        origins = np.array(draw(st.lists(st.integers(-2 * width, total + width),
+                                         max_size=30)), dtype=np.int64)
+    return width, total, origins
+
+
+def reference_combine_mean(outputs: WindowOutputs):
+    out_len = outputs.outputs.shape[1] if outputs.outputs.size else 0
+    estimate = np.zeros(outputs.total_length)
+    for t in range(outputs.total_length):
+        total, count = 0.0, 0
+        for origin, row in zip(outputs.origins, outputs.outputs):
+            k = t - (int(origin) + outputs.output_offset)
+            if 0 <= k < out_len:
+                total += row[k]
+                count += 1
+        estimate[t] = max(total / count, 0.0) if count else 0.0
+    return estimate
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_geometry(), st.data())
+def test_combine_mean_matches_per_window_loop(geometry, data):
+    width, total, origins = geometry
+    offset = data.draw(st.integers(0, (width - 1) // 2))
+    values = data.draw(st.lists(st.floats(-500, 3000), min_size=len(origins) * (width - 2 * offset),
+                                max_size=len(origins) * (width - 2 * offset)))
+    outputs = WindowOutputs(kind="sequence", origins=origins,
+                            outputs=np.reshape(values, (len(origins), width - 2 * offset)),
+                            window_width=width, output_offset=offset, total_length=total,
+                            max_power=2400.0)
+    estimate = combine_mean(outputs)
+    np.testing.assert_array_equal(estimate.series.values, reference_combine_mean(outputs))
+    assert estimate.probability is None
+
+
+def reference_combine_rectangles(outputs: WindowOutputs, config: DisaggConfig):
+    width, max_power = outputs.window_width, outputs.max_power
+    probability = np.zeros(outputs.total_length)
+    estimate = np.zeros(outputs.total_length)
+    for t in range(outputs.total_length):
+        windows = rects = 0
+        watts = 0.0
+        for origin, (start, end, height) in zip(outputs.origins, outputs.outputs):
+            origin = int(origin)
+            if not origin <= t < origin + width:
+                continue
+            windows += 1
+            if height * max_power <= config.power_threshold or end <= start:
+                continue
+            # The decoded span may pass its window's edges; only the window votes.
+            lo = origin + int(np.floor(start * width + 0.5))
+            hi = origin + int(np.floor(end * width + 0.5))
+            if lo <= t < hi:
+                rects += 1
+                watts += height * max_power
+        probability[t] = rects / windows if windows else 0.0
+        mean_power = watts / rects if rects else 0.0
+        if probability[t] >= config.probability_threshold and \
+                mean_power >= config.power_threshold:
+            estimate[t] = mean_power
+    return probability, estimate
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_geometry(min_width=2), st.data())
+def test_combine_rectangles_matches_per_window_loop(geometry, data):
+    width, total, origins = geometry
+    triples = data.draw(st.lists(
+        st.tuples(st.floats(-1.0, 1.5), st.floats(-0.5, 2.0), st.floats(0.0, 1.0)),
+        min_size=len(origins), max_size=len(origins)))
+    config = DisaggConfig(1, data.draw(st.floats(0.0, 2400.0)), data.draw(st.floats(0.0, 1.0)))
+    outputs = WindowOutputs(kind="triple", origins=origins,
+                            outputs=np.array(triples, dtype=np.float64).reshape(-1, 3),
+                            window_width=width, output_offset=0, total_length=total,
+                            max_power=2400.0)
+    estimate = combine_rectangles(outputs, config)
+    probability, values = reference_combine_rectangles(outputs, config)
+    np.testing.assert_array_equal(estimate.probability, probability)
+    np.testing.assert_array_equal(estimate.series.values, values)
