@@ -29,6 +29,7 @@ from .synthworld import channel_slug
 from .util import canonical_json, format_watts, rng_for, sha256_text
 
 BASELINE_ALGOS = ("co", "fhmm")
+MANIFEST_KEYS = ("window_width", "seed", "max_power", "input_std")  # read by inference
 
 
 class _Parser(argparse.ArgumentParser):
@@ -381,6 +382,24 @@ def cmd_disaggregate(cfg: ExperimentConfig, appliance: str, kind: str | None = N
     print(f"wrote estimate for {appliance}/{algo} house {house} -> {est_path}")
 
 
+def _read_manifest(path: Path) -> dict:
+    """The trained manifest; a DataError unless it is a JSON object with
+    every key inference reads and a non-negative integer width and seed."""
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # also a manifest that is not UTF-8
+        raise DataError(f"{path}: not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: manifest is not a JSON object")
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise DataError(f"{path}: manifest lacks {', '.join(missing)}")
+    for key in ("window_width", "seed"):
+        if type(manifest[key]) is not int or manifest[key] < 0:  # bool is an int subclass
+            raise DataError(f"{path}: manifest {key} must be a non-negative integer")
+    return manifest
+
+
 def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
     if kind not in architectures.KINDS:
         raise UsageError(f"unknown kind {kind!r}; choose from {architectures.KINDS}")
@@ -390,8 +409,7 @@ def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
     manifest_path = base.with_name(base.name + "_manifest.json")
     if not ckpt_path.exists() or not manifest_path.exists():
         raise DataError(f"missing checkpoint or manifest for {appliance}/{kind}; train first")
-    manifest_text = manifest_path.read_text()
-    manifest = json.loads(manifest_text)
+    manifest = _read_manifest(manifest_path)
     params, meta = load_checkpoint(ckpt_path)
     actual_hash = sha256_text(canonical_json(manifest))
     if meta.get("manifest_sha256") != actual_hash:
@@ -399,11 +417,11 @@ def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
             f"checkpoint/manifest hash mismatch for {appliance}/{kind}: "
             f"checkpoint says {meta.get('manifest_sha256')}, manifest is {actual_hash}")
 
+    spec = datagen.WindowSpec(appliance, manifest["window_width"], manifest["max_power"],
+                              manifest["input_std"])
     network = architectures.build_network(kind, manifest["window_width"],
                                           rng_for(manifest["seed"], "init", appliance, kind))
     network.load_parameters(params)
-    spec = datagen.WindowSpec(appliance, manifest["window_width"], manifest["max_power"],
-                              manifest["input_std"])
     config = sliding.DisaggConfig(
         stride=cfg.disagg.stride,
         power_threshold=app.activation_params.on_power_threshold,

@@ -4,7 +4,15 @@ All layers operate on float64 arrays with a leading batch axis.
 Sequence layers use (batch, time, channels).  Forward passes are pure
 functions of the input and the layer's parameters; caches needed by the
 backward pass are returned explicitly rather than stored on the layer,
-so frozen networks can run forward from multiple threads.
+so frozen networks can run forward from multiple threads.  `forward`
+keeps no cache: the LSTM then stores only its hidden states, not every
+step's cell state and gates.
+
+`Bidirectional` runs its reverse half on one worker thread, shared by
+the process and started on first use, while the calling thread runs
+the forward half; NumPy releases the GIL inside its loops and BLAS
+calls, so with one BLAS thread the two halves use two CPUs.  Results
+are bitwise the same as running the halves one after the other.
 
 Backward passes return (grad_input, grad_params) where grad_params is
 keyed like the layer's `params` dict.  Gradients are of the scalar loss
@@ -12,6 +20,8 @@ with respect to each tensor, accumulated over batch and time.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -50,13 +60,17 @@ def _activation_grad(kind, z, y, dy):
     raise DimensionError(f"unknown activation {kind!r}")
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid_into(z, out, e, mask):
+    """out = 1/(1+exp(-z)) where z >= 0 and exp(z)/(1+exp(z)) below, the
+    form that cannot overflow.  `e` (float) and `mask` (bool) are scratch
+    of z's shape; `out` may be `z`."""
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)  # exp(-z) where z >= 0, exp(z) below
+    np.greater_equal(z, 0, out=mask)
+    np.add(1.0, e, out=out)
+    np.copyto(e, 1.0, where=mask)
+    np.divide(e, out, out=out)
 
 
 class Dense:
@@ -229,41 +243,62 @@ class LSTM:
         return {"type": "lstm", "units": self.hidden_size, "peepholes": True}
 
     def forward(self, x):
-        return self.forward_cached(x)[0]
+        return self._steps(x, history=False)[0]
 
     def forward_cached(self, x):
+        h, c, gates = self._steps(x, history=True)
+        return h, (x, h, c, gates)
+
+    def _steps(self, x, history):
+        """Run the recurrence over x: all hidden states, plus every step's
+        cell state and gates when `history` is set (None otherwise).
+
+        Each step writes into buffers allocated once per call; every
+        elementwise operation keeps its operands and their order, so the
+        results do not depend on `history`.
+        """
         if x.ndim != 3 or x.shape[2] != self.input_dim:
             raise DimensionError(
                 f"{self.name}: expected (batch, time, {self.input_dim}), got {x.shape}")
         batch, time, _ = x.shape
         n = self.hidden_size
         p = self.params
-        pre_all = x @ p["w_input"] + p["bias"]  # hoisted input contribution
+        pre_all = x @ p["w_input"]  # hoisted input contribution
+        pre_all += p["bias"]
 
-        h = np.zeros((batch, time, n))
-        c = np.zeros((batch, time, n))
-        gates = np.zeros((batch, time, 4 * n))
-        h_prev = np.zeros((batch, n))
+        h = np.empty((batch, time, n))
+        c = np.empty((batch, time, n)) if history else None
+        gates = np.empty((batch, time, 4 * n)) if history else None
+        pre = np.empty((batch, 4 * n))
+        step_gates = np.empty((batch, 4 * n))
+        i_f, i_g, f_g, g_g, o_g = (step_gates[:, : 2 * n], step_gates[:, 0:n],
+                                   step_gates[:, n : 2 * n], step_gates[:, 2 * n : 3 * n],
+                                   step_gates[:, 3 * n :])
+        e = np.empty((batch, 2 * n))  # sigmoid scratch
+        mask = np.empty((batch, 2 * n), dtype=bool)
+        tmp = np.empty((batch, n))
+        h_t = np.zeros((batch, n))
         c_prev = np.zeros((batch, n))
+        c_t = np.empty((batch, n))
         for t in range(time):
-            pre = pre_all[:, t] + h_prev @ p["w_hidden"]
-            pre[:, 0:n] += c_prev * p["peep_in"]
-            pre[:, n : 2 * n] += c_prev * p["peep_forget"]
-            i_g = _sigmoid(pre[:, 0:n])
-            f_g = _sigmoid(pre[:, n : 2 * n])
-            g_g = np.tanh(pre[:, 2 * n : 3 * n])
-            c_t = f_g * c_prev + i_g * g_g
-            pre_o = pre[:, 3 * n :] + c_t * p["peep_out"]
-            o_g = _sigmoid(pre_o)
-            h_t = o_g * np.tanh(c_t)
-            gates[:, t, 0:n] = i_g
-            gates[:, t, n : 2 * n] = f_g
-            gates[:, t, 2 * n : 3 * n] = g_g
-            gates[:, t, 3 * n :] = o_g
-            c[:, t] = c_t
+            np.matmul(h_t, p["w_hidden"], out=pre)
+            np.add(pre_all[:, t], pre, out=pre)
+            pre[:, 0:n] += np.multiply(c_prev, p["peep_in"], out=tmp)
+            pre[:, n : 2 * n] += np.multiply(c_prev, p["peep_forget"], out=tmp)
+            _sigmoid_into(pre[:, : 2 * n], i_f, e, mask)
+            np.tanh(pre[:, 2 * n : 3 * n], out=g_g)
+            np.multiply(f_g, c_prev, out=c_t)
+            c_t += np.multiply(i_g, g_g, out=tmp)
+            pre_o = pre[:, 3 * n :]
+            pre_o += np.multiply(c_t, p["peep_out"], out=tmp)
+            _sigmoid_into(pre_o, o_g, e[:, :n], mask[:, :n])
+            np.multiply(o_g, np.tanh(c_t, out=tmp), out=h_t)
             h[:, t] = h_t
-            h_prev, c_prev = h_t, c_t
-        return h, (x, h, c, gates)
+            if history:
+                gates[:, t] = step_gates
+                c[:, t] = c_t
+            c_prev, c_t = c_t, c_prev
+        return h, c, gates
 
     def backward(self, dh_out, cache):
         x, h, c, gates = cache
@@ -324,7 +359,8 @@ class LSTM:
 
 class Bidirectional:
     """Runs one LSTM forwards and one backwards in time, concatenating
-    their per-timestep outputs (feature width doubles)."""
+    their per-timestep outputs (feature width doubles).  The backwards
+    half runs on the worker thread of `_in_parallel`."""
 
     def __init__(self, name, layer_fwd: LSTM, layer_bwd: LSTM):
         if layer_fwd.hidden_size != layer_bwd.hidden_size:
@@ -348,22 +384,77 @@ class Bidirectional:
                 "merge": "concat"}
 
     def forward(self, x):
-        return self.forward_cached(x)[0]
+        y_f, y_b_rev = _in_parallel(lambda: self.fwd.forward(x),
+                                    lambda: self.bwd.forward(x[:, ::-1]))
+        return np.concatenate([y_f, y_b_rev[:, ::-1]], axis=2)
 
     def forward_cached(self, x):
-        y_f, cache_f = self.fwd.forward_cached(x)
-        y_b_rev, cache_b = self.bwd.forward_cached(x[:, ::-1])
+        (y_f, cache_f), (y_b_rev, cache_b) = _in_parallel(
+            lambda: self.fwd.forward_cached(x),
+            lambda: self.bwd.forward_cached(x[:, ::-1]))
         y = np.concatenate([y_f, y_b_rev[:, ::-1]], axis=2)
         return y, (cache_f, cache_b)
 
     def backward(self, dy, cache):
         cache_f, cache_b = cache
         n = self.hidden_size
-        dx_f, grads_f = self.fwd.backward(dy[:, :, :n], cache_f)
-        dx_b, grads_b = self.bwd.backward(dy[:, ::-1, n:], cache_b)
+        (dx_f, grads_f), (dx_b, grads_b) = _in_parallel(
+            lambda: self.fwd.backward(dy[:, :, :n], cache_f),
+            lambda: self.bwd.backward(dy[:, ::-1, n:], cache_b))
         grads = {f"fwd.{k}": v for k, v in grads_f.items()}
         grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
         return dx_f + dx_b[:, ::-1], grads
+
+
+class _Job:
+    __slots__ = ("run", "result", "error", "done")
+
+    def __init__(self, run):
+        self.run = run
+        self.result = self.error = None
+        self.done = threading.Event()
+
+
+_jobs = None  # queue of the worker thread, started by the first `_in_parallel`
+_jobs_lock = threading.Lock()
+
+
+def _work(jobs):
+    while True:
+        job = jobs.get()
+        try:
+            job.result = job.run()
+        except BaseException as exc:  # re-raised by the caller
+            job.error = exc
+        job.done.set()
+        del job  # hold no result while idle
+
+
+def _in_parallel(first, second):
+    """(first(), second()), with `second` run on the worker thread while
+    the caller runs `first`.
+
+    The worker is one daemon thread for the whole process, started on
+    first use, so programs that never call this start no thread.
+    Concurrent callers share it and their `second` calls queue up.  An
+    exception of `second` is re-raised here once `first` has returned.
+    """
+    global _jobs
+    with _jobs_lock:
+        if _jobs is None:
+            import queue
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_work, args=(_jobs,), name="disagg-bidirectional",
+                             daemon=True).start()
+    job = _Job(second)
+    _jobs.put(job)
+    try:
+        result = first()
+    finally:
+        job.done.wait()
+    if job.error is not None:
+        raise job.error
+    return result, job.result
 
 
 class Flatten:

@@ -1,5 +1,6 @@
 import csv
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from disagg.cli import main
 from disagg.config import load_config, parse_config
 from disagg.errors import ConfigError
-from disagg.nn import Network
+from disagg.nn import Network, load_checkpoint, save_checkpoint
 from disagg.synthworld import DESK_APPLIANCES, write_world
+from disagg.util import canonical_json, sha256_text
 
 
 def world_config(tmp_path, length=700, seed=11, window=24, budget=4, batch=8,
@@ -280,6 +282,73 @@ class TestCliPipeline:
         assert main(["disaggregate", "--config", str(path), "--appliance", "kettle",
                      "--kind", "dae"]) == 2
         assert "hash mismatch" in capsys.readouterr().err
+
+    def _disaggregate_with_manifest(self, tmp_path, capsys, edit, sign=True):
+        """Exit status and stderr of `disaggregate` after `edit` rewrote the
+        trained manifest's text; with `sign` the checkpoint is re-signed
+        with the new manifest's hash, so only its content can be at fault."""
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        main(["train", "--config", str(path), "--appliance", "kettle", "--kind", "dae"])
+        models = tmp_path / "out" / "models"
+        manifest_path = models / "kettle_dae_manifest.json"
+        text = edit(manifest_path.read_text())
+        manifest_path.write_text(text)
+        if sign:
+            params, meta = load_checkpoint(models / "kettle_dae.ckpt")
+            meta["manifest_sha256"] = sha256_text(canonical_json(json.loads(text)))
+            save_checkpoint(models / "kettle_dae.ckpt", params, meta=meta)
+        capsys.readouterr()
+        code = main(["disaggregate", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "dae"])
+        return code, capsys.readouterr().err
+
+    def test_truncated_manifest_exits_2(self, tmp_path, capsys):
+        code, err = self._disaggregate_with_manifest(
+            tmp_path, capsys, lambda text: '{"oops', sign=False)
+        assert code == 2 and "not a JSON manifest" in err
+
+    def test_non_object_manifest_exits_2(self, tmp_path, capsys):
+        code, err = self._disaggregate_with_manifest(tmp_path, capsys, lambda text: "[1, 2]")
+        assert code == 2 and "not a JSON object" in err
+
+    @pytest.mark.parametrize("key", ["window_width", "seed", "max_power", "input_std"])
+    def test_manifest_without_key_exits_2(self, tmp_path, capsys, key):
+        def drop(text):
+            manifest = json.loads(text)
+            del manifest[key]
+            return canonical_json(manifest)
+
+        code, err = self._disaggregate_with_manifest(tmp_path, capsys, drop)
+        assert code == 2 and f"manifest lacks {key}" in err
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("window_width", None, "window_width must be a non-negative integer"),
+        ("window_width", 24.5, "window_width must be a non-negative integer"),
+        ("seed", "7", "seed must be a non-negative integer"),
+        ("seed", -1, "seed must be a non-negative integer"),
+    ])
+    def test_manifest_with_bad_value_exits_2(self, tmp_path, capsys, key, value, match):
+        def replace(text):
+            manifest = json.loads(text)
+            manifest[key] = value
+            return canonical_json(manifest)
+
+        code, err = self._disaggregate_with_manifest(tmp_path, capsys, replace)
+        assert code == 2 and match in err
+
+    def test_lstm_disaggregate_leaves_no_foreground_thread(self, tmp_path):
+        # Bidirectional layers run a worker thread; it must not keep the
+        # process alive once the command has returned.
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        before = set(threading.enumerate())
+        assert main(["train", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "lstm"]) == 0
+        assert main(["disaggregate", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "lstm"]) == 0
+        left = [t for t in set(threading.enumerate()) - before if not t.daemon]
+        assert not left
 
     def test_zero_length_aggregate_empty_estimate(self, tmp_path):
         path = world_config(tmp_path)

@@ -1,13 +1,20 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import check_network_gradients, numeric_gradient, relative_error
+from disagg.architectures import build_lstm
 from disagg.errors import DataError, DimensionError, NumericError
 from disagg.nn import (LSTM, Bidirectional, Conv1D, Dense, Flatten, NesterovSGD,
                        Network, Reshape, clip_gradients, load_checkpoint,
                        save_checkpoint)
+from disagg.nn.layers import _sigmoid_into
 
 
 def check_layer_gradients(layer, x, rng, tol=1e-4):
@@ -130,6 +137,214 @@ class TestLSTM:
         assert np.abs(dx_full[0, :-1]).max() > 0
 
 
+# -- reference LSTM ---------------------------------------------------------
+# The straightforward step loop, one fresh array per operation.  The layer
+# computes in preallocated buffers and runs the two halves of a
+# bidirectional layer on two threads; every result must stay bitwise
+# equal to this.
+
+def reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_lstm_forward(layer, x):
+    batch, time, _ = x.shape
+    n = layer.hidden_size
+    p = layer.params
+    pre_all = x @ p["w_input"] + p["bias"]
+    h = np.zeros((batch, time, n))
+    c = np.zeros((batch, time, n))
+    gates = np.zeros((batch, time, 4 * n))
+    h_prev = np.zeros((batch, n))
+    c_prev = np.zeros((batch, n))
+    for t in range(time):
+        pre = pre_all[:, t] + h_prev @ p["w_hidden"]
+        pre[:, 0:n] += c_prev * p["peep_in"]
+        pre[:, n : 2 * n] += c_prev * p["peep_forget"]
+        i_g = reference_sigmoid(pre[:, 0:n])
+        f_g = reference_sigmoid(pre[:, n : 2 * n])
+        g_g = np.tanh(pre[:, 2 * n : 3 * n])
+        c_t = f_g * c_prev + i_g * g_g
+        pre_o = pre[:, 3 * n :] + c_t * p["peep_out"]
+        o_g = reference_sigmoid(pre_o)
+        h_t = o_g * np.tanh(c_t)
+        gates[:, t, 0:n] = i_g
+        gates[:, t, n : 2 * n] = f_g
+        gates[:, t, 2 * n : 3 * n] = g_g
+        gates[:, t, 3 * n :] = o_g
+        c[:, t] = c_t
+        h[:, t] = h_t
+        h_prev, c_prev = h_t, c_t
+    return h, (x, h, c, gates)
+
+
+def reference_lstm_backward(layer, dh_out, cache):
+    x, h, c, gates = cache
+    batch, time, _ = x.shape
+    n = layer.hidden_size
+    p = layer.params
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    d_pre_all = np.zeros((batch, time, 4 * n))
+    dh_carry = np.zeros((batch, n))
+    dc_carry = np.zeros((batch, n))
+    for t in range(time - 1, -1, -1):
+        i_g = gates[:, t, 0:n]
+        f_g = gates[:, t, n : 2 * n]
+        g_g = gates[:, t, 2 * n : 3 * n]
+        o_g = gates[:, t, 3 * n :]
+        c_t = c[:, t]
+        c_prev = c[:, t - 1] if t > 0 else np.zeros((batch, n))
+        tc = np.tanh(c_t)
+        dh = dh_out[:, t] + dh_carry
+        do = dh * tc
+        d_pre_o = do * o_g * (1.0 - o_g)
+        dc = dh * o_g * (1.0 - tc * tc) + dc_carry + d_pre_o * p["peep_out"]
+        di = dc * g_g
+        df = dc * c_prev
+        dg = dc * i_g
+        d_pre_i = di * i_g * (1.0 - i_g)
+        d_pre_f = df * f_g * (1.0 - f_g)
+        d_pre_g = dg * (1.0 - g_g * g_g)
+        d_pre = d_pre_all[:, t]
+        d_pre[:, 0:n] = d_pre_i
+        d_pre[:, n : 2 * n] = d_pre_f
+        d_pre[:, 2 * n : 3 * n] = d_pre_g
+        d_pre[:, 3 * n :] = d_pre_o
+        grads["peep_in"] += (d_pre_i * c_prev).sum(axis=0)
+        grads["peep_forget"] += (d_pre_f * c_prev).sum(axis=0)
+        grads["peep_out"] += (d_pre_o * c_t).sum(axis=0)
+        if t > 0:
+            grads["w_hidden"] += h[:, t - 1].T @ d_pre
+        dc_carry = dc * f_g + d_pre_i * p["peep_in"] + d_pre_f * p["peep_forget"]
+        dh_carry = d_pre @ p["w_hidden"].T
+        if (time - t) % layer.truncate == 0:
+            dh_carry = np.zeros((batch, n))
+            dc_carry = np.zeros((batch, n))
+    flat_x = x.reshape(-1, layer.input_dim)
+    flat_dpre = d_pre_all.reshape(-1, 4 * n)
+    grads["w_input"] = flat_x.T @ flat_dpre
+    grads["bias"] = flat_dpre.sum(axis=0)
+    dx = d_pre_all @ p["w_input"].T
+    return dx, grads
+
+
+def reference_bidirectional(layer, x, dy):
+    """Output, input gradient and gradients of a Bidirectional layer, one
+    direction after the other on the calling thread."""
+    n = layer.hidden_size
+    y_f, cache_f = reference_lstm_forward(layer.fwd, x)
+    y_b, cache_b = reference_lstm_forward(layer.bwd, x[:, ::-1])
+    y = np.concatenate([y_f, y_b[:, ::-1]], axis=2)
+    dx_f, grads_f = reference_lstm_backward(layer.fwd, dy[:, :, :n], cache_f)
+    dx_b, grads_b = reference_lstm_backward(layer.bwd, dy[:, ::-1, n:], cache_b)
+    grads = {f"fwd.{k}": v for k, v in grads_f.items()}
+    grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
+    return y, dx_f + dx_b[:, ::-1], grads
+
+
+def assert_bitwise(actual, expected):
+    """Same shape and the same bits (so -0.0 differs from 0.0)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype == np.float64
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+SPECIAL_PRE = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf])
+
+
+def random_lstm(seed, input_dim, hidden, truncate=500, special_bias=False):
+    rng = np.random.default_rng(seed)
+    layer = LSTM("l", input_dim, hidden, truncate=truncate, rng=rng)
+    layer.params["bias"][:] = (rng.choice(SPECIAL_PRE, size=4 * hidden) if special_bias
+                               else rng.normal(size=4 * hidden))
+    return layer
+
+
+def check_against_reference(layer, x, rng):
+    expected_h, expected_cache = reference_lstm_forward(layer, x)
+    assert_bitwise(layer.forward(x), expected_h)
+    h, cache = layer.forward_cached(x)
+    assert_bitwise(h, expected_h)
+    for got, want in zip(cache[1:], expected_cache[1:]):  # h, c, gates
+        assert_bitwise(got, want)
+    dh = rng.normal(size=h.shape)
+    dx, grads = layer.backward(dh, cache)
+    expected_dx, expected_grads = reference_lstm_backward(layer, dh, expected_cache)
+    assert_bitwise(dx, expected_dx)
+    assert grads.keys() == expected_grads.keys()
+    for key in grads:
+        assert_bitwise(grads[key], expected_grads[key])
+
+
+class TestLSTMReference:
+    @settings(max_examples=30, deadline=None)
+    @given(batch=st.integers(1, 5), time=st.integers(1, 9), input_dim=st.integers(1, 4),
+           hidden=st.integers(1, 6), truncate=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_reference(self, batch, time, input_dim, hidden, truncate, seed):
+        layer = random_lstm(seed, input_dim, hidden, truncate)
+        rng = np.random.default_rng(seed + 1)
+        check_against_reference(layer, rng.normal(scale=2.0, size=(batch, time, input_dim)),
+                                rng)
+
+    def test_paper_width(self, rng):
+        layer = random_lstm(3, 16, 128, truncate=500)
+        check_against_reference(layer, rng.normal(size=(3, 20, 16)), rng)
+
+    @pytest.mark.parametrize("truncate", [1, 3, 7])
+    def test_truncate_below_sequence_length(self, truncate, rng):
+        layer = random_lstm(4, 3, 5, truncate=truncate)
+        check_against_reference(layer, rng.normal(size=(2, 11, 3)), rng)
+
+    def test_special_pre_activations(self, rng):
+        # Zero input, recurrent and peephole weights: each pre-activation is
+        # exactly its bias, 0, -0.0, +-800 or +-inf.
+        layer = random_lstm(5, 2, 6, special_bias=True)
+        for key in ("w_input", "w_hidden", "peep_in", "peep_forget", "peep_out"):
+            layer.params[key][...] = 0.0
+        check_against_reference(layer, np.zeros((2, 5, 2)), rng)
+        # Random weights on top of the same biases.
+        layer = random_lstm(6, 2, 6, special_bias=True)
+        check_against_reference(layer, rng.normal(size=(3, 8, 2)), rng)
+
+    def test_bidirectional_bitwise_equal_to_sequential_reference(self, rng):
+        layer = Bidirectional("b", random_lstm(7, 3, 5, truncate=4),
+                              random_lstm(8, 3, 5, truncate=4))
+        x = rng.normal(size=(2, 9, 3))
+        dy = rng.normal(size=(2, 9, 10))
+        expected_y, expected_dx, expected_grads = reference_bidirectional(layer, x, dy)
+        assert_bitwise(layer.forward(x), expected_y)
+        y, cache = layer.forward_cached(x)
+        assert_bitwise(y, expected_y)
+        dx, grads = layer.backward(dy, cache)
+        assert_bitwise(dx, expected_dx)
+        assert grads.keys() == expected_grads.keys()
+        for key in grads:
+            assert_bitwise(grads[key], expected_grads[key])
+
+
+def sigmoid_in_place(z):
+    e = np.empty(z.shape)
+    mask = np.empty(z.shape, dtype=bool)
+    out = z.copy()
+    _sigmoid_into(out, out, e, mask)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=40),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 5e-324, -5e-324]))
+@example(np.array([-745.2, -745.1, 709.8, 36.8, -36.8, 1e-17, -1e-17]))
+def test_sigmoid_in_place_equals_reference(z):
+    assert_bitwise(sigmoid_in_place(z), reference_sigmoid(z))
+
+
 class TestBidirectional:
     def test_concat_width(self, rng):
         layer = Bidirectional("b", LSTM("f", 2, 4, rng=rng), LSTM("w", 2, 4, rng=rng))
@@ -157,6 +372,60 @@ class TestBidirectional:
     def test_gradients(self, rng):
         layer = Bidirectional("b", LSTM("f", 3, 4, rng=rng), LSTM("w", 3, 4, rng=rng))
         check_layer_gradients(layer, rng.normal(size=(2, 6, 3)), rng)
+
+
+class TestBidirectionalThreads:
+    """The reverse half runs on a worker thread while the caller runs the
+    forward half.  Errors there surface in the caller; an exception that
+    escaped the worker would instead trip the project's
+    PytestUnhandledThreadExceptionWarning error filter."""
+
+    def test_reverse_half_error_raised_in_caller(self, rng):
+        layer = Bidirectional("b", LSTM("f", 2, 4, rng=rng), LSTM("reverse", 3, 4, rng=rng))
+        x = rng.normal(size=(1, 5, 2))
+        with pytest.raises(DimensionError, match="reverse"):
+            layer.forward(x)
+        with pytest.raises(DimensionError, match="reverse"):
+            layer.forward_cached(x)
+        # The worker survives its job's error.
+        good = Bidirectional("g", LSTM("f", 2, 4, rng=rng), LSTM("w", 2, 4, rng=rng))
+        assert good.forward(x).shape == (1, 5, 8)
+
+    def test_reverse_half_backward_error_raised_in_caller(self, rng):
+        layer = Bidirectional("b", LSTM("f", 2, 4, rng=rng), LSTM("w", 2, 4, rng=rng))
+        y, (cache_f, cache_b) = layer.forward_cached(rng.normal(size=(1, 5, 2)))
+        x_b, h_b, c_b, gates_b = cache_b
+        cut_short = (x_b, h_b, c_b, gates_b[:, :2])  # two of the five steps' gates
+        with pytest.raises(IndexError):
+            layer.backward(np.ones_like(y), (cache_f, cut_short))
+
+    def test_concurrent_callers_match_sequential(self):
+        # More callers than CPUs, switching often, all sharing the one worker.
+        net = build_lstm(24, np.random.default_rng(3), conv_filters=4, lstm_units=(6, 8),
+                         dense_units=5)
+        inputs = [np.random.default_rng(seed).normal(size=(3, 24)) for seed in range(4)]
+        expected = [net.forward(x) for x in inputs]
+        results = [[] for _ in inputs]
+
+        def call(i):
+            for _ in range(20):
+                results[i].append(net.forward(inputs[i]))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, got in zip(expected, results):
+            assert len(got) == 20
+            for y in got:
+                assert_bitwise(y, want)
 
 
 class TestClipGradients:

@@ -447,6 +447,45 @@ class TestExtractActivations:
                         stretch = 0
 
 
+def reference_activations(values, period, params):
+    """(offset, clipped values) of each activation, by one pass over the
+    samples: an above-threshold sample extends the current cycle when it
+    follows it directly or after a below-threshold stretch shorter than
+    the minimum off duration, and starts a new cycle otherwise."""
+    cycles = []
+    start = end = None  # current cycle, [start, end)
+    for i, value in enumerate(values):
+        if value <= params.on_power_threshold:
+            continue
+        if start is not None and (i == end or (i - end) * period < params.min_off_duration):
+            end = i + 1
+        else:
+            if start is not None:
+                cycles.append((start, end))
+            start, end = i, i + 1
+    if start is not None:
+        cycles.append((start, end))
+    return [(s, [min(v, params.max_power) for v in values[s:e]]) for s, e in cycles
+            if (e - s) * period >= params.min_on_duration]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, 5.0, 99.0, 100.0, 100.5, 900.0, 2000.0, 2600.0]),
+                       max_size=80),
+       period=st.sampled_from([1, 6, 8]),
+       threshold=st.sampled_from([0.0, 99.0, 100.0, 1000.0]),
+       max_power=st.sampled_from([1000.0, 2500.0, 3000.0]),
+       min_on=st.sampled_from([0.0, 6.0, 12.0, 30.0]),
+       min_off=st.sampled_from([0.0, 6.0, 7.0, 24.0, 60.0]))
+def test_extract_activations_matches_per_sample_loop(values, period, threshold, max_power,
+                                                     min_on, min_off):
+    params = ActivationParams(max_power=max_power, on_power_threshold=threshold,
+                              min_on_duration=min_on, min_off_duration=min_off)
+    acts = extract_activations(PowerSeries(0, period, np.array(values)), params)
+    got = [(a.source_offset, a.values.tolist()) for a in acts]
+    assert got == reference_activations(values, period, params)
+
+
 class TestActivationLibrary:
     def test_partition_by_house(self):
         from disagg.timeseries import Activation
