@@ -173,6 +173,7 @@ def train(network: Network, batches, optimizer: NesterovSGD, update_budget: int,
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {step}")
             optimizer.step(clip_gradients(grads, clip_bound))
+            del grads  # so the next backward pass never runs beside this gradient set
 
             ema = loss if ema is None else (1 - smoothing) * ema + smoothing * loss
             if step % log_every == 0 or step == update_budget:

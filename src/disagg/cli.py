@@ -26,10 +26,11 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, DataError, DimensionError, NumericError, UsageError
 from .nn import NesterovSGD, load_checkpoint, save_checkpoint
 from .synthworld import channel_slug
-from .util import canonical_json, format_watts, rng_for, sha256_text
+from .util import canonical_json, rng_for, sha256_text
 
 BASELINE_ALGOS = ("co", "fhmm")
 MANIFEST_KEYS = ("window_width", "seed", "max_power", "input_std")  # read by inference
+ESTIMATE_CSV_CHUNK = 4096  # rows formatted per write; bounds the text held at once
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,7 +170,19 @@ def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
     path = _store_path(cfg, appliance, house)
     if not path.exists():
         raise DataError(f"missing activation store {path}; run `disagg extract` first")
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:  # also a store that is not UTF-8
+        raise DataError(f"{path}: not a JSON activation store: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: activation store is not a JSON object")
+    missing = [key for key in ("activations", "series_start_time") if key not in payload]
+    if missing:
+        raise DataError(f"{path}: activation store lacks {', '.join(missing)}")
+    if not isinstance(payload["activations"], list) or not all(
+            isinstance(a, dict) and "source_offset" in a and "values" in a
+            for a in payload["activations"]):
+        raise DataError(f"{path}: every activation needs a source_offset and values")
     acts = [ts.Activation(source_offset=a["source_offset"], values=a["values"], house=house)
             for a in payload["activations"]]
     return acts, payload["series_start_time"]
@@ -324,17 +337,20 @@ def _estimate_path(cfg, appliance, algo, house) -> Path:
 
 
 def _write_estimate_csv(path, estimate: sliding.EstimateSeries):
+    """CRLF rows with integer timestamps and six-decimal watts (and
+    probability), formatted a chunk of rows at a time."""
     series = estimate.series
+    columns = [series.timestamps().astype(np.int64), series.values]
+    if estimate.probability is None:
+        header, row = "timestamp,estimated_watts\r\n", "{:d},{:.6f}\r\n"
+    else:
+        header, row = "timestamp,estimated_watts,probability\r\n", "{:d},{:.6f},{:.6f}\r\n"
+        columns.append(estimate.probability)
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        if estimate.probability is None:
-            writer.writerow(["timestamp", "estimated_watts"])
-            for t, w in zip(series.timestamps(), series.values):
-                writer.writerow([int(t), format_watts(w)])
-        else:
-            writer.writerow(["timestamp", "estimated_watts", "probability"])
-            for t, w, p in zip(series.timestamps(), series.values, estimate.probability):
-                writer.writerow([int(t), format_watts(w), format(p, ".6f")])
+        f.write(header)
+        for lo in range(0, len(series.values), ESTIMATE_CSV_CHUNK):
+            chunk = (column[lo : lo + ESTIMATE_CSV_CHUNK].tolist() for column in columns)
+            f.write("".join(map(row.format, *chunk)))
 
 
 def _runtime_info() -> dict:

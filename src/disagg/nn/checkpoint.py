@@ -20,23 +20,25 @@ FORMAT_TAG = "disagg-checkpoint-v1"
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None):
+    """Write `params` and `meta` to `path`.
+
+    Each tensor's bytes go to the file straight from its array, so saving
+    holds no copy of the parameters.
+    """
     names = sorted(params)
+    arrays = [np.asarray(params[name], dtype="<f8") for name in names]  # keeps a 0-d shape
     entries = []
-    blobs = []
     offset = 0
-    for name in names:
-        arr = np.asarray(params[name], dtype="<f8")  # keeps a 0-d shape
-        blob = arr.tobytes()
+    for name, arr in zip(names, arrays):
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset,
-                        "nbytes": len(blob)})
-        blobs.append(blob)
-        offset += len(blob)
+                        "nbytes": arr.nbytes})
+        offset += arr.nbytes
     header = {"format": FORMAT_TAG, "meta": meta or {}, "tensors": entries}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
         f.write(b"\n")
-        for blob in blobs:
-            f.write(blob)
+        for arr in arrays:
+            f.write(np.ascontiguousarray(arr).data)
 
 
 def load_checkpoint(path):

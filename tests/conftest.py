@@ -1,5 +1,7 @@
 """Shared helpers: finite-difference gradient oracle and tiny fixtures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,19 @@ def numeric_gradient(loss_fn, arr, eps=EPS):
         flat[i] = orig
         grad_flat[i] = (hi - lo) / (2 * eps)
     return grad
+
+
+def traced_peak(fn):
+    """Bytes `fn()` allocates at its peak, above what was live when it began
+    (tracemalloc sees NumPy's array buffers)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def relative_error(analytic, numeric):

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from disagg.architectures import (BATCH_SIZES, UPDATE_BUDGETS, build_dae, build_lstm,
                                   build_network, build_rectangles, train)
 from disagg.datagen import Batch
 from disagg.errors import ConfigError, NumericError
-from disagg.nn import NesterovSGD
+from disagg.nn import Dense, NesterovSGD, Network
 
 
 def repeat_batch(batch):
@@ -198,3 +199,24 @@ class TestTraining:
         opt = NesterovSGD(net.parameters(), learning_rate=0.01)
         train(net, repeat_batch(batch), opt, 30, plateau_patience=10)
         assert opt.learning_rate < 0.01
+
+    def test_peak_memory_holds_one_gradient_set(self, rng):
+        # About 40 MB of Dense parameters.  Training holds the parameters,
+        # the velocity and one gradient set (3x); keeping the previous
+        # step's gradients alive and a full-size optimizer scratch is 5x.
+        batch = Batch(inputs=rng.normal(size=(4, 1000)), targets=rng.normal(size=(4, 1000)))
+        holder = {}
+
+        def build_and_train():
+            net = Network([Dense("d1", 1000, 2500, activation="relu", rng=rng),
+                           Dense("d2", 2500, 1000, activation="linear", rng=rng)],
+                          window_width=1000)
+            holder["param_bytes"] = sum(v.nbytes for v in net.parameters().values())
+            train(net, repeat_batch(batch), NesterovSGD(net.parameters(), 0.01), 3,
+                  plateau_patience=None)
+
+        peak = traced_peak(build_and_train)
+        param_bytes = holder["param_bytes"]
+        assert param_bytes > 35e6
+        # params + velocity + 1.5 gradient sets
+        assert peak < 3.5 * param_bytes

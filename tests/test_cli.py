@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disagg.cli import main
+from disagg import sliding
+from disagg.cli import ESTIMATE_CSV_CHUNK, _write_estimate_csv, main
 from disagg.config import load_config, parse_config
 from disagg.errors import ConfigError
 from disagg.nn import Network, load_checkpoint, save_checkpoint
 from disagg.synthworld import DESK_APPLIANCES, write_world
-from disagg.util import canonical_json, sha256_text
+from disagg.timeseries import PowerSeries
+from disagg.util import canonical_json, format_watts, sha256_text
 
 
 def world_config(tmp_path, length=700, seed=11, window=24, budget=4, batch=8,
@@ -337,6 +339,48 @@ class TestCliPipeline:
         code, err = self._disaggregate_with_manifest(tmp_path, capsys, replace)
         assert code == 2 and match in err
 
+    def _train_with_store(self, tmp_path, capsys, edit):
+        """Exit status and stderr of `train` after `edit` rewrote the kettle
+        activation store of house 1, and that store's path."""
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        store = tmp_path / "out" / "activations" / "kettle_house1.json"
+        store.write_text(edit(store.read_text()))
+        capsys.readouterr()
+        code = main(["train", "--config", str(path), "--appliance", "kettle", "--kind", "dae"])
+        return code, capsys.readouterr().err, store
+
+    @staticmethod
+    def _edit_store(change):
+        def edit(text):
+            payload = json.loads(text)
+            change(payload)
+            return canonical_json(payload)
+        return edit
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda text: '{"oops', "not a JSON activation store"),
+        (lambda text: "[1, 2]", "activation store is not a JSON object"),
+        (lambda text: "{}", "activation store lacks activations, series_start_time"),
+    ], ids=["truncated", "non-object", "empty-object"])
+    def test_malformed_store_exits_2(self, tmp_path, capsys, edit, match):
+        code, err, store = self._train_with_store(tmp_path, capsys, edit)
+        assert code == 2 and match in err and str(store) in err
+
+    @pytest.mark.parametrize("key", ["activations", "series_start_time"])
+    def test_store_without_key_exits_2(self, tmp_path, capsys, key):
+        code, err, store = self._train_with_store(
+            tmp_path, capsys, self._edit_store(lambda payload: payload.pop(key)))
+        assert code == 2 and f"activation store lacks {key}" in err and str(store) in err
+
+    @pytest.mark.parametrize("key", ["source_offset", "values"])
+    def test_store_activation_without_key_exits_2(self, tmp_path, capsys, key):
+        code, err, store = self._train_with_store(
+            tmp_path, capsys,
+            self._edit_store(lambda payload: payload["activations"][-1].pop(key)))
+        assert code == 2 and "every activation needs a source_offset and values" in err
+        assert str(store) in err
+
     def test_lstm_disaggregate_leaves_no_foreground_thread(self, tmp_path):
         # Bidirectional layers run a worker thread; it must not keep the
         # process alive once the command has returned.
@@ -427,3 +471,46 @@ class TestReproducibility:
         assert snap_a.keys() == snap_b.keys()
         for name in snap_a:
             assert snap_a[name] == snap_b[name], f"{name} differs between runs"
+
+
+def reference_write_estimate_csv(path, estimate):
+    """The one-`csv.writer`-call-per-row estimate writer, kept as the oracle."""
+    series = estimate.series
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        if estimate.probability is None:
+            writer.writerow(["timestamp", "estimated_watts"])
+            for t, w in zip(series.timestamps(), series.values):
+                writer.writerow([int(t), format_watts(w)])
+        else:
+            writer.writerow(["timestamp", "estimated_watts", "probability"])
+            for t, w, p in zip(series.timestamps(), series.values, estimate.probability):
+                writer.writerow([int(t), format_watts(w), format(p, ".6f")])
+
+
+# Values whose sixth decimal rounds (binary halves and near-halves), a
+# zero, and large watts.
+ROUNDING_VALUES = [0.0, 5e-7, 1.5e-6, 2.5e-7, 0.9999995, 1.2345675, 0.1234565,
+                   123456.1234565, 999999.9999995, 3e7 + 0.25]
+
+
+class TestEstimateCsv:
+    @pytest.mark.parametrize("length", [0, 1, ESTIMATE_CSV_CHUNK, ESTIMATE_CSV_CHUNK + 1,
+                                        2 * ESTIMATE_CSV_CHUNK + 3])
+    @pytest.mark.parametrize("start_time", [1_300_000_000.7, 2.0**31 + 5.5])
+    @pytest.mark.parametrize("with_probability", [False, True], ids=["two-col", "three-col"])
+    def test_bytes_match_csv_writer_loop(self, tmp_path, length, start_time,
+                                         with_probability):
+        rng = np.random.default_rng(length)
+        values = rng.uniform(0, 3000, size=length)
+        values[: len(ROUNDING_VALUES)] = ROUNDING_VALUES[:length]
+        probability = None
+        if with_probability:
+            probability = rng.uniform(0, 1, size=length)
+            probability[: len(ROUNDING_VALUES)] = [v / 3e7 if v > 1 else v
+                                                   for v in ROUNDING_VALUES[:length]]
+        estimate = sliding.EstimateSeries(PowerSeries(start_time, 6, values), probability)
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        _write_estimate_csv(ours, estimate)
+        reference_write_estimate_csv(reference, estimate)
+        assert ours.read_bytes() == reference.read_bytes()

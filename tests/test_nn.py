@@ -8,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import check_network_gradients, numeric_gradient, relative_error
+from conftest import check_network_gradients, numeric_gradient, relative_error, traced_peak
 from disagg.architectures import build_lstm
 from disagg.errors import DataError, DimensionError, NumericError
 from disagg.nn import (LSTM, Bidirectional, Conv1D, Dense, Flatten, NesterovSGD,
                        Network, Reshape, clip_gradients, load_checkpoint,
                        save_checkpoint)
 from disagg.nn.layers import _sigmoid_into
+from disagg.nn.optim import STEP_BLOCK
 
 
 def check_layer_gradients(layer, x, rng, tol=1e-4):
@@ -474,6 +475,86 @@ class TestNesterovSGD:
         np.testing.assert_array_equal(results[0], results[1])
 
 
+def reference_nesterov_step(params, velocity, grads, lr, mu):
+    """The unblocked update, one whole-array operation at a time, kept as
+    the oracle for the blocked step."""
+    for key, p in params.items():
+        g = grads[key]
+        v = velocity[key]
+        g *= lr
+        v *= mu
+        v -= g
+        p -= g
+        p += np.multiply(v, mu)
+
+
+BLOCK_EDGE_SIZES = [1, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 3 * STEP_BLOCK + 7]
+SPECIAL_VALUES = np.array([-0.0, 0.0, 1e300, -1e300])
+
+
+def with_specials(arr, rng):
+    """`arr` with -0.0, 0.0 and +-1e300 written at random positions."""
+    flat = arr.reshape(-1)
+    flat[rng.integers(0, flat.size, size=min(8, flat.size))] = rng.choice(
+        SPECIAL_VALUES, size=min(8, flat.size))
+    return arr
+
+
+class TestBlockedNesterovStep:
+    def _shapes(self):
+        shapes = {}
+        for n in BLOCK_EDGE_SIZES:
+            shapes[f"bias{n}"] = (n,)
+            shapes[f"weights{n}"] = (n, 3)
+            shapes[f"tall{n}"] = (3, n)
+        return shapes
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed"])
+    def test_bitwise_equal_to_unblocked_reference(self, transposed):
+        rng = np.random.default_rng(5)
+        shapes = self._shapes()
+        params = {k: with_specials(rng.normal(size=s), rng) for k, s in shapes.items()}
+        expected = {k: v.copy() for k, v in params.items()}
+        velocity = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = NesterovSGD(params, learning_rate=0.1)
+        for _ in range(4):
+            grads = {k: with_specials(rng.normal(scale=5, size=s), rng)
+                     for k, s in shapes.items()}
+            reference_nesterov_step(expected, velocity, {k: g.copy() for k, g in grads.items()},
+                                    opt.learning_rate, opt.momentum)
+            if transposed:  # same values, handed over as non-contiguous views
+                grads = {k: np.ascontiguousarray(g.T).T if g.ndim == 2
+                         else np.stack([g, -g], axis=1)[:, 0] for k, g in grads.items()}
+                assert not any(g.flags.c_contiguous for g in grads.values() if g.size > 3)
+            opt.step(grads)
+            for key in shapes:
+                assert_bitwise(params[key], expected[key])
+                assert_bitwise(opt.velocity[key], velocity[key])
+            opt.learning_rate /= 2
+
+    def test_updates_the_network_parameter_arrays(self, rng):
+        net = Network([Reshape("to_channels", (6, 1)),
+                       Conv1D("conv", 1, 2, filter_size=3, border="same", rng=rng),
+                       Flatten("flat"),
+                       Dense("out", 12, 6, "linear", rng=rng)], window_width=6)
+        expected = {k: v.copy() for k, v in net.parameters().items()}
+        velocity = {k: np.zeros_like(v) for k, v in expected.items()}
+        opt = NesterovSGD(net.parameters(), learning_rate=0.05)
+        for _ in range(3):
+            _, grads = net.loss_and_gradients(rng.normal(size=(2, 6)), rng.normal(size=(2, 6)))
+            reference_nesterov_step(expected, velocity,
+                                    {k: g.copy() for k, g in grads.items()}, 0.05, opt.momentum)
+            opt.step(grads)
+        for key, value in net.parameters().items():
+            assert_bitwise(value, expected[key])
+
+    @pytest.mark.parametrize("param", [np.zeros((4, 3)).T, np.zeros(10)[::2]],
+                             ids=["transposed", "strided"])
+    def test_non_contiguous_parameter_rejected(self, param):
+        with pytest.raises(DimensionError, match="not C-contiguous"):
+            NesterovSGD({"w": param}, learning_rate=0.1)
+
+
 class TestNetwork:
     def _tiny(self, rng):
         return Network([
@@ -546,6 +627,19 @@ class TestNetwork:
         for name, value in params.items():
             assert loaded[name].dtype == np.float64 and loaded[name].shape == value.shape
             np.testing.assert_array_equal(loaded[name], value)
+
+    def test_save_streams_tensors_without_copies(self, tmp_path):
+        # About 80 MB of parameters; a tobytes() copy per tensor would hold all of it.
+        params = {"a": np.arange(6_000_000, dtype=np.float64).reshape(3000, 2000),
+                  "b": np.linspace(-1, 1, 4_000_000), "s": np.array(-0.0)}
+        param_bytes = sum(v.nbytes for v in params.values())
+        path = tmp_path / "big.ckpt"
+        peak = traced_peak(lambda: save_checkpoint(path, params, meta={"step": 1}))
+        assert peak < param_bytes / 10
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        assert body == b"".join(params[k].tobytes() for k in sorted(params))
+        assert [e["nbytes"] for e in json.loads(header_line)["tensors"]] == [
+            params[k].nbytes for k in sorted(params)]
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
