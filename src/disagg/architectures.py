@@ -16,7 +16,9 @@ window width:
 
 Layer widths default to the full-scale values; tests pass smaller ones
 for gradient checking.  Update budgets and batch sizes default to the
-full-scale training recipe and may be overridden for desk-scale runs.
+full-scale training recipe and may be overridden for desk-scale runs;
+the rest of the recipe (clipping, loss smoothing, the plateau rule) is
+fixed.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ BATCH_SIZES = {"lstm": 16, "dae": 64, "rectangles": 64}
 
 DEFAULT_LEARNING_RATE = 0.01
 BPTT_TRUNCATE = 500
+
+# The training recipe: loss smoothing, and the plateau rule that halves
+# the learning rate.
+SMOOTHING = 0.05
+PLATEAU_PATIENCE = 500
+PLATEAU_IMPROVEMENT = 0.01
+MIN_LEARNING_RATE = 1e-5
 
 
 def build_network(kind: str, window_width: int, rng) -> Network:
@@ -124,41 +133,25 @@ def build_rectangles(window_width: int, rng=None, conv_filters: int = 16,
 
 @dataclass
 class TrainResult:
-    """Loss trace of one training run; rows are (step, loss, smoothed loss)."""
+    """Loss trace of one training run: one (step, loss, smoothed loss) per update."""
 
     steps: list[int] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
     smoothed: list[float] = field(default_factory=list)
-    wallclock: list[float] = field(default_factory=list)
-    final_learning_rate: float = 0.0
-    aborted: bool = False
-
-    def append(self, step, loss, smoothed, wallclock):
-        self.steps.append(step)
-        self.losses.append(loss)
-        self.smoothed.append(smoothed)
-        self.wallclock.append(wallclock)
 
 
 def train(network: Network, batches, optimizer: NesterovSGD, update_budget: int, *,
-          clip_bound: float = GRADIENT_CLIP_BOUND,
-          smoothing: float = 0.05,
-          plateau_patience: int | None = 500,
-          plateau_improvement: float = 0.01,
-          min_learning_rate: float = 1e-5,
-          log_every: int = 1,
-          on_checkpoint=None,
-          checkpoint_every: int | None = None,
-          on_log=None) -> TrainResult:
-    """Run exactly `update_budget` clipped Nesterov-SGD steps.
+          on_log=None, on_checkpoint=None, checkpoint_every: int | None = None) -> TrainResult:
+    """Run exactly `update_budget` Nesterov-SGD steps, gradients clipped at
+    GRADIENT_CLIP_BOUND.
 
-    The smoothed loss is an exponential moving average; when it fails to
-    improve by `plateau_improvement` (relative) within
-    `plateau_patience` steps, the learning rate is halved.  Each logged
-    row also goes to `on_log(step, loss, smoothed, wallclock)` as it is
-    recorded.  A non-finite loss or gradient aborts training,
-    checkpointing the last finite state via `on_checkpoint(tag, step)`
-    before re-raising.
+    The smoothed loss is an exponential moving average (weight
+    SMOOTHING); when it fails to improve by PLATEAU_IMPROVEMENT
+    (relative) within PLATEAU_PATIENCE steps, the learning rate is
+    halved, down to MIN_LEARNING_RATE.  Each step also goes to
+    `on_log(step, loss, smoothed, wallclock)` as it is recorded.  A
+    non-finite loss or gradient aborts training, checkpointing the last
+    finite state via `on_checkpoint(tag, step)` before re-raising.
     """
     result = TrainResult()
     ema = None
@@ -172,33 +165,30 @@ def train(network: Network, batches, optimizer: NesterovSGD, update_budget: int,
             loss, grads = network.loss_and_gradients(batch.inputs, batch.targets)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {step}")
-            optimizer.step(clip_gradients(grads, clip_bound))
+            optimizer.step(clip_gradients(grads, GRADIENT_CLIP_BOUND))
             del grads  # so the next backward pass never runs beside this gradient set
 
-            ema = loss if ema is None else (1 - smoothing) * ema + smoothing * loss
-            if step % log_every == 0 or step == update_budget:
-                result.append(step, loss, ema, time.monotonic() - start)
-                if on_log:
-                    on_log(step, loss, ema, result.wallclock[-1])
-            if plateau_patience:
-                if ema < best_ema * (1 - plateau_improvement):
-                    best_ema = ema
+            ema = loss if ema is None else (1 - SMOOTHING) * ema + SMOOTHING * loss
+            result.steps.append(step)
+            result.losses.append(loss)
+            result.smoothed.append(ema)
+            if on_log:
+                on_log(step, loss, ema, time.monotonic() - start)
+            if ema < best_ema * (1 - PLATEAU_IMPROVEMENT):
+                best_ema = ema
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= PLATEAU_PATIENCE:
+                    optimizer.learning_rate = max(optimizer.learning_rate / 2,
+                                                  MIN_LEARNING_RATE)
                     since_best = 0
-                else:
-                    since_best += 1
-                    if since_best >= plateau_patience:
-                        optimizer.learning_rate = max(optimizer.learning_rate / 2,
-                                                      min_learning_rate)
-                        since_best = 0
             if on_checkpoint and checkpoint_every and step % checkpoint_every == 0:
                 on_checkpoint("interval", step)
     except NumericError:
-        result.aborted = True
         if on_checkpoint:
             on_checkpoint("abort", step)
-        result.final_learning_rate = optimizer.learning_rate
         raise
-    result.final_learning_rate = optimizer.learning_rate
     if on_checkpoint:
         on_checkpoint("final", step)
     return result

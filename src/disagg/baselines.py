@@ -21,6 +21,7 @@ from .sliding import EstimateSeries
 from .timeseries import PowerSeries
 
 CO_MAX_COMBINATIONS = 1_000_000
+CO_CHUNK = 4096  # samples per residual block; bounds it at CO_CHUNK x combinations
 FHMM_MAX_JOINT_STATES = 4096
 EMISSION_STD_FLOOR = 10.0
 
@@ -68,12 +69,6 @@ class ApplianceStateModel:
             "initial": self.initial.tolist(),
             "emission_std": self.emission_std.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d) -> "ApplianceStateModel":
-        return cls(appliance_id=d["appliance_id"], state_powers=d["state_powers"],
-                   transition=d["transition"], initial=d["initial"],
-                   emission_std=d["emission_std"])
 
 
 def _kmeans_1d(samples: np.ndarray, k: int, iterations: int = 100) -> np.ndarray:
@@ -161,7 +156,7 @@ def _joint_assignments(models):
     return combos, totals
 
 
-def co_disaggregate(aggregate: PowerSeries, models, chunk: int = 4096):
+def co_disaggregate(aggregate: PowerSeries, models):
     """Per-timestep exhaustive fit of summed state powers to the aggregate.
 
     Ties in residual go to the lowest total power, then to lexicographic
@@ -180,9 +175,9 @@ def co_disaggregate(aggregate: PowerSeries, models, chunk: int = 4096):
 
     y = aggregate.values
     best = np.empty(len(y), dtype=np.int64)
-    for lo in range(0, len(y), chunk):
-        residual = np.abs(y[lo : lo + chunk, None] - totals[None, :])
-        best[lo : lo + chunk] = np.argmin(residual, axis=1)
+    for lo in range(0, len(y), CO_CHUNK):
+        residual = np.abs(y[lo : lo + CO_CHUNK, None] - totals[None, :])
+        best[lo : lo + CO_CHUNK] = np.argmin(residual, axis=1)
 
     out = {}
     for i, m in enumerate(models):

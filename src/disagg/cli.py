@@ -30,7 +30,6 @@ from .util import canonical_json, rng_for, sha256_text
 
 BASELINE_ALGOS = ("co", "fhmm")
 MANIFEST_KEYS = ("window_width", "seed", "max_power", "input_std")  # read by inference
-ESTIMATE_CSV_CHUNK = 4096  # rows formatted per write; bounds the text held at once
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,12 +58,13 @@ def make_parser() -> _Parser:
     p = sub.add_parser("train", help="train one network for one appliance")
     common(p)
     p.add_argument("--appliance", required=True)
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=architectures.KINDS)
 
     p = sub.add_parser("disaggregate", help="estimate appliance power from an aggregate")
     common(p)
     p.add_argument("--appliance", required=True)
-    p.add_argument("--kind", default=None, help="trained architecture to use")
+    p.add_argument("--kind", choices=architectures.KINDS, default=None,
+                   help="trained architecture to use")
     p.add_argument("--baseline", choices=BASELINE_ALGOS, default=None)
     p.add_argument("--house", type=int, default=None, help="test house (default: first)")
 
@@ -225,8 +225,6 @@ def _train_houses(cfg: ExperimentConfig, appliance: str, library: ts.ActivationL
 
 
 def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
-    if kind not in architectures.KINDS:
-        raise UsageError(f"unknown kind {kind!r}; choose from {architectures.KINDS}")
     app = cfg.appliance(appliance)
     arch = cfg.architecture(kind)
     width = cfg.window_width(appliance)
@@ -337,20 +335,11 @@ def _estimate_path(cfg, appliance, algo, house) -> Path:
 
 
 def _write_estimate_csv(path, estimate: sliding.EstimateSeries):
-    """CRLF rows with integer timestamps and six-decimal watts (and
-    probability), formatted a chunk of rows at a time."""
-    series = estimate.series
-    columns = [series.timestamps().astype(np.int64), series.values]
     if estimate.probability is None:
-        header, row = "timestamp,estimated_watts\r\n", "{:d},{:.6f}\r\n"
+        ts.write_rows(path, ("timestamp", "estimated_watts"), estimate.series)
     else:
-        header, row = "timestamp,estimated_watts,probability\r\n", "{:d},{:.6f},{:.6f}\r\n"
-        columns.append(estimate.probability)
-    with open(path, "w", newline="") as f:
-        f.write(header)
-        for lo in range(0, len(series.values), ESTIMATE_CSV_CHUNK):
-            chunk = (column[lo : lo + ESTIMATE_CSV_CHUNK].tolist() for column in columns)
-            f.write("".join(map(row.format, *chunk)))
+        ts.write_rows(path, ("timestamp", "estimated_watts", "probability"),
+                      estimate.series, estimate.probability)
 
 
 def _runtime_info() -> dict:
@@ -417,8 +406,6 @@ def _read_manifest(path: Path) -> dict:
 
 
 def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
-    if kind not in architectures.KINDS:
-        raise UsageError(f"unknown kind {kind!r}; choose from {architectures.KINDS}")
     app = cfg.appliance(appliance)
     base = _model_base(cfg, appliance, kind)
     ckpt_path = base.with_name(base.name + ".ckpt")
@@ -438,11 +425,9 @@ def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
     network = architectures.build_network(kind, manifest["window_width"],
                                           rng_for(manifest["seed"], "init", appliance, kind))
     network.load_parameters(params)
-    config = sliding.DisaggConfig(
-        stride=cfg.disagg.stride,
-        power_threshold=app.activation_params.on_power_threshold,
-        probability_threshold=cfg.disagg.probability_threshold)
-    return sliding.disaggregate(network, aggregate, spec, config), actual_hash
+    estimate = sliding.disaggregate(network, aggregate, spec, cfg.disagg,
+                                    app.activation_params.on_power_threshold)
+    return estimate, actual_hash
 
 
 def _run_baseline(cfg: ExperimentConfig, appliance: str, algo: str, aggregate):
@@ -530,11 +515,31 @@ def cmd_evaluate(cfg: ExperimentConfig, appliance: str, algorithms=None,
     print(f"wrote {out}")
 
 
+def _read_evaluation(path: Path) -> dict:
+    """An evaluation file; a DataError unless it is a JSON object with an
+    appliance, a house and every metric of each algorithm as a number."""
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise DataError(f"{path}: not a JSON evaluation file: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: evaluation file is not a JSON object")
+    missing = [key for key in ("appliance", "house", "algorithms") if key not in payload]
+    if missing:
+        raise DataError(f"{path}: evaluation file lacks {', '.join(missing)}")
+    if not isinstance(payload["algorithms"], dict) or not all(
+            isinstance(scores, dict) and all(type(scores.get(name)) in (int, float)
+                                             for name in metrics.MetricsReport.METRIC_NAMES)
+            for scores in payload["algorithms"].values()):
+        raise DataError(f"{path}: every algorithm needs each metric as a number")
+    return payload
+
+
 def cmd_report(cfg: ExperimentConfig):
     eval_dir = cfg.out_dir / "evaluation"
     rows = []
     for path in sorted(eval_dir.glob("metrics_*.json")):
-        payload = json.loads(path.read_text())
+        payload = _read_evaluation(path)
         for algo, scores in sorted(payload["algorithms"].items()):
             for metric in metrics.MetricsReport.METRIC_NAMES:
                 rows.append((payload["appliance"], payload["house"], algo, metric,

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .architectures import BATCH_SIZES, KINDS, UPDATE_BUDGETS, DEFAULT_LEARNING_RATE
-from .errors import ConfigError
-from .timeseries import ActivationParams
+from .errors import ConfigError, DataError
+from .sliding import DisaggConfig
+from .timeseries import DEFAULT_MAX_FORWARD_FILL, DEFAULT_SAMPLE_PERIOD, ActivationParams
 
 CONFIG_VERSION = 1
 
@@ -73,12 +74,6 @@ class ArchRunConfig:
 
 
 @dataclass(frozen=True)
-class DisaggRunConfig:
-    stride: int
-    probability_threshold: float
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
     profile: str
@@ -89,7 +84,7 @@ class ExperimentConfig:
     std_sample_count: int
     appliances: dict[str, ApplianceConfig]
     architectures: dict[str, ArchRunConfig]
-    disagg: DisaggRunConfig
+    disagg: DisaggConfig
     raw: dict = field(default_factory=dict, compare=False, repr=False)
 
     def appliance(self, name: str) -> ApplianceConfig:
@@ -119,6 +114,8 @@ class ExperimentConfig:
 
 def _take(mapping: dict, context: str, known: dict):
     """Pop known keys with defaults; reject anything unexpected."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a JSON object")
     unknown = set(mapping) - set(known)
     if unknown:
         raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
@@ -142,7 +139,7 @@ def parse_config(raw: dict, base_dir=Path("."), *, seed_override: int | None = N
                  profile_override: str | None = None) -> ExperimentConfig:
     top = _take(raw, "config", {
         "version": None, "seed": None, "profile": "paper", "paths": {},
-        "sample_period": 6, "max_forward_fill": 180.0,
+        "sample_period": DEFAULT_SAMPLE_PERIOD, "max_forward_fill": DEFAULT_MAX_FORWARD_FILL,
         "std_sample_count": DEFAULT_STD_SAMPLE_COUNT,
         "appliances": None, "architectures": {}, "disagg": {},
     })
@@ -151,19 +148,20 @@ def parse_config(raw: dict, base_dir=Path("."), *, seed_override: int | None = N
     seed = seed_override if seed_override is not None else top["seed"]
     if seed is None:
         raise ConfigError("config must set a seed (reproducibility is mandatory)")
+    seed = _checked("seed", seed, int)
     profile = profile_override or top["profile"]
     if profile not in ("paper", "desk"):
         raise ConfigError(f"profile must be 'paper' or 'desk', got {profile!r}")
 
     paths = _take(top["paths"], "paths", {"data_dir": None, "out_dir": None})
-    if not paths["data_dir"] or not paths["out_dir"]:
-        raise ConfigError("paths.data_dir and paths.out_dir are required")
+    if not all(paths[key] and isinstance(paths[key], str) for key in paths):
+        raise ConfigError("paths.data_dir and paths.out_dir are required, as strings")
     data_dir = (base_dir / paths["data_dir"]).resolve()
     out_dir = (base_dir / paths["out_dir"]).resolve()
     if not data_dir.exists():
         raise ConfigError(f"data_dir {data_dir} does not exist")
 
-    if not top["appliances"]:
+    if not top["appliances"] or not isinstance(top["appliances"], list):
         raise ConfigError("config must list at least one appliance")
     appliances = {}
     for entry in top["appliances"]:
@@ -176,28 +174,34 @@ def parse_config(raw: dict, base_dir=Path("."), *, seed_override: int | None = N
                      {kind: {} for kind in KINDS})
     architectures = {}
     for kind in KINDS:
-        entry = _take(arch_raw[kind] or {}, f"architectures.{kind}", {
+        context = f"architectures.{kind}"
+        entry = _take(arch_raw[kind] or {}, context, {
             "update_budget": UPDATE_BUDGETS[kind],
             "batch_size": BATCH_SIZES[kind],
             "learning_rate": DEFAULT_LEARNING_RATE,
         })
-        architectures[kind] = ArchRunConfig(kind=kind, **entry)
+        architectures[kind] = ArchRunConfig(
+            kind=kind,
+            update_budget=_checked(f"{context}.update_budget", entry["update_budget"], int),
+            batch_size=_checked(f"{context}.batch_size", entry["batch_size"], int, minimum=2),
+            learning_rate=_checked(f"{context}.learning_rate", entry["learning_rate"], float))
 
-    disagg_raw = _take(top["disagg"], "disagg",
-                       {"stride": 16, "probability_threshold": 0.5})
-    disagg = DisaggRunConfig(**disagg_raw)
+    disagg = DisaggConfig(**_take(top["disagg"], "disagg", asdict(DisaggConfig())))
 
     return ExperimentConfig(
-        seed=int(seed), profile=profile, data_dir=data_dir, out_dir=out_dir,
-        sample_period=int(top["sample_period"]),
-        max_forward_fill=float(top["max_forward_fill"]),
-        std_sample_count=int(top["std_sample_count"]),
+        seed=seed, profile=profile, data_dir=data_dir, out_dir=out_dir,
+        sample_period=_checked("sample_period", top["sample_period"], int, minimum=1),
+        max_forward_fill=float(_checked("max_forward_fill", top["max_forward_fill"], float)),
+        std_sample_count=_checked("std_sample_count", top["std_sample_count"], int,
+                                  minimum=1),
         appliances=appliances, architectures=architectures, disagg=disagg,
         raw=raw,
     )
 
 
 def _parse_appliance(entry: dict) -> ApplianceConfig:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"appliance entry must be a JSON object, got {entry!r}")
     fields = _take(entry, f"appliance {entry.get('name', '?')!r}", {
         "name": None, "max_power": None, "on_power_threshold": None,
         "min_on_duration": None, "min_off_duration": None,
@@ -205,30 +209,29 @@ def _parse_appliance(entry: dict) -> ApplianceConfig:
         "state_count": None,
     })
     name = fields["name"]
-    if not name:
+    if not name or not isinstance(name, str):
         raise ConfigError("appliance entry missing 'name'")
     defaults = DEFAULT_ACTIVATION_PARAMS.get(name)
 
-    def pick(key, table_default):
-        if fields[key] is not None:
-            return fields[key]
-        if table_default is not None:
-            return table_default
-        raise ConfigError(f"appliance {name!r}: {key} required (no default known)")
+    def pick(key, table_default, kind, minimum=0):
+        value = fields[key] if fields[key] is not None else table_default
+        if value is None:
+            raise ConfigError(f"appliance {name!r}: {key} required (no default known)")
+        return _checked(f"appliance {name!r}: {key}", value, kind, minimum)
 
-    params = ActivationParams(
-        max_power=float(pick("max_power", defaults.max_power if defaults else None)),
-        on_power_threshold=float(pick("on_power_threshold",
-                                      defaults.on_power_threshold if defaults else None)),
-        min_on_duration=float(pick("min_on_duration",
-                                   defaults.min_on_duration if defaults else None)),
-        min_off_duration=float(pick("min_off_duration",
-                                    defaults.min_off_duration if defaults else None)),
-    )
-    window_width = int(pick("window_width", DEFAULT_WINDOW_WIDTHS.get(name)))
-    state_count = int(pick("state_count", DEFAULT_STATE_COUNTS.get(name, 2)))
-    train_houses = tuple(fields["train_houses"] or ())
-    test_houses = tuple(fields["test_houses"] or ())
+    try:
+        params = ActivationParams(**{
+            key: float(pick(key, getattr(defaults, key, None), float))
+            for key in ("max_power", "on_power_threshold", "min_on_duration",
+                        "min_off_duration")})
+    except DataError as exc:  # an on-power threshold above the maximum power
+        raise ConfigError(f"appliance {name!r}: {exc}") from None
+    window_width = pick("window_width", DEFAULT_WINDOW_WIDTHS.get(name), int, minimum=1)
+    state_count = pick("state_count", DEFAULT_STATE_COUNTS.get(name, 2), int, minimum=2)
+    train_houses = _checked(f"appliance {name!r}: train_houses",
+                            fields["train_houses"] or [], tuple)
+    test_houses = _checked(f"appliance {name!r}: test_houses",
+                           fields["test_houses"] or [], tuple)
     if not train_houses:
         raise ConfigError(f"appliance {name!r}: train_houses required")
     overlap = set(train_houses) & set(test_houses)
@@ -238,3 +241,19 @@ def _parse_appliance(entry: dict) -> ApplianceConfig:
     return ApplianceConfig(name=name, activation_params=params, window_width=window_width,
                            train_houses=train_houses, test_houses=test_houses,
                            state_count=state_count)
+
+
+def _checked(key: str, value, kind, minimum=0):
+    """`value` if it is a JSON integer (kind int), a finite JSON number
+    (kind float) or a list of house numbers (kind tuple, returned as a
+    tuple), none below `minimum`; otherwise a ConfigError naming `key`."""
+    if kind is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list of house numbers, got {value!r}")
+        return tuple(_checked(key, house, int) for house in value)
+    # type(), not isinstance(): bool is an int subclass.
+    if type(value) not in ((int,) if kind is int else (int, float)) \
+            or (type(value) is float and not math.isfinite(value)) or value < minimum:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun} >= {minimum}, got {value!r}")
+    return value

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DataError
 from .timeseries import Activation, ActivationLibrary, PowerSeries
 
+PREFETCH_DEPTH = 2  # batches a producer thread may prepare ahead of training
+
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -103,23 +105,14 @@ def scale_target(window, max_power: float) -> np.ndarray:
     return np.clip(np.asarray(window, dtype=np.float64) / max_power, 0.0, 1.0)
 
 
-def estimate_input_std(training_windows, sample_count: int, rng) -> float:
-    """Population std of the pooled samples of randomly drawn training windows.
+def estimate_input_std(draw, sample_count: int, rng) -> float:
+    """Population std of the pooled samples of `sample_count` windows
+    drawn by `draw(rng)`.
 
-    `training_windows` is either a sequence of window vectors (drawn with
-    replacement) or a callable `rng -> window` producing fresh windows.
     The estimate must be recorded in the experiment manifest so that
     inference standardizes exactly as training did.
     """
-    pooled = []
-    for _ in range(sample_count):
-        if callable(training_windows):
-            w = training_windows(rng)
-        else:
-            if len(training_windows) == 0:
-                raise DataError("no training windows available")
-            w = training_windows[int(rng.integers(0, len(training_windows)))]
-        pooled.append(np.asarray(w, dtype=np.float64))
+    pooled = [np.asarray(draw(rng), dtype=np.float64) for _ in range(sample_count)]
     std = float(np.concatenate(pooled).std())
     if std == 0.0:
         raise DataError("zero variance in sampled training windows")
@@ -426,8 +419,8 @@ def batch_stream(source_real, source_synth, spec: WindowSpec, target_kind: str,
         yield stack_pairs([finish_pair(raw, spec, target_kind) for raw in raws])
 
 
-def prefetch(iterator, depth: int = 2):
-    """Run an iterator on a producer thread, buffering `depth` items.
+def prefetch(iterator):
+    """Run an iterator on a producer thread, buffering PREFETCH_DEPTH items.
 
     Batches are immutable once emitted and the producer owns the
     iterator's random state, so training can overlap with preparing the
@@ -438,7 +431,7 @@ def prefetch(iterator, depth: int = 2):
     import queue
     import threading
 
-    q: "queue.Queue" = queue.Queue(maxsize=depth)
+    q: "queue.Queue" = queue.Queue(maxsize=PREFETCH_DEPTH)
     stop = threading.Event()
     done = object()
 

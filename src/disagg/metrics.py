@@ -121,26 +121,16 @@ def proportion_energy_correct(preds, truths, aggregate) -> float:
     return 1.0 - numerator / denominator
 
 
-def energy_metrics(pred, truth, aggregate=None):
-    """(relative error, MAE, proportion correct); the proportion needs the
-    aggregate and is None without it."""
-    rel = relative_error_total_energy(pred, truth)
-    mae = mean_absolute_error(pred, truth)
-    proportion = None
-    if aggregate is not None:
-        proportion = proportion_energy_correct(pred, truth, aggregate)
-    return rel, mae, proportion
-
-
 def metrics_report(pred_watts, true_watts, aggregate_watts, on_threshold: float) -> MetricsReport:
     """All seven scores for one appliance estimate."""
     counts, recall, precision, f1, accuracy = classification_metrics(
         on_off(pred_watts, on_threshold), on_off(true_watts, on_threshold))
-    rel, mae, proportion = energy_metrics(pred_watts, true_watts, aggregate_watts)
     return MetricsReport(
         recall=recall, precision=precision, f1=f1, accuracy=accuracy,
-        relative_error_total_energy=rel, mean_absolute_error=mae,
-        proportion_energy_correct=proportion,
+        relative_error_total_energy=relative_error_total_energy(pred_watts, true_watts),
+        mean_absolute_error=mean_absolute_error(pred_watts, true_watts),
+        proportion_energy_correct=proportion_energy_correct(pred_watts, true_watts,
+                                                            aggregate_watts),
         energy_true=float(np.sum(true_watts)),
         energy_predicted=float(np.sum(pred_watts)),
         counts=counts,

@@ -20,21 +20,26 @@ from .datagen import RectangleTriple, WindowSpec
 from .errors import ConfigError
 from .timeseries import PowerSeries
 
+SLIDE_BATCH = 64  # windows per network call
+
 
 @dataclass(frozen=True)
 class DisaggConfig:
-    """Sliding and thresholding knobs for one disaggregation run."""
+    """Sliding and thresholding knobs for one disaggregation run.
 
-    stride: int
-    power_threshold: float
+    The power threshold is the target appliance's on-power threshold, so
+    it is passed with the appliance, not kept here.
+    """
+
+    stride: int = 16
     probability_threshold: float = 0.5
 
-    def validate(self, window_width: int):
-        if not 1 <= self.stride <= window_width:
-            raise ConfigError(
-                f"stride {self.stride} out of range [1, {window_width}]")
-        if not 0.0 <= self.probability_threshold <= 1.0:
-            raise ConfigError("probability_threshold must lie in [0, 1]")
+    def __post_init__(self):
+        if type(self.stride) is not int or self.stride < 1:  # bool is an int subclass
+            raise ConfigError(f"stride must be an integer >= 1, got {self.stride!r}")
+        threshold = self.probability_threshold
+        if type(threshold) not in (int, float) or not 0.0 <= threshold <= 1.0:
+            raise ConfigError(f"probability_threshold must lie in [0, 1], got {threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -66,15 +71,16 @@ class WindowOutputs:
     sample_period: int = 6
 
 
-def slide(network, aggregate: PowerSeries, spec: WindowSpec, config: DisaggConfig,
-          batch_size: int = 64) -> WindowOutputs:
+def slide(network, aggregate: PowerSeries, spec: WindowSpec,
+          config: DisaggConfig) -> WindowOutputs:
     """Run the network over zero-padded, strided windows of the aggregate.
 
     Windows are standardized with the training-time dataset std;
     sequence outputs are scaled back to watts.
     """
     width = spec.window_width
-    config.validate(width)
+    if config.stride > width:
+        raise ConfigError(f"stride {config.stride} exceeds the window width {width}")
 
     padded = np.concatenate([np.zeros(width), aggregate.values, np.zeros(width)])
     starts = np.arange(0, len(padded) - width + 1, config.stride)
@@ -83,8 +89,8 @@ def slide(network, aggregate: PowerSeries, spec: WindowSpec, config: DisaggConfi
     windows = (windows - windows.mean(axis=1, keepdims=True)) / spec.input_std
 
     chunks = []
-    for lo in range(0, len(windows), batch_size):
-        chunks.append(network.forward(windows[lo : lo + batch_size]))
+    for lo in range(0, len(windows), SLIDE_BATCH):
+        chunks.append(network.forward(windows[lo : lo + SLIDE_BATCH]))
     outputs = np.concatenate(chunks) if chunks else np.empty((0, 0))
 
     kind = getattr(network, "output_kind", "sequence")
@@ -130,7 +136,8 @@ def decode_rectangle(triple: RectangleTriple, window_origin: int, window_width: 
     return start, end, triple.height * max_power
 
 
-def combine_rectangles(window_outputs: WindowOutputs, config: DisaggConfig) -> EstimateSeries:
+def combine_rectangles(window_outputs: WindowOutputs, config: DisaggConfig,
+                       power_threshold: float) -> EstimateSeries:
     """Overlay predicted rectangles and threshold the normalised overlap.
 
     Per timestep: probability = covering rectangles / covering windows;
@@ -150,7 +157,7 @@ def combine_rectangles(window_outputs: WindowOutputs, config: DisaggConfig) -> E
             window_count[lo:hi] += 1
         triple = RectangleTriple(*row)
         # A triple only counts as a rectangle above the power threshold.
-        if not (triple.height * window_outputs.max_power > config.power_threshold
+        if not (triple.height * window_outputs.max_power > power_threshold
                 and triple.end > triple.start):
             continue
         decoded = decode_rectangle(triple, origin, width, window_outputs.max_power)
@@ -169,18 +176,19 @@ def combine_rectangles(window_outputs: WindowOutputs, config: DisaggConfig) -> E
     mean_power = np.divide(height_sum, rect_count, out=np.zeros(total),
                            where=rect_count > 0)
     on = (probability >= config.probability_threshold) & \
-         (mean_power >= config.power_threshold)
+         (mean_power >= power_threshold)
     estimate = np.where(on, mean_power, 0.0)
     return EstimateSeries(series=_as_series(window_outputs, estimate),
                           probability=probability)
 
 
 def disaggregate(network, aggregate: PowerSeries, spec: WindowSpec,
-                 config: DisaggConfig, batch_size: int = 64) -> EstimateSeries:
-    """Slide the network over the aggregate and combine outputs by kind."""
-    outputs = slide(network, aggregate, spec, config, batch_size=batch_size)
+                 config: DisaggConfig, power_threshold: float) -> EstimateSeries:
+    """Slide the network over the aggregate and combine outputs by kind;
+    `power_threshold` is the appliance's on-power threshold in watts."""
+    outputs = slide(network, aggregate, spec, config)
     if outputs.kind == "triple":
-        return combine_rectangles(outputs, config)
+        return combine_rectangles(outputs, config, power_threshold)
     return combine_mean(outputs)
 
 

@@ -10,14 +10,12 @@ can write a house's channels out as CSVs in the layout the CLI ingests
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .timeseries import Activation, ActivationLibrary, PowerSeries
-from .util import format_watts
+from .timeseries import Activation, ActivationLibrary, PowerSeries, write_rows
 
 
 @dataclass(frozen=True)
@@ -97,14 +95,6 @@ def channel_slug(name: str) -> str:
     return name.replace(" ", "_")
 
 
-def write_series_csv(path, series: PowerSeries):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["timestamp", "watts"])
-        for t, w in zip(series.timestamps(), series.values):
-            writer.writerow([int(t), format_watts(w)])
-
-
 def write_world(data_dir, houses, length: int, seed: int,
                 appliances=DESK_APPLIANCES, sample_period: int = 6):
     """Write per-house channel CSVs for the CLI: aggregate + one per appliance."""
@@ -115,6 +105,5 @@ def write_world(data_dir, houses, length: int, seed: int,
                                              sample_period=sample_period)
         house_dir = data_dir / f"house_{house}"
         house_dir.mkdir(parents=True, exist_ok=True)
-        write_series_csv(house_dir / "aggregate.csv", aggregate)
-        for name, series in channels.items():
-            write_series_csv(house_dir / f"{channel_slug(name)}.csv", series)
+        for name, series in {"aggregate": aggregate, **channels}.items():
+            write_rows(house_dir / f"{channel_slug(name)}.csv", ("timestamp", "watts"), series)

@@ -1,5 +1,5 @@
-"""Power time-series ingestion, resampling, gap filling, and appliance
-activation extraction.
+"""Power time-series ingestion and CSV writing, gap filling, and
+appliance activation extraction.
 
 A power series is a uniformly sampled sequence of non-negative watt
 readings anchored at an absolute start time.  Raw meter CSVs may have
@@ -21,6 +21,7 @@ from .errors import DataError
 
 DEFAULT_SAMPLE_PERIOD = 6
 DEFAULT_MAX_FORWARD_FILL = 180.0
+CSV_WRITE_CHUNK = 4096  # rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,23 @@ def _first_bad_line(path, extra_columns: bool) -> str | None:
     return None
 
 
+def write_rows(path, header: tuple[str, ...], series: PowerSeries, *extra_columns):
+    """Write a CSV that `read_rows` reads back: the `header` line, then one
+    CRLF row per sample of an integer timestamp, the watts and each extra
+    column, all but the timestamp to six decimals.
+
+    Rows are formatted CSV_WRITE_CHUNK at a time, which bounds the text
+    held at once; the bytes are those of one `csv.writer` row per sample.
+    """
+    columns = [series.timestamps().astype(np.int64), series.values, *extra_columns]
+    row = "{:d}" + ",{:.6f}" * (len(columns) - 1) + "\r\n"
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\r\n")
+        for lo in range(0, len(series), CSV_WRITE_CHUNK):
+            chunk = (column[lo : lo + CSV_WRITE_CHUNK].tolist() for column in columns)
+            f.write("".join(map(row.format, *chunk)))
+
+
 def fill_gaps(timestamps, values, sample_period: int,
               max_forward_fill: float = DEFAULT_MAX_FORWARD_FILL) -> PowerSeries:
     """Fill missing grid slots between on-grid (timestamp, value) pairs.
@@ -217,23 +235,6 @@ def fill_gaps(timestamps, values, sample_period: int,
     out = carried[owner]
     out[slots] = values
     return PowerSeries(start_time=float(start), sample_period=sample_period, values=out)
-
-
-def resample(series: PowerSeries, target_period: int) -> PowerSeries:
-    """Downsample by averaging bins of `target_period / sample_period`
-    consecutive samples.  A partial trailing bin is dropped.
-    """
-    if target_period % series.sample_period != 0:
-        raise DataError(
-            f"target period {target_period} is not a multiple of "
-            f"sample period {series.sample_period}"
-        )
-    ratio = target_period // series.sample_period
-    if ratio == 1:
-        return series
-    n_bins = len(series.values) // ratio
-    binned = series.values[: n_bins * ratio].reshape(n_bins, ratio).mean(axis=1)
-    return PowerSeries(series.start_time, target_period, binned)
 
 
 def extract_activations(series: PowerSeries, params: ActivationParams) -> list[Activation]:

@@ -25,16 +25,3 @@ def canonical_json(obj) -> str:
 
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def format_watts(value: float) -> str:
-    """Fixed decimal formatting for CSV output (deterministic bytes)."""
-    return format(float(value), ".6f")

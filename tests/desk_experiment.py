@@ -60,13 +60,11 @@ def run_desk_experiment(kind, width=32, updates=2000, batch_size=64,
                                   rng_for(seed, "batches"))
     network = architectures.build_network(kind, width, rng_for(seed, "init", kind))
     optimizer = NesterovSGD(network.parameters(), learning_rate)
-    result = architectures.train(network, stream, optimizer, updates,
-                                 plateau_patience=500)
+    result = architectures.train(network, stream, optimizer, updates)
 
     aggregate, channels = held_out_household(seed, eval_length)
-    config = sliding.DisaggConfig(stride=stride, power_threshold=ON_THRESHOLD,
-                                  probability_threshold=0.5)
-    estimate = sliding.disaggregate(network, aggregate, spec, config)
+    estimate = sliding.disaggregate(network, aggregate, spec,
+                                    sliding.DisaggConfig(stride=stride), ON_THRESHOLD)
     report = metrics.metrics_report(estimate.series.values, channels[TARGET].values,
                                     aggregate.values, ON_THRESHOLD)
     return DeskRun(f1=report.f1, proportion=report.proportion_energy_correct,

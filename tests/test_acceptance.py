@@ -161,7 +161,7 @@ class TestCriterion4DisaggregationIdentity:
         aggregate = PowerSeries(0, 6, truth)
         net = OracleNetwork(truth, width, width, max_power)
         estimate = sliding.disaggregate(net, aggregate, spec_for(width, max_power),
-                                        DisaggConfig(width, 100.0))
+                                        DisaggConfig(stride=width), 100.0)
         exact = np.array_equal(estimate.series.values, truth)
         assert report("4 (identity)", exact, "stride = window width, oracle network")
 
@@ -170,7 +170,7 @@ class TestCriterion4DisaggregationIdentity:
         aggregate = PowerSeries(0, 6, np.zeros(total))
         net = ConstantNetwork(777.0, width, 2048.0)
         estimate = sliding.disaggregate(net, aggregate, spec_for(width),
-                                        DisaggConfig(16, 100.0))
+                                        DisaggConfig(stride=16), 100.0)
         err = float(np.abs(estimate.series.values - 777.0).max())
         assert report("4 (constant)", err <= 1e-9, f"max deviation {err:.2e}")
 
@@ -193,7 +193,7 @@ class TestCriterion5RectanglePipeline:
     def test_unanimous_overlay_probability_one(self):
         triple = RectangleTriple(0.25, 0.5, 2000.0 / 2400.0)
         outputs = rect_outputs([triple] * 6, [0] * 6, 32, 32)
-        estimate = combine_rectangles(outputs, DisaggConfig(1, 500.0, 0.5))
+        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.5), 500.0)
         ok = bool(np.all(estimate.probability[8:16] == 1.0))
         assert report("5 (unanimity)", ok)
 

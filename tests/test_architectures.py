@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from disagg.architectures import (BATCH_SIZES, UPDATE_BUDGETS, build_dae, build_lstm,
-                                  build_network, build_rectangles, train)
+from disagg.architectures import (BATCH_SIZES, PLATEAU_PATIENCE, UPDATE_BUDGETS, build_dae,
+                                  build_lstm, build_network, build_rectangles, train)
 from disagg.datagen import Batch
 from disagg.errors import ConfigError, NumericError
 from disagg.nn import Dense, NesterovSGD, Network
@@ -83,7 +83,7 @@ class TestDaeStack:
         net = build_dae(16, rng, conv_filters=2, code_units=3)
         batch = Batch(inputs=np.zeros((4, 16)), targets=np.zeros((4, 16)))
         opt = NesterovSGD(net.parameters(), learning_rate=0.01)
-        train(net, repeat_batch(batch), opt, 50, plateau_patience=None)
+        train(net, repeat_batch(batch), opt, 50)
         np.testing.assert_allclose(net.forward(np.zeros((1, 16))), np.zeros((1, 10)),
                                    atol=1e-6)
 
@@ -162,14 +162,14 @@ class TestTraining:
     def test_memorisation_loss_decreases(self, kind, rng):
         net, batch = self._toy_net_and_batch(kind, rng)
         opt = NesterovSGD(net.parameters(), learning_rate=0.01)
-        result = train(net, repeat_batch(batch), opt, 200, plateau_patience=None)
+        result = train(net, repeat_batch(batch), opt, 200)
         assert result.losses[-1] < result.losses[0]
 
     @pytest.mark.parametrize("kind", ["lstm", "dae", "rectangles"])
     def test_strict_decrease_first_50_steps_small_lr(self, kind, rng):
         net, batch = self._toy_net_and_batch(kind, rng)
         opt = NesterovSGD(net.parameters(), learning_rate=1e-3)
-        result = train(net, repeat_batch(batch), opt, 50, plateau_patience=None)
+        result = train(net, repeat_batch(batch), opt, 50)
         diffs = np.diff(result.losses)
         assert np.all(diffs < 0), f"loss increased at steps {np.where(diffs >= 0)[0] + 1}"
 
@@ -197,7 +197,7 @@ class TestTraining:
         # Zero-error target: loss stalls at a constant, triggering plateaus.
         batch = Batch(inputs=batch.inputs, targets=net.forward(batch.inputs))
         opt = NesterovSGD(net.parameters(), learning_rate=0.01)
-        train(net, repeat_batch(batch), opt, 30, plateau_patience=10)
+        train(net, repeat_batch(batch), opt, PLATEAU_PATIENCE + 10)
         assert opt.learning_rate < 0.01
 
     def test_peak_memory_holds_one_gradient_set(self, rng):
@@ -212,8 +212,7 @@ class TestTraining:
                            Dense("d2", 2500, 1000, activation="linear", rng=rng)],
                           window_width=1000)
             holder["param_bytes"] = sum(v.nbytes for v in net.parameters().values())
-            train(net, repeat_batch(batch), NesterovSGD(net.parameters(), 0.01), 3,
-                  plateau_patience=None)
+            train(net, repeat_batch(batch), NesterovSGD(net.parameters(), 0.01), 3)
 
         peak = traced_peak(build_and_train)
         param_bytes = holder["param_bytes"]

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from disagg import sliding
-from disagg.cli import ESTIMATE_CSV_CHUNK, _write_estimate_csv, main
+from disagg.cli import _write_estimate_csv, main
 from disagg.config import load_config, parse_config
 from disagg.errors import ConfigError
 from disagg.nn import Network, load_checkpoint, save_checkpoint
 from disagg.synthworld import DESK_APPLIANCES, write_world
-from disagg.timeseries import PowerSeries
-from disagg.util import canonical_json, format_watts, sha256_text
+from disagg.timeseries import CSV_WRITE_CHUNK, PowerSeries
+from disagg.util import canonical_json, sha256_text
 
 
 def world_config(tmp_path, length=700, seed=11, window=24, budget=4, batch=8,
@@ -91,6 +91,39 @@ class TestConfig:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match="does not exist"):
             load_config(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("top", "seed", "abc"), ("top", "seed", -1), ("top", "sample_period", 0),
+        ("top", "max_forward_fill", "long"), ("top", "max_forward_fill", float("inf")),
+        ("top", "std_sample_count", 2.5), ("top", "disagg", 5),
+        ("appliance", "window_width", "wide"), ("appliance", "max_power", -5),
+        ("appliance", "on_power_threshold", 5000), ("appliance", "state_count", True),
+        ("appliance", "train_houses", 5), ("appliance", "test_houses", ["2"]),
+        ("dae", "update_budget", "10"), ("dae", "batch_size", 0),
+        ("dae", "learning_rate", None),
+        ("disagg", "stride", "16"), ("disagg", "stride", 0),
+        ("disagg", "probability_threshold", 1.5),
+    ])
+    def test_wrong_value_rejected_naming_its_key(self, tmp_path, section, key, value):
+        (tmp_path / "data").mkdir()
+        raw = {"version": 1, "seed": 1, "paths": {"data_dir": "data", "out_dir": "out"},
+               "appliances": [{"name": "kettle", "train_houses": [1], "test_houses": [2]}],
+               "architectures": {"dae": {}}, "disagg": {}}
+        target = {"top": raw, "appliance": raw["appliances"][0],
+                  "dae": raw["architectures"]["dae"], "disagg": raw["disagg"]}[section]
+        target[key] = value
+        with pytest.raises(ConfigError, match=key):
+            parse_config(raw, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("key, value", [("window_width", "wide"), ("max_power", -5),
+                                            ("train_houses", 5)])
+    def test_wrong_value_exits_1(self, tmp_path, capsys, key, value):
+        path = world_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["appliances"][0][key] = value
+        path.write_text(json.dumps(raw))
+        assert main(["extract", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
 
     def test_desk_profile_scales_budget_and_window(self, tmp_path):
         path = world_config(tmp_path)
@@ -243,6 +276,21 @@ class TestCliPipeline:
         table = (tmp_path / "out" / "evaluation" / "report.csv").read_text().splitlines()
         assert table[0] == "appliance,house,algorithm,metric,value"
         assert len(table) == 1 + 7  # one algorithm, seven metrics
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"appliance": "kettle", "ho', "not a JSON evaluation file"),
+        ('{"appliance": "kettle", "house": 2}', "lacks algorithms"),
+        ('{"appliance": "kettle", "house": 2, "algorithms": {"co": {"f1": 1.0}}}',
+         "each metric as a number"),
+    ], ids=["truncated", "no-algorithms", "missing-metric"])
+    def test_report_malformed_evaluation_exits_2(self, tmp_path, capsys, text, message):
+        path = world_config(tmp_path)
+        evaluation = tmp_path / "out" / "evaluation" / "metrics_kettle_house2.json"
+        evaluation.parent.mkdir(parents=True)
+        evaluation.write_text(text)
+        assert main(["report", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(evaluation) in err and message in err
 
     def test_evaluate_misaligned_grid_names_timestamps(self, tmp_path, capsys):
         path = world_config(tmp_path)
@@ -481,11 +529,11 @@ def reference_write_estimate_csv(path, estimate):
         if estimate.probability is None:
             writer.writerow(["timestamp", "estimated_watts"])
             for t, w in zip(series.timestamps(), series.values):
-                writer.writerow([int(t), format_watts(w)])
+                writer.writerow([int(t), format(float(w), ".6f")])
         else:
             writer.writerow(["timestamp", "estimated_watts", "probability"])
             for t, w, p in zip(series.timestamps(), series.values, estimate.probability):
-                writer.writerow([int(t), format_watts(w), format(p, ".6f")])
+                writer.writerow([int(t), format(float(w), ".6f"), format(p, ".6f")])
 
 
 # Values whose sixth decimal rounds (binary halves and near-halves), a
@@ -495,8 +543,8 @@ ROUNDING_VALUES = [0.0, 5e-7, 1.5e-6, 2.5e-7, 0.9999995, 1.2345675, 0.1234565,
 
 
 class TestEstimateCsv:
-    @pytest.mark.parametrize("length", [0, 1, ESTIMATE_CSV_CHUNK, ESTIMATE_CSV_CHUNK + 1,
-                                        2 * ESTIMATE_CSV_CHUNK + 3])
+    @pytest.mark.parametrize("length", [0, 1, CSV_WRITE_CHUNK, CSV_WRITE_CHUNK + 1,
+                                        2 * CSV_WRITE_CHUNK + 3])
     @pytest.mark.parametrize("start_time", [1_300_000_000.7, 2.0**31 + 5.5])
     @pytest.mark.parametrize("with_probability", [False, True], ids=["two-col", "three-col"])
     def test_bytes_match_csv_writer_loop(self, tmp_path, length, start_time,

@@ -81,19 +81,24 @@ class TestScaleTarget:
         np.testing.assert_array_equal(scale_target([4000.0], 3100.0), [1.0])
 
 
+def drawn_from(windows):
+    """A draw callable picking one of `windows` uniformly."""
+    return lambda rng: windows[int(rng.integers(0, len(windows)))]
+
+
 class TestEstimateInputStd:
     def test_two_level_windows(self, rng):
         windows = [np.array([0.0, 2.0] * 8)] * 5
-        assert estimate_input_std(windows, 100, rng) == pytest.approx(1.0)
+        assert estimate_input_std(drawn_from(windows), 100, rng) == pytest.approx(1.0)
 
     def test_zero_variance_rejected(self, rng):
         with pytest.raises(DataError, match="zero variance"):
-            estimate_input_std([np.array([5.0, 5.0, 5.0])], 10, rng)
+            estimate_input_std(drawn_from([np.array([5.0, 5.0, 5.0])]), 10, rng)
 
     def test_deterministic_under_seed(self):
         windows = [np.arange(10, dtype=float), np.ones(10) * 7]
-        a = estimate_input_std(windows, 20, np.random.default_rng(3))
-        b = estimate_input_std(windows, 20, np.random.default_rng(3))
+        a = estimate_input_std(drawn_from(windows), 20, np.random.default_rng(3))
+        b = estimate_input_std(drawn_from(windows), 20, np.random.default_rng(3))
         assert a == b
 
     def test_callable_source(self, rng):
@@ -371,7 +376,7 @@ class TestBatchStream:
                 count += 1
                 yield count
 
-        batches = prefetch(endless(), depth=2)
+        batches = prefetch(endless())
         assert [next(batches) for _ in range(3)] == [1, 2, 3]
         closer = threading.Thread(target=batches.close)  # bounds a hang in close
         closer.start()

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from disagg.errors import DataError
-from disagg.metrics import (classification_metrics, energy_metrics, mean_absolute_error,
-                            metrics_report, on_off, proportion_energy_correct,
-                            relative_error_total_energy)
+from disagg.metrics import (classification_metrics, mean_absolute_error, metrics_report,
+                            on_off, proportion_energy_correct, relative_error_total_energy)
 
 
 class TestOnOff:
@@ -68,8 +67,9 @@ class TestClassification:
 class TestEnergyMetrics:
     def test_perfect(self, rng):
         truth = rng.uniform(0, 100, size=50)
-        rel, mae, proportion = energy_metrics(truth, truth, truth * 2)
-        assert rel == 0.0 and mae == 0.0 and proportion == 1.0
+        assert relative_error_total_energy(truth, truth) == 0.0
+        assert mean_absolute_error(truth, truth) == 0.0
+        assert proportion_energy_correct(truth, truth, truth * 2) == 1.0
 
     def test_half_energy(self):
         truth = np.full(10, 10.0)  # E = 100

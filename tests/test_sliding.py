@@ -59,14 +59,14 @@ class TestSlide:
                 seen.append(x.copy())
                 return np.zeros((len(x), width))
 
-        slide(Probe(), aggregate, spec_for(width), DisaggConfig(4, 100.0))
+        slide(Probe(), aggregate, spec_for(width), DisaggConfig(stride=4))
         assert all(np.all(chunk == 0) for chunk in seen)
 
     def test_window_positions_tile_with_full_stride(self):
         width, total = 16, 64
         aggregate = PowerSeries(0, 6, np.zeros(total))
         net = ConstantNetwork(0.0, width, 2048.0)
-        outputs = slide(net, aggregate, spec_for(width), DisaggConfig(width, 100.0))
+        outputs = slide(net, aggregate, spec_for(width), DisaggConfig(stride=width))
         assert outputs.origins[0] == -width
         assert np.all(np.diff(outputs.origins) == width)
         covered = np.zeros(total)
@@ -79,7 +79,7 @@ class TestSlide:
         width, stride, total = 128, 16, 512
         aggregate = PowerSeries(0, 6, np.zeros(total))
         net = ConstantNetwork(1.0, width, 2048.0)
-        outputs = slide(net, aggregate, spec_for(width), DisaggConfig(stride, 100.0))
+        outputs = slide(net, aggregate, spec_for(width), DisaggConfig(stride=stride))
         counts = np.zeros(total)
         for origin in outputs.origins:
             lo, hi = max(0, int(origin)), min(total, int(origin) + width)
@@ -101,7 +101,7 @@ class TestSlide:
                 captured.append(x.copy())
                 return np.zeros((len(x), width))
 
-        slide(Probe(), aggregate, spec, DisaggConfig(width, 100.0))
+        slide(Probe(), aggregate, spec, DisaggConfig(stride=width))
         window = np.concatenate(captured)[1]  # first non-padding window
         raw = values[0:width]
         np.testing.assert_allclose(window, (raw - raw.mean()) / spec.input_std)
@@ -110,9 +110,24 @@ class TestSlide:
         aggregate = PowerSeries(0, 6, np.zeros(32))
         net = ConstantNetwork(0.0, 16, 2048.0)
         with pytest.raises(ConfigError, match="stride"):
-            slide(net, aggregate, spec_for(16), DisaggConfig(17, 100.0))
+            slide(net, aggregate, spec_for(16), DisaggConfig(stride=17))
         with pytest.raises(ConfigError, match="stride"):
-            slide(net, aggregate, spec_for(16), DisaggConfig(0, 100.0))
+            slide(net, aggregate, spec_for(16), DisaggConfig(stride=0))
+
+
+class TestDisaggConfig:
+    def test_defaults(self):
+        assert DisaggConfig() == DisaggConfig(stride=16, probability_threshold=0.5)
+
+    @pytest.mark.parametrize("stride", [0, -4, 16.0, "16", True, None])
+    def test_rejects_stride_not_a_positive_integer(self, stride):
+        with pytest.raises(ConfigError, match="stride"):
+            DisaggConfig(stride=stride)
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan"), "0.5", None])
+    def test_rejects_probability_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ConfigError, match="probability_threshold"):
+            DisaggConfig(probability_threshold=threshold)
 
 
 class TestCombineMean:
@@ -122,14 +137,15 @@ class TestCombineMean:
         aggregate = PowerSeries(0, 6, truth)
         net = OracleNetwork(truth, width, width, max_power)
         estimate = disaggregate(net, aggregate, spec_for(width, max_power),
-                                DisaggConfig(width, 100.0))
+                                DisaggConfig(stride=width), 100.0)
         np.testing.assert_array_equal(estimate.series.values, truth)
 
     def test_constant_outputs_any_stride(self):
         width, total = 128, 512
         aggregate = PowerSeries(0, 6, np.zeros(total))
         net = ConstantNetwork(777.0, width, 2048.0)
-        estimate = disaggregate(net, aggregate, spec_for(width), DisaggConfig(16, 100.0))
+        estimate = disaggregate(net, aggregate, spec_for(width), DisaggConfig(stride=16),
+                                100.0)
         np.testing.assert_allclose(estimate.series.values, np.full(total, 777.0),
                                    atol=1e-9)
 
@@ -189,14 +205,14 @@ class TestCombineRectangles:
         width, total = 32, 32
         triple = RectangleTriple(0.25, 0.5, 2000.0 / 2400.0)
         outputs = rect_outputs([triple] * 6, [0] * 6, width, total)
-        estimate = combine_rectangles(outputs, DisaggConfig(1, 500.0, 0.5))
+        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.5), 500.0)
         np.testing.assert_allclose(estimate.probability[8:16], np.ones(8))
         np.testing.assert_allclose(estimate.series.values[8:16], np.full(8, 2000.0))
         np.testing.assert_array_equal(estimate.series.values[:8], np.zeros(8))
 
     def test_no_rectangles_zero_estimate(self):
         outputs = rect_outputs([RectangleTriple(0, 0, 0)] * 4, [0] * 4, 32, 32)
-        estimate = combine_rectangles(outputs, DisaggConfig(1, 500.0, 0.5))
+        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.5), 500.0)
         np.testing.assert_array_equal(estimate.series.values, np.zeros(32))
         np.testing.assert_array_equal(estimate.probability, np.zeros(32))
 
@@ -205,7 +221,7 @@ class TestCombineRectangles:
         triple = RectangleTriple(0.25, 0.5, 2000.0 / 2400.0)
         zeros = RectangleTriple(0, 0, 0)
         outputs = rect_outputs([triple] * 4 + [zeros] * 4, [0] * 8, width, total)
-        estimate = combine_rectangles(outputs, DisaggConfig(1, 500.0, 0.5))
+        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.5), 500.0)
         np.testing.assert_allclose(estimate.probability[8:16], np.full(8, 0.5))
         np.testing.assert_allclose(estimate.series.values[8:16], np.full(8, 2000.0))
 
@@ -213,7 +229,7 @@ class TestCombineRectangles:
         width, total = 32, 32
         faint = RectangleTriple(0.25, 0.5, 100.0 / 2400.0)  # 100 W < 500 W
         outputs = rect_outputs([faint] * 4, [0] * 4, width, total)
-        estimate = combine_rectangles(outputs, DisaggConfig(1, 500.0, 0.0))
+        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.0), 500.0)
         np.testing.assert_array_equal(estimate.probability, np.zeros(total))
 
     def test_probability_in_unit_interval_and_power_nonnegative(self, rng):
@@ -226,7 +242,7 @@ class TestCombineRectangles:
                                            rng.uniform(0, 1)))
             origins.append(int(rng.integers(-width, total)))
         outputs = rect_outputs(triples, origins, width, total)
-        estimate = combine_rectangles(outputs, DisaggConfig(1, 200.0, 0.4))
+        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.4), 200.0)
         assert np.all(estimate.probability >= 0) and np.all(estimate.probability <= 1)
         assert np.all(estimate.series.values >= 0)
 
@@ -235,7 +251,7 @@ class TestCombineRectangles:
         width, total = 16, 48
         wide = RectangleTriple(-0.5, 1.5, 2000.0 / 2400.0)
         outputs = rect_outputs([wide, wide], [0, 16], width, total)
-        estimate = combine_rectangles(outputs, DisaggConfig(1, 500.0, 0.5))
+        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.5), 500.0)
         np.testing.assert_array_equal(estimate.probability, np.r_[np.ones(32), np.zeros(16)])
         np.testing.assert_allclose(estimate.series.values,
                                    np.r_[np.full(32, 2000.0), np.zeros(16)])
@@ -250,7 +266,7 @@ class TestDeterminism:
         for _ in range(2):
             net = OracleNetwork(truth, width, 4, 2048.0)
             estimate = disaggregate(net, aggregate, spec_for(width),
-                                    DisaggConfig(4, 100.0))
+                                    DisaggConfig(stride=4), 100.0)
             results.append(estimate.series.values.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
@@ -258,7 +274,8 @@ class TestDeterminism:
         width = 16
         aggregate = PowerSeries(0, 6, np.empty(0))
         net = ConstantNetwork(100.0, width, 2048.0)
-        estimate = disaggregate(net, aggregate, spec_for(width), DisaggConfig(4, 100.0))
+        estimate = disaggregate(net, aggregate, spec_for(width), DisaggConfig(stride=4),
+                                100.0)
         assert len(estimate.series) == 0
 
 
@@ -311,7 +328,8 @@ def test_combine_mean_matches_per_window_loop(geometry, data):
     assert estimate.probability is None
 
 
-def reference_combine_rectangles(outputs: WindowOutputs, config: DisaggConfig):
+def reference_combine_rectangles(outputs: WindowOutputs, config: DisaggConfig,
+                                 power_threshold: float):
     width, max_power = outputs.window_width, outputs.max_power
     probability = np.zeros(outputs.total_length)
     estimate = np.zeros(outputs.total_length)
@@ -323,7 +341,7 @@ def reference_combine_rectangles(outputs: WindowOutputs, config: DisaggConfig):
             if not origin <= t < origin + width:
                 continue
             windows += 1
-            if height * max_power <= config.power_threshold or end <= start:
+            if height * max_power <= power_threshold or end <= start:
                 continue
             # The decoded span may pass its window's edges; only the window votes.
             lo = origin + int(np.floor(start * width + 0.5))
@@ -334,7 +352,7 @@ def reference_combine_rectangles(outputs: WindowOutputs, config: DisaggConfig):
         probability[t] = rects / windows if windows else 0.0
         mean_power = watts / rects if rects else 0.0
         if probability[t] >= config.probability_threshold and \
-                mean_power >= config.power_threshold:
+                mean_power >= power_threshold:
             estimate[t] = mean_power
     return probability, estimate
 
@@ -346,12 +364,13 @@ def test_combine_rectangles_matches_per_window_loop(geometry, data):
     triples = data.draw(st.lists(
         st.tuples(st.floats(-1.0, 1.5), st.floats(-0.5, 2.0), st.floats(0.0, 1.0)),
         min_size=len(origins), max_size=len(origins)))
-    config = DisaggConfig(1, data.draw(st.floats(0.0, 2400.0)), data.draw(st.floats(0.0, 1.0)))
+    power_threshold = data.draw(st.floats(0.0, 2400.0))
+    config = DisaggConfig(probability_threshold=data.draw(st.floats(0.0, 1.0)))
     outputs = WindowOutputs(kind="triple", origins=origins,
                             outputs=np.array(triples, dtype=np.float64).reshape(-1, 3),
                             window_width=width, output_offset=0, total_length=total,
                             max_power=2400.0)
-    estimate = combine_rectangles(outputs, config)
-    probability, values = reference_combine_rectangles(outputs, config)
+    estimate = combine_rectangles(outputs, config, power_threshold)
+    probability, values = reference_combine_rectangles(outputs, config, power_threshold)
     np.testing.assert_array_equal(estimate.probability, probability)
     np.testing.assert_array_equal(estimate.series.values, values)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disagg.errors import DataError
-from disagg.timeseries import (ActivationLibrary, ActivationParams, PowerSeries,
-                               extract_activations, fill_gaps, load_csv, read_rows,
-                               resample)
+from disagg.synthworld import DESK_APPLIANCES, channel_slug, make_household, write_world
+from disagg.timeseries import (CSV_WRITE_CHUNK, ActivationLibrary, ActivationParams,
+                               PowerSeries, extract_activations, fill_gaps, load_csv,
+                               read_rows, write_rows)
 
 KETTLE = ActivationParams(max_power=3100, on_power_threshold=2000,
                           min_on_duration=12, min_off_duration=0)
@@ -293,6 +294,36 @@ class TestReadRows:
             read_rows(path, extra_columns=True)
 
 
+def reference_write_series_csv(path, series):
+    """The one-`csv.writer`-call-per-row channel writer, kept as the oracle."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["timestamp", "watts"])
+        for t, w in zip(series.timestamps(), series.values):
+            writer.writerow([int(t), format(float(w), ".6f")])
+
+
+class TestWriteRows:
+    def test_world_house_bytes_match_csv_writer_loop(self, tmp_path):
+        length, seed, house = CSV_WRITE_CHUNK + 904, 5, 3
+        write_world(tmp_path / "ours", houses=(house,), length=length, seed=seed)
+        # write_world's stream for the house, so the same household comes back.
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(house,)))
+        aggregate, channels = make_household(DESK_APPLIANCES, length, rng)
+        for name, series in {"aggregate": aggregate, **channels}.items():
+            name = f"{channel_slug(name)}.csv"
+            reference_write_series_csv(tmp_path / name, series)
+            ours = tmp_path / "ours" / f"house_{house}" / name
+            assert ours.read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_read_rows_reads_back_six_decimals(self, tmp_path):
+        series = PowerSeries(1.4e9, 6, np.array([0.0, 1.23456789, 2500.5]))
+        path = tmp_path / "channel.csv"
+        write_rows(path, ("timestamp", "watts"), series)
+        np.testing.assert_array_equal(
+            read_rows(path), [[1.4e9, 0.0], [1.4e9 + 6, 1.234568], [1.4e9 + 12, 2500.5]])
+
+
 @st.composite
 def gappy_series(draw):
     period = draw(st.sampled_from([1, 6, 10]))
@@ -312,39 +343,6 @@ def test_fill_gaps_matches_gap_loop(case):
     timestamps, values, period, fill = case
     assert_same_series(fill_gaps(timestamps, values, period, fill),
                        reference_fill_gaps(timestamps, values, period, fill))
-
-
-class TestResample:
-    def test_identity(self):
-        series = PowerSeries(0, 6, np.array([1.0, 2.0]))
-        assert resample(series, 6) is series
-
-    def test_constant_mean(self):
-        series = PowerSeries(0, 1, np.full(6, 3.0))
-        out = resample(series, 6)
-        np.testing.assert_array_equal(out.values, [3.0])
-        assert out.sample_period == 6
-
-    def test_bin_mean(self):
-        series = PowerSeries(0, 1, np.array([0.0, 6, 0, 6, 0, 6]))
-        np.testing.assert_array_equal(resample(series, 6).values, [3.0])
-
-    def test_partial_trailing_bin_dropped(self):
-        series = PowerSeries(0, 1, np.arange(8, dtype=float))
-        out = resample(series, 3)
-        np.testing.assert_array_equal(out.values, [1.0, 4.0])
-
-    def test_non_multiple_ratio_rejected(self):
-        series = PowerSeries(0, 6, np.array([1.0]))
-        with pytest.raises(DataError, match="not a multiple"):
-            resample(series, 9)
-
-    def test_composition_equals_product_ratio(self, rng):
-        values = np.repeat(rng.uniform(0, 100, size=10), 6)
-        series = PowerSeries(0, 1, values)
-        twice = resample(resample(series, 2), 6)
-        once = resample(series, 6)
-        np.testing.assert_allclose(twice.values, once.values)
 
 
 class TestExtractActivations:
