@@ -31,7 +31,6 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .nn import (LSTM, Bidirectional, Conv1D, Dense, Flatten, NesterovSGD, Network,
                  Reshape, clip_gradients)
-from .nn.optim import GRADIENT_CLIP_BOUND
 
 KINDS = ("lstm", "dae", "rectangles")
 
@@ -165,7 +164,7 @@ def train(network: Network, batches, optimizer: NesterovSGD, update_budget: int,
             loss, grads = network.loss_and_gradients(batch.inputs, batch.targets)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {step}")
-            optimizer.step(clip_gradients(grads, GRADIENT_CLIP_BOUND))
+            optimizer.step(clip_gradients(grads))
             del grads  # so the next backward pass never runs beside this gradient set
 
             ema = loss if ema is None else (1 - SMOOTHING) * ema + SMOOTHING * loss

@@ -165,20 +165,27 @@ def cmd_extract(cfg: ExperimentConfig):
         print(f"{house}," + ",".join(row))
 
 
+def _read_json_object(path: Path, what: str, keys) -> dict:
+    """The JSON object in `path`; a DataError naming the file unless it is
+    UTF-8 JSON holding an object with every one of `keys`."""
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise DataError(f"{path}: not a JSON {what}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: {what} is not a JSON object")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise DataError(f"{path}: {what} lacks {', '.join(missing)}")
+    return payload
+
+
 def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
     """Returns (activations, channel start time) for one store file."""
     path = _store_path(cfg, appliance, house)
     if not path.exists():
         raise DataError(f"missing activation store {path}; run `disagg extract` first")
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:  # also a store that is not UTF-8
-        raise DataError(f"{path}: not a JSON activation store: {exc}") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: activation store is not a JSON object")
-    missing = [key for key in ("activations", "series_start_time") if key not in payload]
-    if missing:
-        raise DataError(f"{path}: activation store lacks {', '.join(missing)}")
+    payload = _read_json_object(path, "activation store", ("activations", "series_start_time"))
     if not isinstance(payload["activations"], list) or not all(
             isinstance(a, dict) and "source_offset" in a and "values" in a
             for a in payload["activations"]):
@@ -188,13 +195,19 @@ def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
     return acts, payload["series_start_time"]
 
 
-def _build_library(cfg: ExperimentConfig) -> ts.ActivationLibrary:
-    library = ts.ActivationLibrary()
-    for name, app in cfg.appliances.items():
-        library.assign_houses(name, app.train_houses, app.test_houses)
-        for house in app.train_houses + app.test_houses:
-            library.add(name, house, _load_store(cfg, name, house)[0])
-    return library
+def _train_stores(cfg: ExperimentConfig) -> dict:
+    """{(appliance, house): (activations, channel start)} of every train-house
+    store, each read once.  Test-house stores are never read: evaluation
+    scores against the test house's own channel CSV."""
+    return {(name, house): _load_store(cfg, name, house)
+            for name, app in cfg.appliances.items() for house in app.train_houses}
+
+
+def _library(cfg: ExperimentConfig, stores: dict) -> dict:
+    """{appliance: tuple of its train-house activations}, houses in config
+    order; every configured appliance is a key."""
+    return {name: tuple(a for house in app.train_houses for a in stores[name, house][0])
+            for name, app in cfg.appliances.items()}
 
 
 # -- train ----------------------------------------------------------------
@@ -205,18 +218,16 @@ def _model_base(cfg: ExperimentConfig, appliance: str, kind: str) -> Path:
     return models / f"{channel_slug(appliance)}_{kind}"
 
 
-def _train_houses(cfg: ExperimentConfig, appliance: str, library: ts.ActivationLibrary):
+def _train_houses(cfg: ExperimentConfig, appliance: str, stores: dict):
     """(aggregate, target activations on the aggregate's grid) of every train house."""
     houses = []
     for house in cfg.appliance(appliance).train_houses:
         aggregate = _load_channel(cfg, house, "aggregate")
-        _, channel_start = _load_store(cfg, appliance, house)
+        acts, channel_start = stores[appliance, house]
         # Shift channel-relative offsets onto the aggregate's grid.
         shift = round((channel_start - aggregate.start_time) / cfg.sample_period)
         house_acts = []
-        for a in library.train_activations(appliance):
-            if a.house != house:
-                continue
+        for a in acts:
             offset = a.source_offset + shift
             if 0 <= offset and offset + len(a) <= len(aggregate):
                 house_acts.append(ts.Activation(offset, a.values, house=house))
@@ -231,9 +242,9 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
     budget = cfg.update_budget(kind)
     target_kind = "rectangle" if kind == "rectangles" else "sequence"
 
-    library = _build_library(cfg)
+    stores = _train_stores(cfg)
     real, synth, spec = datagen.training_sources(
-        _train_houses(cfg, appliance, library), library, appliance, width,
+        _train_houses(cfg, appliance, stores), _library(cfg, stores), appliance, width,
         app.activation_params.max_power, cfg.std_sample_count,
         rng_for(cfg.seed, "std", appliance, kind))
 
@@ -294,13 +305,14 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
 # -- synth-preview ----------------------------------------------------------
 
 def cmd_synth_preview(cfg: ExperimentConfig, appliance: str, count: int):
+    if count < 0:
+        raise UsageError(f"--count must be >= 0, got {count}")
     app = cfg.appliance(appliance)
     width = cfg.window_width(appliance)
-    library = _build_library(cfg)
     rng = rng_for(cfg.seed, "synth-preview", appliance)
     # No real houses: the preview shows the simulator alone.
     _, synth, spec = datagen.training_sources(
-        [], library, appliance, width, app.activation_params.max_power,
+        [], _library(cfg, _train_stores(cfg)), appliance, width, app.activation_params.max_power,
         min(cfg.std_sample_count, 100), rng)
 
     preview_dir = cfg.out_dir / "preview"
@@ -390,15 +402,7 @@ def cmd_disaggregate(cfg: ExperimentConfig, appliance: str, kind: str | None = N
 def _read_manifest(path: Path) -> dict:
     """The trained manifest; a DataError unless it is a JSON object with
     every key inference reads and a non-negative integer width and seed."""
-    try:
-        manifest = json.loads(path.read_text())
-    except ValueError as exc:  # also a manifest that is not UTF-8
-        raise DataError(f"{path}: not a JSON manifest: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise DataError(f"{path}: manifest is not a JSON object")
-    missing = [key for key in MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise DataError(f"{path}: manifest lacks {', '.join(missing)}")
+    manifest = _read_json_object(path, "manifest", MANIFEST_KEYS)
     for key in ("window_width", "seed"):
         if type(manifest[key]) is not int or manifest[key] < 0:  # bool is an int subclass
             raise DataError(f"{path}: manifest {key} must be a non-negative integer")
@@ -431,10 +435,10 @@ def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
 
 
 def _run_baseline(cfg: ExperimentConfig, appliance: str, algo: str, aggregate):
-    library = _build_library(cfg)
+    library = _library(cfg, _train_stores(cfg))
     models = []
     for name, app in cfg.appliances.items():
-        acts = library.train_activations(name)
+        acts = library[name]
         if not acts:
             raise DataError(f"no training activations for {name!r}; run extract first")
         models.append(baselines.fit_states(acts, app.state_count, appliance_id=name))
@@ -518,15 +522,7 @@ def cmd_evaluate(cfg: ExperimentConfig, appliance: str, algorithms=None,
 def _read_evaluation(path: Path) -> dict:
     """An evaluation file; a DataError unless it is a JSON object with an
     appliance, a house and every metric of each algorithm as a number."""
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:  # also a file that is not UTF-8
-        raise DataError(f"{path}: not a JSON evaluation file: {exc}") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: evaluation file is not a JSON object")
-    missing = [key for key in ("appliance", "house", "algorithms") if key not in payload]
-    if missing:
-        raise DataError(f"{path}: evaluation file lacks {', '.join(missing)}")
+    payload = _read_json_object(path, "evaluation file", ("appliance", "house", "algorithms"))
     if not isinstance(payload["algorithms"], dict) or not all(
             isinstance(scores, dict) and all(type(scores.get(name)) in (int, float)
                                              for name in metrics.MetricsReport.METRIC_NAMES)

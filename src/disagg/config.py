@@ -67,7 +67,6 @@ class ApplianceConfig:
 
 @dataclass(frozen=True)
 class ArchRunConfig:
-    kind: str
     update_budget: int
     batch_size: int
     learning_rate: float
@@ -181,7 +180,6 @@ def parse_config(raw: dict, base_dir=Path("."), *, seed_override: int | None = N
             "learning_rate": DEFAULT_LEARNING_RATE,
         })
         architectures[kind] = ArchRunConfig(
-            kind=kind,
             update_budget=_checked(f"{context}.update_budget", entry["update_budget"], int),
             batch_size=_checked(f"{context}.batch_size", entry["batch_size"], int, minimum=2),
             learning_rate=_checked(f"{context}.learning_rate", entry["learning_rate"], float))
@@ -245,12 +243,15 @@ def _parse_appliance(entry: dict) -> ApplianceConfig:
 
 def _checked(key: str, value, kind, minimum=0):
     """`value` if it is a JSON integer (kind int), a finite JSON number
-    (kind float) or a list of house numbers (kind tuple, returned as a
-    tuple), none below `minimum`; otherwise a ConfigError naming `key`."""
+    (kind float) or a list of distinct house numbers (kind tuple, returned
+    as a tuple), none below `minimum`; otherwise a ConfigError naming `key`."""
     if kind is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{key} must be a list of house numbers, got {value!r}")
-        return tuple(_checked(key, house, int) for house in value)
+        houses = tuple(_checked(key, house, int) for house in value)
+        if len(set(houses)) < len(houses):
+            raise ConfigError(f"{key} must list each house once, got {value!r}")
+        return houses
     # type(), not isinstance(): bool is an int subclass.
     if type(value) not in ((int,) if kind is int else (int, float)) \
             or (type(value) is float and not math.isfinite(value)) or value < minimum:

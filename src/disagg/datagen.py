@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .timeseries import Activation, ActivationLibrary, PowerSeries
+from .timeseries import Activation, PowerSeries
 
 PREFETCH_DEPTH = 2  # batches a producer thread may prepare ahead of training
 
@@ -91,11 +91,12 @@ class TrainingPair:
 
 
 def standardize_input(window, input_std: float) -> np.ndarray:
-    """Centre the window on its own mean, divide by the dataset std."""
+    """Centre each window (the last axis) on its own mean, divide by the
+    dataset std."""
     if input_std <= 0:
         raise DataError("input_std must be positive")
     window = np.asarray(window, dtype=np.float64)
-    return (window - window.mean()) / input_std
+    return (window - window.mean(axis=-1, keepdims=True)) / input_std
 
 
 def scale_target(window, max_power: float) -> np.ndarray:
@@ -300,10 +301,11 @@ class SyntheticSource:
     distractor appearing independently with probability 1/4, placed
     anywhere, partial overlap allowed.  The input is the elementwise sum
     of all contributions; the target holds the target-class contribution
-    only.
+    only.  `library` maps every appliance class to its train-house
+    activations, so no test-house activation can enter a window.
     """
 
-    library: ActivationLibrary
+    library: dict[str, tuple[Activation, ...]]
     target_class: str
     window_width: int
 
@@ -314,7 +316,7 @@ class SyntheticSource:
         placements: list[Placement] = []
 
         if rng.random() < 0.5:
-            pool = self.library.train_activations(self.target_class)
+            pool = self.library[self.target_class]
             if pool:
                 act = pool[int(rng.integers(0, len(pool)))]
                 offset = 0 if len(act) >= width else int(rng.integers(0, width - len(act) + 1))
@@ -325,12 +327,12 @@ class SyntheticSource:
                 raw_target += added
                 placements.append(contrib)
 
-        for cls in self.library.classes():
+        for cls in sorted(self.library):
             if cls == self.target_class:
                 continue
             if rng.random() >= 0.25:
                 continue
-            pool = self.library.train_activations(cls)
+            pool = self.library[cls]
             if not pool:
                 continue  # empty class: skip, draw order stays fixed
             act = pool[int(rng.integers(0, len(pool)))]
@@ -352,13 +354,14 @@ class MultiSource:
         return self.sources[int(rng.integers(0, len(self.sources)))].sample(rng)
 
 
-def training_sources(houses, library: ActivationLibrary, appliance_id: str,
+def training_sources(houses, library: dict, appliance_id: str,
                      window_width: int, max_power: float, std_sample_count: int,
                      std_rng):
     """The samplers of the 50:50 real/synthetic training mixture, and its WindowSpec.
 
     `houses` are the train houses as (aggregate, target activations on
-    the aggregate's grid) pairs.  The input std is estimated over raw
+    the aggregate's grid) pairs, and `library` maps every appliance class
+    to its train-house activations.  The input std is estimated over raw
     inputs drawn from the same mixture (a coin, then a house, then a
     window), and the returned spec carries it, so `batch_stream` and
     inference scale inputs identically.  With no houses, both halves of

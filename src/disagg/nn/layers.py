@@ -28,6 +28,7 @@ import numpy as np
 from ..errors import DimensionError
 
 ACTIVATIONS = ("linear", "relu", "tanh")
+SMALL_UNIFORM_SCALE = 0.08  # initial range of LSTM recurrent and peephole weights
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
@@ -35,8 +36,8 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def small_uniform(rng, shape, scale=0.08):
-    return rng.uniform(-scale, scale, size=shape)
+def small_uniform(rng, shape):
+    return rng.uniform(-SMALL_UNIFORM_SCALE, SMALL_UNIFORM_SCALE, size=shape)
 
 
 def _apply_activation(kind, z):

@@ -23,19 +23,20 @@ MOMENTUM = 0.9
 STEP_BLOCK = 1 << 15
 
 
-def clip_gradients(grads: dict, bound: float = GRADIENT_CLIP_BOUND) -> dict:
-    """Clamp every gradient element into [-bound, bound] (idempotent).
+def clip_gradients(grads: dict) -> dict:
+    """Clamp every gradient element into [-GRADIENT_CLIP_BOUND,
+    GRADIENT_CLIP_BOUND] (idempotent).
 
     Clips in place (each backward pass hands over fresh arrays, and the
     largest nets carry tens of millions of gradients per step).
     """
     for g in grads.values():
-        np.clip(g, -bound, bound, out=g)
+        np.clip(g, -GRADIENT_CLIP_BOUND, GRADIENT_CLIP_BOUND, out=g)
     return grads
 
 
 class NesterovSGD:
-    """SGD with Nesterov momentum in the lookahead formulation:
+    """SGD with Nesterov momentum (mu = MOMENTUM) in the lookahead formulation:
 
         v <- mu * v - lr * g
         p <- p + mu * v - lr * g
@@ -46,20 +47,19 @@ class NesterovSGD:
     gradients it is given as scratch and may overwrite them.
     """
 
-    def __init__(self, params: dict, learning_rate: float, momentum: float = MOMENTUM):
+    def __init__(self, params: dict, learning_rate: float):
         for key, value in params.items():
             if not value.flags.c_contiguous:
                 raise DimensionError(f"parameter {key!r} is not C-contiguous")
         self.params = params
         self.learning_rate = learning_rate
-        self.momentum = momentum
         # np.zeros takes zeroed pages from the OS; zeros_like would write them.
         self.velocity = {key: np.zeros(value.shape, dtype=value.dtype)
                          for key, value in params.items()}
 
     def step(self, grads: dict):
         lr = self.learning_rate
-        mu = self.momentum
+        mu = MOMENTUM
         scratch = np.empty(STEP_BLOCK)
         for key, p in self.params.items():
             p = p.reshape(-1)

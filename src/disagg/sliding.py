@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import RectangleTriple, WindowSpec
+from .datagen import RectangleTriple, WindowSpec, standardize_input
 from .errors import ConfigError
 from .timeseries import PowerSeries
 
@@ -86,7 +86,7 @@ def slide(network, aggregate: PowerSeries, spec: WindowSpec,
     starts = np.arange(0, len(padded) - width + 1, config.stride)
     windows = np.stack([padded[s : s + width] for s in starts]) if len(starts) else \
         np.empty((0, width))
-    windows = (windows - windows.mean(axis=1, keepdims=True)) / spec.input_std
+    windows = standardize_input(windows, spec.input_std)
 
     chunks = []
     for lo in range(0, len(windows), SLIDE_BATCH):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .timeseries import Activation, ActivationLibrary, PowerSeries, write_rows
+from .timeseries import Activation, PowerSeries, write_rows
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,18 @@ def make_activation(spec: SynthAppliance, rng, house: int | None = None,
                       house=house)
 
 
-def make_library(appliances, train_houses, test_houses, per_house: int, rng) -> ActivationLibrary:
-    """A library of freshly drawn activations, partitioned by house."""
-    library = ActivationLibrary()
+def make_library(appliances, train_houses, test_houses, per_house: int,
+                 rng) -> dict[str, tuple[Activation, ...]]:
+    """Freshly drawn train-house activations: {appliance: tuple}, houses in order."""
+    library = {}
     for spec in appliances:
-        library.assign_houses(spec.name, train_houses, test_houses)
-        for house in tuple(train_houses) + tuple(test_houses):
-            acts = [make_activation(spec, rng, house=house) for _ in range(per_house)]
-            library.add(spec.name, house, acts)
+        library[spec.name] = tuple(make_activation(spec, rng, house=house)
+                                   for house in train_houses for _ in range(per_house))
+        # Test-house activations never train, but they are still drawn and
+        # dropped, so the next appliance's draws from `rng` (and with them
+        # the acceptance experiment's training data) stay the same.
+        for _ in range(per_house * len(test_houses)):
+            make_activation(spec, rng)
     return library
 
 

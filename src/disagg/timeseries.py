@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,47 +280,3 @@ def extract_activations(series: PowerSeries, params: ActivationParams) -> list[A
         chunk = np.minimum(values[start:end], params.max_power)
         activations.append(Activation(source_offset=start, values=chunk))
     return activations
-
-
-@dataclass
-class ActivationLibrary:
-    """Per-class activation pools partitioned into train and test houses.
-
-    The partition is enforced here: an activation enters exactly one
-    pool, decided by its house tag, so test-house cycles can never leak
-    into training batches.
-    """
-
-    train_houses: dict[str, set] = field(default_factory=dict)
-    test_houses: dict[str, set] = field(default_factory=dict)
-    _train: dict[str, list[Activation]] = field(default_factory=dict)
-    _test: dict[str, list[Activation]] = field(default_factory=dict)
-
-    def assign_houses(self, appliance: str, train, test):
-        train, test = set(train), set(test)
-        overlap = train & test
-        if overlap:
-            raise DataError(f"houses {sorted(overlap)} assigned to both train and test for {appliance}")
-        self.train_houses[appliance] = train
-        self.test_houses[appliance] = test
-        self._train.setdefault(appliance, [])
-        self._test.setdefault(appliance, [])
-
-    def add(self, appliance: str, house, activations):
-        """File activations under their house's partition; unassigned houses are ignored."""
-        if appliance not in self.train_houses:
-            raise DataError(f"no house assignment for appliance {appliance!r}")
-        tagged = [Activation(a.source_offset, a.values, house=house) for a in activations]
-        if house in self.train_houses[appliance]:
-            self._train[appliance].extend(tagged)
-        elif house in self.test_houses[appliance]:
-            self._test[appliance].extend(tagged)
-
-    def classes(self) -> list[str]:
-        return sorted(self.train_houses)
-
-    def train_activations(self, appliance: str) -> list[Activation]:
-        return self._train.get(appliance, [])
-
-    def test_activations(self, appliance: str) -> list[Activation]:
-        return self._test.get(appliance, [])

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disagg import sliding
+from disagg import cli, sliding
 from disagg.cli import _write_estimate_csv, main
 from disagg.config import load_config, parse_config
 from disagg.errors import ConfigError
@@ -99,6 +99,7 @@ class TestConfig:
         ("appliance", "window_width", "wide"), ("appliance", "max_power", -5),
         ("appliance", "on_power_threshold", 5000), ("appliance", "state_count", True),
         ("appliance", "train_houses", 5), ("appliance", "test_houses", ["2"]),
+        ("appliance", "train_houses", [1, 1]), ("appliance", "test_houses", [2, 3, 2]),
         ("dae", "update_budget", "10"), ("dae", "batch_size", 0),
         ("dae", "learning_rate", None),
         ("disagg", "stride", "16"), ("disagg", "stride", 0),
@@ -124,6 +125,18 @@ class TestConfig:
         path.write_text(json.dumps(raw))
         assert main(["extract", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["train_houses", "test_houses"])
+    def test_house_listed_twice_exits_1(self, tmp_path, capsys, key):
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        raw = json.loads(path.read_text())
+        raw["appliances"][0][key] *= 2
+        path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        for argv in (["extract"], ["train", "--appliance", "kettle", "--kind", "dae"]):
+            assert main([*argv, "--config", str(path)]) == 1
+            assert f"{key} must list each house once" in capsys.readouterr().err
 
     def test_desk_profile_scales_budget_and_window(self, tmp_path):
         path = world_config(tmp_path)
@@ -469,6 +482,49 @@ class TestCliPipeline:
         assert main(["disaggregate", "--config", str(path), "--appliance", "kettle",
                      "--kind", "dae", "--baseline", "co"]) == 1
 
+    @staticmethod
+    def _two_train_houses(tmp_path) -> Path:
+        """A world whose appliances train on houses 3 and 1 and test on 2."""
+        path = world_config(tmp_path)
+        write_world(tmp_path / "data", houses=(3,), length=700, seed=11)
+        raw = json.loads(path.read_text())
+        for entry in raw["appliances"]:
+            entry["train_houses"] = [3, 1]
+        path.write_text(json.dumps(raw))
+        assert main(["extract", "--config", str(path)]) == 0
+        return path
+
+    def test_each_train_house_store_read_once_and_no_test_house_store(
+            self, tmp_path, monkeypatch):
+        path = self._two_train_houses(tmp_path)
+        reads = []
+        load_store = cli._load_store
+
+        def counted(cfg, appliance, house):
+            reads.append((appliance, house))
+            return load_store(cfg, appliance, house)
+
+        monkeypatch.setattr(cli, "_load_store", counted)
+        train_stores = sorted((name, house) for name in ("kettle", "microwave", "fridge")
+                              for house in (3, 1))
+        for argv in (["train", "--appliance", "kettle", "--kind", "dae"],
+                     ["synth-preview", "--appliance", "kettle"],
+                     ["disaggregate", "--appliance", "kettle", "--baseline", "co"]):
+            reads.clear()
+            assert main([*argv, "--config", str(path)]) == 0
+            assert sorted(reads) == train_stores, argv[0]
+
+    def test_unreadable_test_house_store_is_not_read(self, tmp_path):
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        for store in (tmp_path / "out" / "activations").glob("*_house2.json"):
+            store.write_text('{"oops')
+        for argv in (["train", "--appliance", "kettle", "--kind", "dae"],
+                     ["synth-preview", "--appliance", "kettle"],
+                     ["disaggregate", "--appliance", "kettle", "--baseline", "co"],
+                     ["disaggregate", "--appliance", "kettle", "--baseline", "fhmm"]):
+            assert main([*argv, "--config", str(path)]) == 0, argv
+
     def test_synth_preview(self, tmp_path, capsys):
         path = world_config(tmp_path)
         main(["extract", "--config", str(path)])
@@ -479,6 +535,20 @@ class TestCliPipeline:
         assert payload["count"] == 6
         assert len(payload["windows"]) == 6
         assert all(len(w["input"]) == 24 for w in payload["windows"])
+
+    def test_synth_preview_negative_count_exits_1(self, tmp_path, capsys):
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        preview = tmp_path / "out" / "preview" / "kettle_synth.json"
+        capsys.readouterr()
+        assert main(["synth-preview", "--config", str(path), "--appliance", "kettle",
+                     "--count", "-3"]) == 1
+        assert "--count must be >= 0, got -3" in capsys.readouterr().err
+        assert not preview.exists()
+        assert main(["synth-preview", "--config", str(path), "--appliance", "kettle",
+                     "--count", "0"]) == 0
+        payload = json.loads(preview.read_text())
+        assert payload["count"] == 0 and payload["windows"] == []
 
 
 def run_pipeline(config_path):

@@ -8,7 +8,9 @@ from disagg.datagen import (Batch, MultiSource, Placement, RealWindowSource,
                             batch_stream, encode_rectangle, estimate_input_std, finish_pair,
                             prefetch, scale_target, standardize_input, training_sources)
 from disagg.errors import DataError
-from disagg.timeseries import Activation, ActivationLibrary, PowerSeries
+from disagg.synthworld import DESK_APPLIANCES, make_activation
+from disagg.synthworld import make_library as synth_library
+from disagg.timeseries import Activation, PowerSeries
 
 
 class ScriptedRng:
@@ -68,6 +70,14 @@ class TestStandardize:
     def test_rejects_nonpositive_std(self):
         with pytest.raises(DataError):
             standardize_input([1.0, 2.0], 0.0)
+
+    def test_rows_bitwise_equal_to_each_window_alone(self, rng):
+        # `sliding.slide` standardizes a stack of windows in one call.
+        for width in (1, 2, 7, 128, 1536):
+            rows = rng.uniform(0, 3000, size=(9, width))
+            stacked = standardize_input(rows, 321.5)
+            for row, got in zip(rows, stacked):
+                assert got.tobytes() == standardize_input(row, 321.5).tobytes()
 
 
 class TestScaleTarget:
@@ -218,13 +228,10 @@ class TestSelectRealWindow:
 
 def make_library(classes=("kettle", "microwave", "fridge"), lengths=(4, 8, 16),
                  powers=(2000.0, 1200.0, 350.0), per_class=3):
-    library = ActivationLibrary()
-    for name, length, power in zip(classes, lengths, powers):
-        library.assign_houses(name, train=[1], test=[5])
-        acts = [Activation(0, np.full(length, power), house=1) for _ in range(per_class)]
-        library.add(name, 1, acts)
-        library.add(name, 5, [Activation(0, np.full(length, power), house=5)])
-    return library
+    """The train-house activations of each class: all from house 1."""
+    return {name: tuple(Activation(0, np.full(length, power), house=1)
+                        for _ in range(per_class))
+            for name, length, power in zip(classes, lengths, powers)}
 
 
 class TestSynthesizeAggregate:
@@ -293,18 +300,48 @@ class TestSynthesizeAggregate:
 
     def test_empty_class_skipped(self):
         library = make_library()
-        library._train["microwave"] = []
+        library["microwave"] = ()
         rng = ScriptedRng(randoms=[0.9, 0.9, 0.0])  # only microwave drawn, but empty
         pair = synth_pair(library, "kettle", make_spec(), rng)
         np.testing.assert_array_equal(pair.input, np.zeros(128))
 
-    def test_no_test_house_activation_in_training_pairs(self, rng):
-        library = make_library()
-        spec = make_spec()
-        for _ in range(200):
-            pair = synth_pair(library, "kettle", spec, rng)
-            for p in pair.placements:
-                assert p.house == 1
+
+def reference_synth_library(appliances, train_houses, test_houses, per_house, rng):
+    """The draw loop of the library that also kept test-house activations,
+    kept as the oracle: per appliance, `per_house` draws for each train
+    house, then each test house.  Returns the train-house pool of each."""
+    train = {}
+    for spec in appliances:
+        train[spec.name] = []
+        for house in tuple(train_houses) + tuple(test_houses):
+            acts = [make_activation(spec, rng, house=house) for _ in range(per_house)]
+            if house in train_houses:
+                train[spec.name].extend(acts)
+    return train
+
+
+class TestSynthLibraryOracle:
+    @pytest.mark.parametrize("train_houses, test_houses, per_house", [
+        ((1, 2), (9,), 80),       # the acceptance experiment's library
+        ((3, 1, 4), (2, 5), 7),
+        ((1,), (), 5),
+    ])
+    def test_same_activations_as_the_library_that_kept_test_houses(
+            self, train_houses, test_houses, per_house):
+        new_rng, ref_rng = np.random.default_rng(33), np.random.default_rng(33)
+        library = synth_library(DESK_APPLIANCES, train_houses, test_houses, per_house,
+                                new_rng)
+        expected = reference_synth_library(DESK_APPLIANCES, train_houses, test_houses,
+                                           per_house, ref_rng)
+        assert list(library) == [spec.name for spec in DESK_APPLIANCES]
+        for name, acts in library.items():
+            assert isinstance(acts, tuple)
+            assert len(acts) == len(expected[name]) == per_house * len(train_houses)
+            for got, want in zip(acts, expected[name]):
+                assert got.house == want.house and got.house in train_houses
+                assert got.source_offset == want.source_offset
+                assert got.values.tobytes() == want.values.tobytes()
+        assert new_rng.random() == ref_rng.random()
 
 
 class TestBatchStream:

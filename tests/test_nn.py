@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import check_network_gradients, numeric_gradient, relative_error, traced_peak
 from disagg.architectures import build_lstm
 from disagg.errors import DataError, DimensionError, NumericError
-from disagg.nn import (LSTM, Bidirectional, Conv1D, Dense, Flatten, NesterovSGD,
+from disagg.nn import (LSTM, MOMENTUM, Bidirectional, Conv1D, Dense, Flatten, NesterovSGD,
                        Network, Reshape, clip_gradients, load_checkpoint,
                        save_checkpoint)
 from disagg.nn.layers import _sigmoid_into
@@ -457,8 +457,9 @@ class TestNesterovSGD:
 
     def test_hand_computed_update(self):
         params = {"p": np.array([0.0])}
-        opt = NesterovSGD(params, learning_rate=0.1, momentum=0.9)
+        opt = NesterovSGD(params, learning_rate=0.1)
         opt.step({"p": np.array([1.0])})
+        assert MOMENTUM == 0.9
         # v' = 0.9*0 - 0.1*1 = -0.1; p' = 0 + 0.9*(-0.1) - 0.1*1 = -0.19
         np.testing.assert_allclose(params["p"], [-0.19])
         np.testing.assert_allclose(opt.velocity["p"], [-0.1])
@@ -521,7 +522,7 @@ class TestBlockedNesterovStep:
             grads = {k: with_specials(rng.normal(scale=5, size=s), rng)
                      for k, s in shapes.items()}
             reference_nesterov_step(expected, velocity, {k: g.copy() for k, g in grads.items()},
-                                    opt.learning_rate, opt.momentum)
+                                    opt.learning_rate, MOMENTUM)
             if transposed:  # same values, handed over as non-contiguous views
                 grads = {k: np.ascontiguousarray(g.T).T if g.ndim == 2
                          else np.stack([g, -g], axis=1)[:, 0] for k, g in grads.items()}
@@ -543,7 +544,7 @@ class TestBlockedNesterovStep:
         for _ in range(3):
             _, grads = net.loss_and_gradients(rng.normal(size=(2, 6)), rng.normal(size=(2, 6)))
             reference_nesterov_step(expected, velocity,
-                                    {k: g.copy() for k, g in grads.items()}, 0.05, opt.momentum)
+                                    {k: g.copy() for k, g in grads.items()}, 0.05, MOMENTUM)
             opt.step(grads)
         for key, value in net.parameters().items():
             assert_bitwise(value, expected[key])

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from disagg.errors import DataError
 from disagg.synthworld import DESK_APPLIANCES, channel_slug, make_household, write_world
-from disagg.timeseries import (CSV_WRITE_CHUNK, ActivationLibrary, ActivationParams,
-                               PowerSeries, extract_activations, fill_gaps, load_csv,
-                               read_rows, write_rows)
+from disagg.timeseries import (CSV_WRITE_CHUNK, ActivationParams, PowerSeries,
+                               extract_activations, fill_gaps, load_csv, read_rows,
+                               write_rows)
 
 KETTLE = ActivationParams(max_power=3100, on_power_threshold=2000,
                           min_on_duration=12, min_off_duration=0)
@@ -482,21 +482,3 @@ def test_extract_activations_matches_per_sample_loop(values, period, threshold, 
     acts = extract_activations(PowerSeries(0, period, np.array(values)), params)
     got = [(a.source_offset, a.values.tolist()) for a in acts]
     assert got == reference_activations(values, period, params)
-
-
-class TestActivationLibrary:
-    def test_partition_by_house(self):
-        from disagg.timeseries import Activation
-        lib = ActivationLibrary()
-        lib.assign_houses("kettle", train=[1, 2], test=[5])
-        lib.add("kettle", 1, [Activation(0, [2500.0] * 3)])
-        lib.add("kettle", 5, [Activation(9, [2500.0] * 3)])
-        assert len(lib.train_activations("kettle")) == 1
-        assert len(lib.test_activations("kettle")) == 1
-        assert lib.train_activations("kettle")[0].house == 1
-        assert lib.test_activations("kettle")[0].house == 5
-
-    def test_overlapping_assignment_rejected(self):
-        lib = ActivationLibrary()
-        with pytest.raises(DataError, match="both train and test"):
-            lib.assign_houses("kettle", train=[1, 2], test=[2])
