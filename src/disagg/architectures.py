@@ -14,6 +14,10 @@ window width:
 * `build_rectangles` - conv front end plus a deep ReLU stack regressing
                     (start, end, mean power) of the first activation.
 
+Every builder either draws fresh weights from a numpy Generator (for
+training) or adopts the tensors of a checkpoint (for inference), so an
+inference network holds each parameter once.
+
 Layer widths default to the full-scale values; tests pass smaller ones
 for gradient checking.  Update budgets and batch sizes default to the
 full-scale training recipe and may be overridden for desk-scale runs;
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DimensionError, NumericError
 from .nn import (LSTM, Bidirectional, Conv1D, Dense, Flatten, NesterovSGD, Network,
                  Reshape, clip_gradients)
 
@@ -51,83 +55,120 @@ PLATEAU_IMPROVEMENT = 0.01
 MIN_LEARNING_RATE = 1e-5
 
 
-def build_network(kind: str, window_width: int, rng) -> Network:
+def build_network(kind: str, window_width: int, init) -> Network:
+    """The `kind` network for `window_width`, initialised from `init` (see
+    `build_lstm`)."""
     if kind == "lstm":
-        return build_lstm(window_width, rng)
+        return build_lstm(window_width, init)
     if kind == "dae":
-        return build_dae(window_width, rng)
+        return build_dae(window_width, init)
     if kind == "rectangles":
-        return build_rectangles(window_width, rng)
+        return build_rectangles(window_width, init)
     raise ConfigError(f"unknown architecture kind {kind!r}; choose from {KINDS}")
 
 
-def build_lstm(window_width: int, rng=None, conv_filters: int = 16,
+def _part(init, prefix):
+    """What the layer whose tensors are named `prefix + param` is built
+    from: the Generator `init` itself, or those tensors of the mapping
+    `init`, keyed by param."""
+    if isinstance(init, np.random.Generator):
+        return init
+    return {name[len(prefix):]: value for name, value in init.items()
+            if name.startswith(prefix)}
+
+
+def _network(layers, init, window_width, **outputs) -> Network:
+    """The network of `layers`; a DimensionError if `init` is a mapping
+    with a tensor no layer adopted."""
+    network = Network(layers, window_width, **outputs)
+    if not isinstance(init, np.random.Generator):
+        extra = sorted(set(init) - set(network.parameters()))
+        if extra:
+            raise DimensionError(f"parameter name mismatch: extra={extra}")
+    return network
+
+
+def _bidirectional(name, input_dim, units, init) -> Bidirectional:
+    """A bidirectional LSTM layer; a checkpoint names its halves' tensors
+    `{name}/fwd.{param}` and `{name}/bwd.{param}`."""
+    fwd, bwd = (LSTM(f"{name}/{half}", input_dim, units, truncate=BPTT_TRUNCATE,
+                     init=_part(init, f"{name}/{half}.")) for half in ("fwd", "bwd"))
+    return Bidirectional(name, fwd, bwd)
+
+
+def build_lstm(window_width: int, init=None, conv_filters: int = 16,
                lstm_units: tuple[int, int] = (128, 256), dense_units: int = 128) -> Network:
-    """Recurrent sequence-to-sequence net; output length equals input length."""
+    """Recurrent sequence-to-sequence net; output length equals input length.
+
+    `init` (as for every builder) is a numpy Generator the fresh weights
+    are drawn from, default `default_rng(0)`, or a {'layer/param': array}
+    mapping such as `load_checkpoint` returns, whose arrays the layers
+    adopt as their parameters; a tensor missing, left over or of the
+    wrong shape is a DimensionError.
+    """
     if window_width <= 0:
         raise ConfigError("window_width must be positive")
-    rng = rng or np.random.default_rng(0)
+    init = np.random.default_rng(0) if init is None else init
     u1, u2 = lstm_units
     layers = [
         Reshape("to_channels", (window_width, 1)),
         Conv1D("conv", 1, conv_filters, filter_size=4, stride=1, border="same",
-               activation="linear", rng=rng),
-        Bidirectional("bilstm1",
-                      LSTM("fwd1", conv_filters, u1, truncate=BPTT_TRUNCATE, rng=rng),
-                      LSTM("bwd1", conv_filters, u1, truncate=BPTT_TRUNCATE, rng=rng)),
-        Bidirectional("bilstm2",
-                      LSTM("fwd2", 2 * u1, u2, truncate=BPTT_TRUNCATE, rng=rng),
-                      LSTM("bwd2", 2 * u1, u2, truncate=BPTT_TRUNCATE, rng=rng)),
-        Dense("dense", 2 * u2, dense_units, activation="tanh", rng=rng),
-        Dense("head", dense_units, 1, activation="linear", rng=rng),
+               activation="linear", init=_part(init, "conv/")),
+        _bidirectional("bilstm1", conv_filters, u1, init),
+        _bidirectional("bilstm2", 2 * u1, u2, init),
+        Dense("dense", 2 * u2, dense_units, activation="tanh", init=_part(init, "dense/")),
+        Dense("head", dense_units, 1, activation="linear", init=_part(init, "head/")),
         Reshape("to_sequence", (window_width,)),
     ]
-    return Network(layers, window_width, output_kind="sequence", output_offset=0)
+    return _network(layers, init, window_width, output_kind="sequence", output_offset=0)
 
 
-def build_dae(window_width: int, rng=None, conv_filters: int = 8,
+def build_dae(window_width: int, init=None, conv_filters: int = 8,
               code_units: int = 128) -> Network:
     """Denoising autoencoder; output covers the centre window_width-6 samples."""
     if window_width <= 8:
         raise ConfigError("window_width must exceed 8 for the autoencoder")
-    rng = rng or np.random.default_rng(0)
+    init = np.random.default_rng(0) if init is None else init
     hidden = (window_width - 3) * conv_filters
     layers = [
         Reshape("to_channels", (window_width, 1)),
         Conv1D("encoder_conv", 1, conv_filters, filter_size=4, stride=1, border="valid",
-               activation="linear", rng=rng),
+               activation="linear", init=_part(init, "encoder_conv/")),
         Flatten("flatten"),
-        Dense("encoder_dense", hidden, hidden, activation="relu", rng=rng),
-        Dense("code", hidden, code_units, activation="relu", rng=rng),
-        Dense("decoder_dense", code_units, hidden, activation="relu", rng=rng),
+        Dense("encoder_dense", hidden, hidden, activation="relu",
+              init=_part(init, "encoder_dense/")),
+        Dense("code", hidden, code_units, activation="relu", init=_part(init, "code/")),
+        Dense("decoder_dense", code_units, hidden, activation="relu",
+              init=_part(init, "decoder_dense/")),
         Reshape("unflatten", (window_width - 3, conv_filters)),
         Conv1D("decoder_conv", conv_filters, 1, filter_size=4, stride=1, border="valid",
-               activation="linear", rng=rng),
+               activation="linear", init=_part(init, "decoder_conv/")),
         Reshape("to_sequence", (window_width - 6,)),
     ]
-    return Network(layers, window_width, output_kind="sequence", output_offset=3)
+    return _network(layers, init, window_width, output_kind="sequence", output_offset=3)
 
 
-def build_rectangles(window_width: int, rng=None, conv_filters: int = 16,
+def build_rectangles(window_width: int, init=None, conv_filters: int = 16,
                      dense_units: tuple[int, ...] = (4096, 3072, 2048, 512)) -> Network:
     """Regressor for (start, end, mean power) of the first activation."""
     if window_width <= 8:
         raise ConfigError("window_width must exceed 8 for the rectangles net")
-    rng = rng or np.random.default_rng(0)
+    init = np.random.default_rng(0) if init is None else init
     layers = [
         Reshape("to_channels", (window_width, 1)),
         Conv1D("conv1", 1, conv_filters, filter_size=4, stride=1, border="valid",
-               activation="linear", rng=rng),
+               activation="linear", init=_part(init, "conv1/")),
         Conv1D("conv2", conv_filters, conv_filters, filter_size=4, stride=1, border="valid",
-               activation="linear", rng=rng),
+               activation="linear", init=_part(init, "conv2/")),
         Flatten("flatten"),
     ]
     width = (window_width - 6) * conv_filters
     for idx, units in enumerate(dense_units, start=1):
-        layers.append(Dense(f"dense{idx}", width, units, activation="relu", rng=rng))
+        layers.append(Dense(f"dense{idx}", width, units, activation="relu",
+                            init=_part(init, f"dense{idx}/")))
         width = units
-    layers.append(Dense("head", width, 3, activation="linear", rng=rng))
-    return Network(layers, window_width, output_kind="triple")
+    layers.append(Dense("head", width, 3, activation="linear", init=_part(init, "head/")))
+    return _network(layers, init, window_width, output_kind="triple")
 
 
 @dataclass

@@ -237,11 +237,12 @@ def fhmm_disaggregate(aggregate: PowerSeries, models):
 def _viterbi(log_init, log_trans, emission):
     """Most probable state path; standard max-product recursion in log space.
 
-    Backpointers are stored as uint16, which holds every state index
-    below FHMM_MAX_JOINT_STATES.
+    Backpointers are stored in the smallest unsigned dtype that holds
+    every state index: uint8 up to 256 states, uint16 up to
+    FHMM_MAX_JOINT_STATES.
     """
     horizon, n_states = emission.shape
-    backptr = np.zeros((horizon, n_states), dtype=np.uint16)
+    backptr = np.zeros((horizon, n_states), dtype=np.min_scalar_type(n_states - 1))
     states = np.arange(n_states)
     delta = log_init + emission[0]
     for t in range(1, horizon):
@@ -255,11 +256,3 @@ def _viterbi(log_init, log_trans, emission):
         path[t - 1] = backptr[t, path[t]]
     return path
 
-
-def path_log_probability(log_init, log_trans, emission, path) -> float:
-    """Log-probability of one state path (used by oracle comparisons)."""
-    horizon = emission.shape[0]
-    total = log_init[path[0]] + emission[0, path[0]]
-    for t in range(1, horizon):
-        total += log_trans[path[t - 1], path[t]] + emission[t, path[t]]
-    return float(total)

@@ -29,7 +29,7 @@ from .synthworld import channel_slug
 from .util import canonical_json, rng_for, sha256_text
 
 BASELINE_ALGOS = ("co", "fhmm")
-MANIFEST_KEYS = ("window_width", "seed", "max_power", "input_std")  # read by inference
+MANIFEST_KEYS = ("window_width", "seed", "max_power", "input_std")  # checked by inference
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,6 +180,17 @@ def _read_json_object(path: Path, what: str, keys) -> dict:
     return payload
 
 
+def _is_stored_activation(entry) -> bool:
+    if not isinstance(entry, dict):
+        return False
+    offset, values = entry.get("source_offset"), entry.get("values")
+    return (type(offset) is int and offset >= 0  # bool is an int subclass
+            and isinstance(values, list)
+            # A number that is finite as a float (NaN fails the comparison).
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                    for v in values))
+
+
 def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
     """Returns (activations, channel start time) for one store file."""
     path = _store_path(cfg, appliance, house)
@@ -187,9 +198,9 @@ def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
         raise DataError(f"missing activation store {path}; run `disagg extract` first")
     payload = _read_json_object(path, "activation store", ("activations", "series_start_time"))
     if not isinstance(payload["activations"], list) or not all(
-            isinstance(a, dict) and "source_offset" in a and "values" in a
-            for a in payload["activations"]):
-        raise DataError(f"{path}: every activation needs a source_offset and values")
+            map(_is_stored_activation, payload["activations"])):
+        raise DataError(f"{path}: every activation needs a source_offset and values "
+                        "(a non-negative integer and a list of finite numbers)")
     acts = [ts.Activation(source_offset=a["source_offset"], values=a["values"], house=house)
             for a in payload["activations"]]
     return acts, payload["series_start_time"]
@@ -426,9 +437,7 @@ def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
 
     spec = datagen.WindowSpec(appliance, manifest["window_width"], manifest["max_power"],
                               manifest["input_std"])
-    network = architectures.build_network(kind, manifest["window_width"],
-                                          rng_for(manifest["seed"], "init", appliance, kind))
-    network.load_parameters(params)
+    network = architectures.build_network(kind, manifest["window_width"], params)
     estimate = sliding.disaggregate(network, aggregate, spec, cfg.disagg,
                                     app.activation_params.on_power_threshold)
     return estimate, actual_hash

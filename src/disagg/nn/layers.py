@@ -14,6 +14,10 @@ the forward half; NumPy releases the GIL inside its loops and BLAS
 calls, so with one BLAS thread the two halves use two CPUs.  Results
 are bitwise the same as running the halves one after the other.
 
+A trainable layer is built from `init`: a numpy Generator it draws its
+fresh weights from, or a {param: array} mapping of a checkpoint's
+tensors, which it adopts as its parameters without a copy.
+
 Backward passes return (grad_input, grad_params) where grad_params is
 keyed like the layer's `params` dict.  Gradients are of the scalar loss
 with respect to each tensor, accumulated over batch and time.
@@ -31,13 +35,44 @@ ACTIVATIONS = ("linear", "relu", "tanh")
 SMALL_UNIFORM_SCALE = 0.08  # initial range of LSTM recurrent and peephole weights
 
 
-def glorot_uniform(rng, shape, fan_in, fan_out):
+def glorot_uniform(fan_in, fan_out):
+    """`draw(rng, shape)` from the Glorot uniform range of the fans."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+    return lambda rng, shape: rng.uniform(-bound, bound, size=shape)
 
 
 def small_uniform(rng, shape):
     return rng.uniform(-SMALL_UNIFORM_SCALE, SMALL_UNIFORM_SCALE, size=shape)
+
+
+def zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def _init_params(layer_name, init, specs):
+    """A layer's parameters, {param: array}, for `specs`, {param: (shape, draw)}.
+
+    `init` is a numpy Generator, drawn from as `draw(init, shape)` param
+    by param in the order of `specs`, or a {param: array} mapping of the
+    layer's tensors (a checkpoint's), which the layer adopts without a
+    copy once their names and shapes match its own.
+    """
+    if init is None:
+        init = np.random.default_rng(0)
+    if isinstance(init, np.random.Generator):
+        return {key: draw(init, shape) for key, (shape, draw) in specs.items()}
+    missing, extra = sorted(set(specs) - set(init)), sorted(set(init) - set(specs))
+    if missing or extra:
+        raise DimensionError(
+            f"{layer_name}: parameter name mismatch: missing={missing} extra={extra}")
+    params = {}
+    for key, (shape, _) in specs.items():
+        value = np.asarray(init[key], dtype=np.float64)
+        if value.shape != shape:
+            raise DimensionError(f"{layer_name}: shape mismatch for {key!r}: "
+                                 f"checkpoint {value.shape} vs network {shape}")
+        params[key] = value
+    return params
 
 
 def _apply_activation(kind, z):
@@ -82,18 +117,17 @@ class Dense:
     on sequences (batch, time, features).
     """
 
-    def __init__(self, name, input_dim, output_dim, activation="linear", rng=None):
+    def __init__(self, name, input_dim, output_dim, activation="linear", init=None):
         if activation not in ACTIVATIONS:
             raise DimensionError(f"{name}: unsupported activation {activation!r}")
         self.name = name
         self.input_dim = input_dim
         self.output_dim = output_dim
         self.activation = activation
-        rng = rng or np.random.default_rng(0)
-        self.params = {
-            "weights": glorot_uniform(rng, (input_dim, output_dim), input_dim, output_dim),
-            "bias": np.zeros(output_dim),
-        }
+        self.params = _init_params(name, init, {
+            "weights": ((input_dim, output_dim), glorot_uniform(input_dim, output_dim)),
+            "bias": ((output_dim,), zeros),
+        })
 
     def describe(self):
         return {"type": "dense", "units": self.output_dim, "activation": self.activation}
@@ -132,7 +166,7 @@ class Conv1D:
     """
 
     def __init__(self, name, in_channels, num_filters, filter_size, stride=1,
-                 border="valid", activation="linear", rng=None):
+                 border="valid", activation="linear", init=None):
         if border not in ("valid", "same"):
             raise DimensionError(f"{name}: unknown border mode {border!r}")
         if border == "same" and stride != 1:
@@ -146,23 +180,16 @@ class Conv1D:
         self.stride = stride
         self.border = border
         self.activation = activation
-        rng = rng or np.random.default_rng(0)
-        fan_in = filter_size * in_channels
-        self.params = {
-            "weights": glorot_uniform(rng, (filter_size, in_channels, num_filters),
-                                      fan_in, num_filters),
-            "bias": np.zeros(num_filters),
-        }
+        self.params = _init_params(name, init, {
+            "weights": ((filter_size, in_channels, num_filters),
+                        glorot_uniform(filter_size * in_channels, num_filters)),
+            "bias": ((num_filters,), zeros),
+        })
 
     def describe(self):
         return {"type": "conv1d", "filter_size": self.filter_size, "stride": self.stride,
                 "filters": self.num_filters, "border": self.border,
                 "activation": self.activation}
-
-    def output_length(self, input_length):
-        if self.border == "same":
-            return input_length
-        return (input_length - self.filter_size) // self.stride + 1
 
     def _pads(self):
         if self.border == "valid":
@@ -224,21 +251,20 @@ class LSTM:
 
     GATES = ("in", "forget", "cell", "out")  # pre-activation slot order
 
-    def __init__(self, name, input_dim, hidden_size, truncate=500, rng=None):
+    def __init__(self, name, input_dim, hidden_size, truncate=500, init=None):
         self.name = name
         self.input_dim = input_dim
         self.hidden_size = hidden_size
         self.truncate = truncate
-        rng = rng or np.random.default_rng(0)
         n = hidden_size
-        self.params = {
-            "w_input": glorot_uniform(rng, (input_dim, 4 * n), input_dim, n),
-            "w_hidden": small_uniform(rng, (n, 4 * n)),
-            "bias": np.zeros(4 * n),
-            "peep_in": small_uniform(rng, (n,)),
-            "peep_forget": small_uniform(rng, (n,)),
-            "peep_out": small_uniform(rng, (n,)),
-        }
+        self.params = _init_params(name, init, {
+            "w_input": ((input_dim, 4 * n), glorot_uniform(input_dim, n)),
+            "w_hidden": ((n, 4 * n), small_uniform),
+            "bias": ((4 * n,), zeros),
+            "peep_in": ((n,), small_uniform),
+            "peep_forget": ((n,), small_uniform),
+            "peep_out": ((n,), small_uniform),
+        })
 
     def describe(self):
         return {"type": "lstm", "units": self.hidden_size, "peepholes": True}

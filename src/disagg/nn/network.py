@@ -94,21 +94,5 @@ class Network:
     def parameter_count(self) -> int:
         return sum(v.size for v in self.parameters().values())
 
-    def load_parameters(self, values):
-        """Overwrite parameters in place; reject any shape mismatch."""
-        params = self.parameters()
-        missing = set(params) - set(values)
-        extra = set(values) - set(params)
-        if missing or extra:
-            raise DimensionError(
-                f"parameter name mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for key, current in params.items():
-            incoming = np.asarray(values[key], dtype=np.float64)
-            if incoming.shape != current.shape:
-                raise DimensionError(
-                    f"shape mismatch for {key}: checkpoint {incoming.shape} "
-                    f"vs network {current.shape}")
-            current[...] = incoming
-
     def describe(self):
         return [dict(layer.describe(), name=layer.name) for layer in self.layers]

@@ -7,7 +7,9 @@ receives the full complement of strided windows), each window is
 standardized exactly as during training, and outputs are combined
 either by per-timestep averaging (sequence outputs) or by overlaying
 predicted rectangles and thresholding the resulting probability
-(rectangle outputs).
+(rectangle outputs).  The windows run through the network one block of
+SLIDE_BATCH at a time and each block's outputs go straight into running
+per-timestep sums, so memory does not grow with the number of windows.
 """
 
 from __future__ import annotations
@@ -53,73 +55,67 @@ class EstimateSeries:
 
 @dataclass(frozen=True)
 class WindowOutputs:
-    """Raw per-window network outputs with absolute sample positions.
+    """The network outputs of one block of windows, with their positions.
 
     `origins` hold each window's start in real aggregate coordinates
     (negative for windows that begin in the left padding).  Sequence
     outputs are in watts; triple outputs stay fractional until decoded.
     """
 
-    kind: str
     origins: np.ndarray
     outputs: np.ndarray
-    window_width: int
-    output_offset: int
-    total_length: int
-    max_power: float
-    start_time: float = 0.0
-    sample_period: int = 6
 
 
 def slide(network, aggregate: PowerSeries, spec: WindowSpec,
-          config: DisaggConfig) -> WindowOutputs:
-    """Run the network over zero-padded, strided windows of the aggregate.
+          origins: np.ndarray) -> WindowOutputs:
+    """Run the network on the windows of the aggregate that start at
+    `origins` (ascending; zero outside the series).
 
     Windows are standardized with the training-time dataset std;
     sequence outputs are scaled back to watts.
     """
     width = spec.window_width
-    if config.stride > width:
-        raise ConfigError(f"stride {config.stride} exceeds the window width {width}")
-
-    padded = np.concatenate([np.zeros(width), aggregate.values, np.zeros(width)])
-    starts = np.arange(0, len(padded) - width + 1, config.stride)
-    windows = np.stack([padded[s : s + width] for s in starts]) if len(starts) else \
-        np.empty((0, width))
-    windows = standardize_input(windows, spec.input_std)
-
-    chunks = []
-    for lo in range(0, len(windows), SLIDE_BATCH):
-        chunks.append(network.forward(windows[lo : lo + SLIDE_BATCH]))
-    outputs = np.concatenate(chunks) if chunks else np.empty((0, 0))
-
-    kind = getattr(network, "output_kind", "sequence")
-    offset = getattr(network, "output_offset", 0)
-    if kind == "sequence":
+    lo, hi = int(origins[0]), int(origins[-1]) + width
+    segment = np.zeros(hi - lo)
+    first, last = max(lo, 0), min(hi, len(aggregate))
+    if last > first:
+        segment[first - lo : last - lo] = aggregate.values[first:last]
+    windows = np.lib.stride_tricks.sliding_window_view(segment, width)[origins - lo]
+    outputs = network.forward(standardize_input(windows, spec.input_std))
+    if network.output_kind == "sequence":
         outputs = outputs * spec.max_power
-    return WindowOutputs(kind=kind, origins=starts - width, outputs=outputs,
-                         window_width=width, output_offset=offset,
-                         total_length=len(aggregate), max_power=spec.max_power,
-                         start_time=aggregate.start_time,
-                         sample_period=aggregate.sample_period)
+    return WindowOutputs(origins=origins, outputs=outputs)
 
 
-def combine_mean(window_outputs: WindowOutputs) -> EstimateSeries:
-    """Average all window outputs covering each timestep; clip negatives."""
-    total = window_outputs.total_length
-    sums = np.zeros(total)
-    counts = np.zeros(total)
+class MeanSums:
+    """Running per-timestep sums of sequence outputs and of the windows
+    whose output covers each timestep."""
+
+    def __init__(self, total_length: int, output_offset: int):
+        self.output_offset = output_offset
+        self.sums = np.zeros(total_length)
+        self.counts = np.zeros(total_length)
+
+    def estimate(self):
+        """(mean output per timestep with negatives clipped, None)."""
+        total = len(self.sums)
+        mean = np.divide(self.sums, self.counts, out=np.zeros(total), where=self.counts > 0)
+        return np.maximum(mean, 0.0), None
+
+
+def combine_mean(window_outputs: WindowOutputs, sums: MeanSums) -> None:
+    """Add one block's outputs to the running sums, window by window, so
+    every timestep receives its additions in window order."""
+    total = len(sums.sums)
     out_len = window_outputs.outputs.shape[1] if window_outputs.outputs.size else 0
     for origin, row in zip(window_outputs.origins, window_outputs.outputs):
-        start = int(origin) + window_outputs.output_offset
+        start = int(origin) + sums.output_offset
         lo = max(0, start)
         hi = min(total, start + out_len)
         if hi <= lo:
             continue
-        sums[lo:hi] += row[lo - start : hi - start]
-        counts[lo:hi] += 1
-    estimate = np.divide(sums, counts, out=np.zeros(total), where=counts > 0)
-    return EstimateSeries(series=_as_series(window_outputs, np.maximum(estimate, 0.0)))
+        sums.sums[lo:hi] += row[lo - start : hi - start]
+        sums.counts[lo:hi] += 1
 
 
 def decode_rectangle(triple: RectangleTriple, window_origin: int, window_width: int,
@@ -136,31 +132,57 @@ def decode_rectangle(triple: RectangleTriple, window_origin: int, window_width: 
     return start, end, triple.height * max_power
 
 
-def combine_rectangles(window_outputs: WindowOutputs, config: DisaggConfig,
-                       power_threshold: float) -> EstimateSeries:
-    """Overlay predicted rectangles and threshold the normalised overlap.
+class RectangleSums:
+    """Running per-timestep counts of covering windows and of their
+    rectangles, and the sum of those rectangles' heights in watts.
 
-    Per timestep: probability = covering rectangles / covering windows;
-    power = mean rectangle height in watts; the appliance is declared on
-    where probability and power both clear their thresholds.
+    A triple counts as a rectangle when its height clears the
+    appliance's `power_threshold`; a timestep is declared on where the
+    fraction of its windows with a rectangle there clears
+    `probability_threshold` and their mean height `power_threshold`.
     """
-    total = window_outputs.total_length
-    width = window_outputs.window_width
-    window_count = np.zeros(total)
-    rect_count = np.zeros(total)
-    height_sum = np.zeros(total)
 
+    def __init__(self, total_length: int, window_width: int, max_power: float,
+                 power_threshold: float, probability_threshold: float):
+        self.window_width = window_width
+        self.max_power = max_power
+        self.power_threshold = power_threshold
+        self.probability_threshold = probability_threshold
+        self.window_count = np.zeros(total_length)
+        self.rect_count = np.zeros(total_length)
+        self.height_sum = np.zeros(total_length)
+
+    def estimate(self):
+        """(power per timestep, probability per timestep): probability =
+        covering rectangles / covering windows, power = their mean height
+        where the appliance is declared on, else zero."""
+        total = len(self.window_count)
+        probability = np.divide(self.rect_count, self.window_count, out=np.zeros(total),
+                                where=self.window_count > 0)
+        mean_power = np.divide(self.height_sum, self.rect_count, out=np.zeros(total),
+                               where=self.rect_count > 0)
+        on = (probability >= self.probability_threshold) & \
+             (mean_power >= self.power_threshold)
+        return np.where(on, mean_power, 0.0), probability
+
+
+def combine_rectangles(window_outputs: WindowOutputs, sums: RectangleSums) -> None:
+    """Overlay one block's predicted rectangles on the running sums,
+    window by window, so every timestep receives its additions in window
+    order."""
+    total = len(sums.window_count)
+    width = sums.window_width
     for origin, row in zip(window_outputs.origins, window_outputs.outputs):
         origin = int(origin)
         lo, hi = max(0, origin), min(total, origin + width)
         if hi > lo:
-            window_count[lo:hi] += 1
+            sums.window_count[lo:hi] += 1
         triple = RectangleTriple(*row)
         # A triple only counts as a rectangle above the power threshold.
-        if not (triple.height * window_outputs.max_power > power_threshold
+        if not (triple.height * sums.max_power > sums.power_threshold
                 and triple.end > triple.start):
             continue
-        decoded = decode_rectangle(triple, origin, width, window_outputs.max_power)
+        decoded = decode_rectangle(triple, origin, width, sums.max_power)
         if decoded is None:
             continue
         r_lo, r_hi, watts = decoded
@@ -168,31 +190,35 @@ def combine_rectangles(window_outputs: WindowOutputs, config: DisaggConfig,
         # window only votes on the samples it covers, so probability <= 1.
         r_lo, r_hi = max(lo, r_lo), min(hi, r_hi)
         if r_hi > r_lo:
-            rect_count[r_lo:r_hi] += 1
-            height_sum[r_lo:r_hi] += watts
-
-    probability = np.divide(rect_count, window_count, out=np.zeros(total),
-                            where=window_count > 0)
-    mean_power = np.divide(height_sum, rect_count, out=np.zeros(total),
-                           where=rect_count > 0)
-    on = (probability >= config.probability_threshold) & \
-         (mean_power >= power_threshold)
-    estimate = np.where(on, mean_power, 0.0)
-    return EstimateSeries(series=_as_series(window_outputs, estimate),
-                          probability=probability)
+            sums.rect_count[r_lo:r_hi] += 1
+            sums.height_sum[r_lo:r_hi] += watts
 
 
 def disaggregate(network, aggregate: PowerSeries, spec: WindowSpec,
                  config: DisaggConfig, power_threshold: float) -> EstimateSeries:
-    """Slide the network over the aggregate and combine outputs by kind;
-    `power_threshold` is the appliance's on-power threshold in watts."""
-    outputs = slide(network, aggregate, spec, config)
-    if outputs.kind == "triple":
-        return combine_rectangles(outputs, config, power_threshold)
-    return combine_mean(outputs)
+    """Slide the network over the zero-padded aggregate, SLIDE_BATCH
+    windows at a time, and combine outputs by kind; `power_threshold` is
+    the appliance's on-power threshold in watts.
 
-
-def _as_series(window_outputs: WindowOutputs, values: np.ndarray) -> PowerSeries:
-    return PowerSeries(start_time=window_outputs.start_time,
-                       sample_period=window_outputs.sample_period,
-                       values=values)
+    Each block goes straight into the running sums, so memory holds the
+    sums (a few arrays of the series' length) and one block of windows.
+    """
+    width = spec.window_width
+    if config.stride > width:
+        raise ConfigError(f"stride {config.stride} exceeds the window width {width}")
+    total = len(aggregate)
+    origins = np.arange(-width, total + 1, config.stride)
+    if network.output_kind == "triple":
+        sums = RectangleSums(total, width, spec.max_power, power_threshold,
+                             config.probability_threshold)
+        combine = combine_rectangles
+    else:
+        sums = MeanSums(total, network.output_offset)
+        combine = combine_mean
+    for lo in range(0, len(origins), SLIDE_BATCH):
+        combine(slide(network, aggregate, spec, origins[lo : lo + SLIDE_BATCH]), sums)
+    values, probability = sums.estimate()
+    return EstimateSeries(series=PowerSeries(start_time=aggregate.start_time,
+                                             sample_period=aggregate.sample_period,
+                                             values=values),
+                          probability=probability)

@@ -18,12 +18,13 @@ from desk_experiment import run_desk_experiment
 from disagg import architectures, baselines, datagen, metrics, sliding
 from disagg.datagen import RectangleTriple, WindowSpec, encode_rectangle
 from disagg.nn import LSTM, Bidirectional, Conv1D, Dense
-from disagg.sliding import DisaggConfig, combine_rectangles, decode_rectangle
+from disagg.sliding import DisaggConfig, decode_rectangle
 from disagg.timeseries import ActivationParams, PowerSeries, extract_activations, fill_gaps
 
 from test_baselines import (brute_force_best_path, co_oracle, make_model,
-                            random_models)
-from test_sliding import ConstantNetwork, OracleNetwork, rect_outputs, spec_for
+                            path_log_probability, random_models)
+from test_sliding import (ConstantNetwork, OracleNetwork, rect_outputs, rectangle_estimate,
+                          spec_for)
 
 
 def report(criterion, passed, detail=""):
@@ -57,11 +58,11 @@ class TestCriterion1Gradients:
             layer_check(layer, rng.normal(size=(3, 6)))
         for border, stride in (("valid", 1), ("valid", 2), ("same", 1)):
             layer = Conv1D("c", 3, 4, filter_size=4, stride=stride, border=border,
-                           activation="tanh", rng=rng)
+                           activation="tanh", init=rng)
             layer.params["bias"][:] = rng.normal(scale=0.1, size=4)
             layer_check(layer, rng.normal(size=(2, 10, 3)))
-        layer_check(LSTM("l", 3, 5, rng=rng), rng.normal(size=(2, 8, 3)))
-        layer_check(Bidirectional("b", LSTM("f", 3, 4, rng=rng), LSTM("w", 3, 4, rng=rng)),
+        layer_check(LSTM("l", 3, 5, init=rng), rng.normal(size=(2, 8, 3)))
+        layer_check(Bidirectional("b", LSTM("f", 3, 4, init=rng), LSTM("w", 3, 4, init=rng)),
                     rng.normal(size=(2, 8, 3)))
 
         nets = {
@@ -192,9 +193,9 @@ class TestCriterion5RectanglePipeline:
 
     def test_unanimous_overlay_probability_one(self):
         triple = RectangleTriple(0.25, 0.5, 2000.0 / 2400.0)
-        outputs = rect_outputs([triple] * 6, [0] * 6, 32, 32)
-        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.5), 500.0)
-        ok = bool(np.all(estimate.probability[8:16] == 1.0))
+        _, probability = rectangle_estimate(rect_outputs([triple] * 6, [0] * 6), 32, 32,
+                                            DisaggConfig(probability_threshold=0.5), 500.0)
+        ok = bool(np.all(probability[8:16] == 1.0))
         assert report("5 (unanimity)", ok)
 
     def test_worked_example_geometry(self):
@@ -258,8 +259,7 @@ class TestCriterion7FHMMOracle:
 
             best_logp, _ = brute_force_best_path(log_init, log_trans, emission)
             decoded = baselines._viterbi(log_init, log_trans, emission)
-            decoded_logp = baselines.path_log_probability(log_init, log_trans, emission,
-                                                          decoded)
+            decoded_logp = path_log_probability(log_init, log_trans, emission, decoded)
             gap = abs(decoded_logp - best_logp)
             worst_gap = max(worst_gap, gap)
             if gap > 1e-9:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ from conftest import traced_peak
 from disagg.architectures import (BATCH_SIZES, PLATEAU_PATIENCE, UPDATE_BUDGETS, build_dae,
                                   build_lstm, build_network, build_rectangles, train)
 from disagg.datagen import Batch
-from disagg.errors import ConfigError, NumericError
+from disagg.errors import ConfigError, DimensionError, NumericError
 from disagg.nn import Dense, NesterovSGD, Network
 
 
@@ -136,6 +137,75 @@ class TestSpecDefaults:
             build_network("perceptron", 64, np.random.default_rng(0))
 
 
+SMALL = {  # kind -> builder at a small width, for a Generator or a checkpoint mapping
+    "lstm": lambda init: build_lstm(12, init, conv_filters=2, lstm_units=(3, 4),
+                                    dense_units=3),
+    "dae": lambda init: build_dae(16, init, conv_filters=2, code_units=4),
+    "rectangles": lambda init: build_rectangles(16, init, conv_filters=2, dense_units=(4, 3)),
+}
+
+
+def parameter_digest(network) -> str:
+    h = hashlib.sha256()
+    for name, value in network.parameters().items():
+        h.update(name.encode())
+        h.update(value.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestBuildFromCheckpoint:
+    @pytest.mark.parametrize("kind, digest", [("lstm", "922f583e596758f1"),
+                                              ("dae", "282e9c13bc0186fd"),
+                                              ("rectangles", "5f5434d11ad42556")])
+    def test_generator_draws_are_unchanged(self, kind, digest):
+        # The fresh weights of a Generator, drawn in the layers' order; a
+        # change here changes every trained checkpoint.
+        assert parameter_digest(SMALL[kind](np.random.default_rng(0))) == digest
+
+    @pytest.mark.parametrize("kind", sorted(SMALL))
+    def test_adopts_the_loaded_arrays(self, kind, rng):
+        trained = SMALL[kind](rng)
+        tensors = {name: value.copy() for name, value in trained.parameters().items()}
+        net = SMALL[kind](tensors)
+        assert net.parameters().keys() == tensors.keys()
+        for name, value in net.parameters().items():
+            assert np.shares_memory(value, tensors[name])
+        x = rng.normal(size=(3, net.window_width))
+        np.testing.assert_array_equal(net.forward(x), trained.forward(x))
+
+    @pytest.mark.parametrize("kind, name, layer, param", [
+        ("lstm", "bilstm1/bwd.peep_out", "bilstm1/bwd", "peep_out"),
+        ("dae", "code/bias", "code", "bias"),
+        ("rectangles", "head/weights", "head", "weights"),
+    ])
+    def test_missing_tensor_rejected(self, kind, name, layer, param, rng):
+        tensors = dict(SMALL[kind](rng).parameters())
+        del tensors[name]
+        with pytest.raises(DimensionError,
+                           match=rf"^{layer}: parameter name mismatch: missing=\['{param}'\]"):
+            SMALL[kind](tensors)
+
+    @pytest.mark.parametrize("extra", ["stray/weights", "head/scale", "head"])
+    def test_extra_tensor_rejected(self, extra, rng):
+        tensors = dict(SMALL["dae"](rng).parameters())
+        tensors[extra] = np.zeros(3)
+        with pytest.raises(DimensionError, match=f"extra=.*{extra}"):
+            SMALL["dae"](tensors)
+
+    @pytest.mark.parametrize("kind", sorted(SMALL))
+    def test_misshaped_tensor_rejected_naming_it(self, kind, rng):
+        tensors = dict(SMALL[kind](rng).parameters())
+        for name in sorted(tensors):
+            bad = dict(tensors)
+            bad[name] = np.zeros(tensors[name].size + 1)
+            prefix, param = name.split("/")
+            half, _, param = param.rpartition(".")
+            layer = f"{prefix}/{half}" if half else prefix
+            with pytest.raises(DimensionError,
+                               match=f"^{layer}: shape mismatch for '{param}'"):
+                SMALL[kind](bad)
+
+
 class TestTraining:
     def _toy_net_and_batch(self, kind, rng):
         if kind == "lstm":
@@ -208,8 +278,8 @@ class TestTraining:
         holder = {}
 
         def build_and_train():
-            net = Network([Dense("d1", 1000, 2500, activation="relu", rng=rng),
-                           Dense("d2", 2500, 1000, activation="linear", rng=rng)],
+            net = Network([Dense("d1", 1000, 2500, activation="relu", init=rng),
+                           Dense("d2", 2500, 1000, activation="linear", init=rng)],
                           window_width=1000)
             holder["param_bytes"] = sum(v.nbytes for v in net.parameters().values())
             train(net, repeat_batch(batch), NesterovSGD(net.parameters(), 0.01), 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from disagg.baselines import (ApplianceStateModel, co_disaggregate, fhmm_disaggregate,
-                              fit_states, path_log_probability, _viterbi)
+                              fit_states, _viterbi)
 from disagg.errors import DataError
 from disagg.timeseries import Activation, PowerSeries
 
@@ -134,6 +134,14 @@ class TestCO:
                 assert got == expected
 
 
+def path_log_probability(log_init, log_trans, emission, path) -> float:
+    """Log-probability of one state path."""
+    total = log_init[path[0]] + emission[0, path[0]]
+    for t in range(1, emission.shape[0]):
+        total += log_trans[path[t - 1], path[t]] + emission[t, path[t]]
+    return float(total)
+
+
 def brute_force_best_path(log_init, log_trans, emission, chunk=200_000):
     """Max log-probability over every possible path, enumerated exhaustively.
 
@@ -178,7 +186,8 @@ def random_models(rng, n_appl, max_states=3):
 
 
 def int64_viterbi(log_init, log_trans, emission):
-    """Viterbi with int64 backpointers, the reference for the uint16 store."""
+    """Viterbi with int64 backpointers, the reference for the smallest-dtype
+    store (uint8 up to 256 states, uint16 above)."""
     horizon, n_states = emission.shape
     backptr = np.zeros((horizon, n_states), dtype=np.int64)
     delta = log_init + emission[0]
@@ -194,8 +203,10 @@ def int64_viterbi(log_init, log_trans, emission):
 
 
 class TestFHMM:
-    @pytest.mark.parametrize("n_states", [3, 300, 1000])
+    @pytest.mark.parametrize("n_states", [3, 256, 257, 300, 1000])
     def test_uint16_backpointers_match_int64_reference(self, rng, n_states):
+        """Backpointers in the smallest dtype (uint8 up to 256 states, uint16
+        above; 256 and 257 straddle the limit) give the int64 reference's paths."""
         horizon = 60
         log_trans = np.log(rng.dirichlet(np.ones(n_states), size=n_states))
         log_init = np.log(rng.dirichlet(np.ones(n_states)))
@@ -207,6 +218,12 @@ class TestFHMM:
         ties = np.round(emission / 5.0)
         np.testing.assert_array_equal(_viterbi(log_init, flat, ties),
                                       int64_viterbi(log_init, flat, ties))
+        # The highest state index wins every step, so every backpointer holds it.
+        top = emission.copy()
+        top[:, -1] += 100.0
+        path = _viterbi(log_init, log_trans, top)
+        np.testing.assert_array_equal(path, int64_viterbi(log_init, log_trans, top))
+        assert path[-1] == n_states - 1
 
     def test_single_appliance_matches_plain_viterbi(self, rng):
         models = random_models(rng, 1)

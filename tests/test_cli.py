@@ -366,6 +366,31 @@ class TestCliPipeline:
                      "--kind", "dae"])
         return code, capsys.readouterr().err
 
+    def test_misshaped_checkpoint_tensor_exits_3_naming_it(self, tmp_path, capsys):
+        def reshape_code_weights(text):
+            models = tmp_path / "out" / "models"
+            params, meta = load_checkpoint(models / "kettle_dae.ckpt")
+            params["code/weights"] = np.zeros((3, 3))
+            save_checkpoint(models / "kettle_dae.ckpt", params, meta=meta)
+            return text
+
+        code, err = self._disaggregate_with_manifest(tmp_path, capsys, reshape_code_weights,
+                                                     sign=False)
+        assert code == 3 and "code: shape mismatch for 'weights'" in err
+
+    def test_inference_draws_no_random_weights(self, tmp_path, capsys, monkeypatch):
+        # The network is built from the checkpoint: nothing is drawn from
+        # the manifest's seed.
+        def no_rng(*args):
+            raise AssertionError(f"rng_for{args} called")
+
+        def check(text):
+            monkeypatch.setattr(cli, "rng_for", no_rng)
+            return text
+
+        code, err = self._disaggregate_with_manifest(tmp_path, capsys, check, sign=False)
+        assert code == 0, err
+
     def test_truncated_manifest_exits_2(self, tmp_path, capsys):
         code, err = self._disaggregate_with_manifest(
             tmp_path, capsys, lambda text: '{"oops', sign=False)
@@ -400,12 +425,13 @@ class TestCliPipeline:
         code, err = self._disaggregate_with_manifest(tmp_path, capsys, replace)
         assert code == 2 and match in err
 
-    def _train_with_store(self, tmp_path, capsys, edit):
-        """Exit status and stderr of `train` after `edit` rewrote the kettle
-        activation store of house 1, and that store's path."""
+    def _train_with_store(self, tmp_path, capsys, edit, appliance="kettle"):
+        """Exit status and stderr of `train --appliance kettle` after `edit`
+        rewrote the `appliance` activation store of house 1, and that
+        store's path."""
         path = world_config(tmp_path)
         main(["extract", "--config", str(path)])
-        store = tmp_path / "out" / "activations" / "kettle_house1.json"
+        store = tmp_path / "out" / "activations" / f"{appliance}_house1.json"
         store.write_text(edit(store.read_text()))
         capsys.readouterr()
         code = main(["train", "--config", str(path), "--appliance", "kettle", "--kind", "dae"])
@@ -441,6 +467,38 @@ class TestCliPipeline:
             self._edit_store(lambda payload: payload["activations"][-1].pop(key)))
         assert code == 2 and "every activation needs a source_offset and values" in err
         assert str(store) in err
+
+    @pytest.mark.parametrize("appliance, key, value", [
+        ("kettle", "values", ["x"]),
+        ("kettle", "values", "12"),
+        ("kettle", "values", [1.0, True]),
+        ("kettle", "values", [1.0, None]),
+        ("kettle", "source_offset", "5"),
+        ("kettle", "source_offset", -1),
+        ("kettle", "source_offset", 5.0),
+        ("kettle", "source_offset", True),
+        ("microwave", "source_offset", "5"),  # a store of an appliance not trained here
+    ])
+    def test_store_activation_with_bad_value_exits_2(self, tmp_path, capsys, appliance,
+                                                     key, value):
+        def change(payload):
+            payload["activations"][0][key] = value
+
+        code, err, store = self._train_with_store(tmp_path, capsys, self._edit_store(change),
+                                                  appliance)
+        assert code == 2 and "every activation needs a source_offset and values" in err
+        assert str(store) in err
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "1e999", "1" + "0" * 400],
+                             ids=["nan", "infinity", "float-overflow", "int-overflow"])
+    def test_store_value_not_a_finite_float_exits_2(self, tmp_path, capsys, number):
+        def edit(text):
+            payload = json.loads(text)
+            payload["activations"][0]["values"][0] = "NUMBER"
+            return canonical_json(payload).replace('"NUMBER"', number)
+
+        code, err, store = self._train_with_store(tmp_path, capsys, edit)
+        assert code == 2 and "every activation needs a source_offset and values" in err
 
     def test_lstm_disaggregate_leaves_no_foreground_thread(self, tmp_path):
         # Bidirectional layers run a worker thread; it must not keep the

@@ -63,25 +63,33 @@ class TestDense:
         check_layer_gradients(layer, rng.normal(size=(2, 7, 5)), rng)
 
 
+def conv_output_length(layer, input_length):
+    """Output length of a Conv1D layer, by its border mode and stride."""
+    if layer.border == "same":
+        return input_length
+    return (input_length - layer.filter_size) // layer.stride + 1
+
+
 class TestConv1D:
     def test_valid_output_length(self):
         layer = Conv1D("c", 1, 16, filter_size=4, border="valid")
-        assert layer.output_length(128) == 125
+        assert conv_output_length(layer, 128) == 125
         y = layer.forward(np.zeros((1, 128, 1)))
         assert y.shape == (1, 125, 16)
 
     def test_same_output_length(self, rng):
-        layer = Conv1D("c", 2, 3, filter_size=4, border="same", rng=rng)
+        layer = Conv1D("c", 2, 3, filter_size=4, border="same", init=rng)
         assert layer.forward(rng.normal(size=(2, 50, 2))).shape == (2, 50, 3)
 
     def test_stride_two_length(self):
         layer = Conv1D("c", 1, 1, filter_size=4, stride=2, border="valid")
-        assert layer.output_length(10) == 4
+        assert conv_output_length(layer, 10) == 4
+        assert layer.forward(np.zeros((1, 10, 1))).shape == (1, 4, 1)
 
     def test_same_pad_split_is_left_light(self, rng):
         # filter 4: pad 1 left, 2 right; a length-1 kernel slot check via
         # correlation against a manual computation.
-        layer = Conv1D("c", 1, 1, filter_size=4, border="same", rng=rng)
+        layer = Conv1D("c", 1, 1, filter_size=4, border="same", init=rng)
         x = rng.normal(size=(1, 6, 1))
         w = layer.params["weights"][:, 0, 0]
         padded = np.concatenate([[0.0], x[0, :, 0], [0.0, 0.0]])
@@ -91,14 +99,14 @@ class TestConv1D:
     @pytest.mark.parametrize("border,stride", [("valid", 1), ("valid", 2), ("same", 1)])
     def test_gradients(self, border, stride, rng):
         layer = Conv1D("c", 3, 4, filter_size=4, stride=stride, border=border,
-                       activation="tanh", rng=rng)
+                       activation="tanh", init=rng)
         layer.params["bias"][:] = rng.normal(scale=0.1, size=4)
         check_layer_gradients(layer, rng.normal(size=(2, 9, 3)), rng)
 
 
 class TestLSTM:
     def test_output_shape_and_zero_input(self, rng):
-        layer = LSTM("l", 3, 5, rng=rng)
+        layer = LSTM("l", 3, 5, init=rng)
         layer.params["bias"][:] = 0
         y = layer.forward(np.zeros((2, 7, 3)))
         assert y.shape == (2, 7, 5)
@@ -107,17 +115,17 @@ class TestLSTM:
         np.testing.assert_array_equal(y, np.zeros((2, 7, 5)))
 
     def test_gradients(self, rng):
-        layer = LSTM("l", 3, 4, rng=rng)
+        layer = LSTM("l", 3, 4, init=rng)
         layer.params["bias"][:] = rng.normal(scale=0.1, size=16)
         check_layer_gradients(layer, rng.normal(size=(2, 7, 3)), rng)
 
     def test_truncation_inert_for_short_sequences(self, rng):
         x = rng.normal(size=(1, 6, 2))
-        full = LSTM("l", 2, 3, truncate=500, rng=np.random.default_rng(9))
+        full = LSTM("l", 2, 3, truncate=500, init=np.random.default_rng(9))
         y, cache = full.forward_cached(x)
         dy = np.ones_like(y)
         dx_full, _ = full.backward(dy, cache)
-        same = LSTM("l", 2, 3, truncate=6, rng=np.random.default_rng(9))
+        same = LSTM("l", 2, 3, truncate=6, init=np.random.default_rng(9))
         y2, cache2 = same.forward_cached(x)
         dx_same, _ = same.backward(dy, cache2)
         np.testing.assert_array_equal(dx_full, dx_same)
@@ -128,11 +136,11 @@ class TestLSTM:
         x = rng.normal(size=(1, 5, 2))
         dy = np.zeros((1, 5, 3))
         dy[0, -1] = 1.0
-        cut = LSTM("l", 2, 3, truncate=1, rng=np.random.default_rng(9))
+        cut = LSTM("l", 2, 3, truncate=1, init=np.random.default_rng(9))
         y, cache = cut.forward_cached(x)
         dx_cut, _ = cut.backward(dy, cache)
         np.testing.assert_array_equal(dx_cut[0, :-1], np.zeros((4, 2)))
-        full = LSTM("l", 2, 3, truncate=500, rng=np.random.default_rng(9))
+        full = LSTM("l", 2, 3, truncate=500, init=np.random.default_rng(9))
         y, cache = full.forward_cached(x)
         dx_full, _ = full.backward(dy, cache)
         assert np.abs(dx_full[0, :-1]).max() > 0
@@ -261,7 +269,7 @@ SPECIAL_PRE = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf])
 
 def random_lstm(seed, input_dim, hidden, truncate=500, special_bias=False):
     rng = np.random.default_rng(seed)
-    layer = LSTM("l", input_dim, hidden, truncate=truncate, rng=rng)
+    layer = LSTM("l", input_dim, hidden, truncate=truncate, init=rng)
     layer.params["bias"][:] = (rng.choice(SPECIAL_PRE, size=4 * hidden) if special_bias
                                else rng.normal(size=4 * hidden))
     return layer
@@ -348,16 +356,16 @@ def test_sigmoid_in_place_equals_reference(z):
 
 class TestBidirectional:
     def test_concat_width(self, rng):
-        layer = Bidirectional("b", LSTM("f", 2, 4, rng=rng), LSTM("w", 2, 4, rng=rng))
+        layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 4, init=rng))
         assert layer.forward(rng.normal(size=(1, 5, 2))).shape == (1, 5, 8)
 
     def test_mismatched_halves_rejected(self, rng):
         with pytest.raises(DimensionError, match="share hidden size"):
-            Bidirectional("b", LSTM("f", 2, 4, rng=rng), LSTM("w", 2, 5, rng=rng))
+            Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 5, init=rng))
 
     def test_mirrored_weights_on_palindrome(self, rng):
-        fwd = LSTM("f", 1, 3, rng=rng)
-        bwd = LSTM("w", 1, 3, rng=rng)
+        fwd = LSTM("f", 1, 3, init=rng)
+        bwd = LSTM("w", 1, 3, init=rng)
         bwd.params = {k: v.copy() for k, v in fwd.params.items()}
         layer = Bidirectional("b", fwd, bwd)
         x = np.array([1.0, 2.0, 5.0, 2.0, 1.0]).reshape(1, 5, 1)
@@ -366,12 +374,12 @@ class TestBidirectional:
         np.testing.assert_allclose(y[0, :, 3:], y[0, ::-1, :3], atol=1e-12)
 
     def test_zero_input_zero_bias_zero_output(self, rng):
-        layer = Bidirectional("b", LSTM("f", 2, 3, rng=rng), LSTM("w", 2, 3, rng=rng))
+        layer = Bidirectional("b", LSTM("f", 2, 3, init=rng), LSTM("w", 2, 3, init=rng))
         y = layer.forward(np.zeros((1, 4, 2)))
         np.testing.assert_array_equal(y, np.zeros((1, 4, 6)))
 
     def test_gradients(self, rng):
-        layer = Bidirectional("b", LSTM("f", 3, 4, rng=rng), LSTM("w", 3, 4, rng=rng))
+        layer = Bidirectional("b", LSTM("f", 3, 4, init=rng), LSTM("w", 3, 4, init=rng))
         check_layer_gradients(layer, rng.normal(size=(2, 6, 3)), rng)
 
 
@@ -382,18 +390,18 @@ class TestBidirectionalThreads:
     PytestUnhandledThreadExceptionWarning error filter."""
 
     def test_reverse_half_error_raised_in_caller(self, rng):
-        layer = Bidirectional("b", LSTM("f", 2, 4, rng=rng), LSTM("reverse", 3, 4, rng=rng))
+        layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("reverse", 3, 4, init=rng))
         x = rng.normal(size=(1, 5, 2))
         with pytest.raises(DimensionError, match="reverse"):
             layer.forward(x)
         with pytest.raises(DimensionError, match="reverse"):
             layer.forward_cached(x)
         # The worker survives its job's error.
-        good = Bidirectional("g", LSTM("f", 2, 4, rng=rng), LSTM("w", 2, 4, rng=rng))
+        good = Bidirectional("g", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 4, init=rng))
         assert good.forward(x).shape == (1, 5, 8)
 
     def test_reverse_half_backward_error_raised_in_caller(self, rng):
-        layer = Bidirectional("b", LSTM("f", 2, 4, rng=rng), LSTM("w", 2, 4, rng=rng))
+        layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 4, init=rng))
         y, (cache_f, cache_b) = layer.forward_cached(rng.normal(size=(1, 5, 2)))
         x_b, h_b, c_b, gates_b = cache_b
         cut_short = (x_b, h_b, c_b, gates_b[:, :2])  # two of the five steps' gates
@@ -535,9 +543,9 @@ class TestBlockedNesterovStep:
 
     def test_updates_the_network_parameter_arrays(self, rng):
         net = Network([Reshape("to_channels", (6, 1)),
-                       Conv1D("conv", 1, 2, filter_size=3, border="same", rng=rng),
+                       Conv1D("conv", 1, 2, filter_size=3, border="same", init=rng),
                        Flatten("flat"),
-                       Dense("out", 12, 6, "linear", rng=rng)], window_width=6)
+                       Dense("out", 12, 6, "linear", init=rng)], window_width=6)
         expected = {k: v.copy() for k, v in net.parameters().items()}
         velocity = {k: np.zeros_like(v) for k, v in expected.items()}
         opt = NesterovSGD(net.parameters(), learning_rate=0.05)
@@ -560,9 +568,9 @@ class TestNetwork:
     def _tiny(self, rng):
         return Network([
             Reshape("to_channels", (6, 1)),
-            Conv1D("conv", 1, 2, filter_size=3, border="same", rng=rng),
+            Conv1D("conv", 1, 2, filter_size=3, border="same", init=rng),
             Flatten("flat"),
-            Dense("out", 12, 6, "linear", rng=rng),
+            Dense("out", 12, 6, "linear", init=rng),
         ], window_width=6)
 
     def test_single_neuron_gradient_hand_value(self):
@@ -594,21 +602,29 @@ class TestNetwork:
             net.forward(rng.normal(size=(1, 6)))
 
     def test_parameter_roundtrip_and_shape_rejection(self, rng, tmp_path):
-        net = self._tiny(rng)
-        params = {k: v.copy() for k, v in net.parameters().items()}
+        # A network built from a loaded checkpoint adopts its arrays, the
+        # Bidirectional halves included, and computes what the saved one did.
+        def build(init):
+            return build_lstm(12, init, conv_filters=2, lstm_units=(3, 4), dense_units=3)
+
+        net = build(rng)
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, params, meta={"manifest_sha256": "abc"})
+        save_checkpoint(path, net.parameters(), meta={"manifest_sha256": "abc"})
         loaded, meta = load_checkpoint(path)
         assert meta["manifest_sha256"] == "abc"
-        net2 = self._tiny(np.random.default_rng(99))
-        net2.load_parameters(loaded)
-        for k, v in net2.parameters().items():
-            np.testing.assert_array_equal(v, params[k])
+        net2 = build(loaded)
+        assert net2.parameters().keys() == net.parameters().keys()
+        for key, value in net2.parameters().items():
+            assert_bitwise(value, net.parameters()[key])
+            assert np.shares_memory(value, loaded[key])
+        x = rng.normal(size=(2, 12))
+        assert_bitwise(net2.forward(x), net.forward(x))
 
         bad = dict(loaded)
-        bad["out/weights"] = np.zeros((3, 3))
-        with pytest.raises(DimensionError, match="shape mismatch"):
-            net2.load_parameters(bad)
+        bad["bilstm2/bwd.w_hidden"] = np.zeros((3, 3))
+        with pytest.raises(DimensionError,
+                           match=r"bilstm2/bwd: shape mismatch for 'w_hidden'"):
+            build(bad)
 
     def test_checkpoint_bytes_deterministic(self, rng, tmp_path):
         net = self._tiny(rng)

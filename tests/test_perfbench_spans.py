@@ -49,13 +49,25 @@ def test_train_updates_counter_reads_a_real_result(counters, rng):
     assert counters["architectures.train.updates"](args, architectures.train(*args)) == 2
 
 
-def test_slide_windows_counter_reads_a_real_result(counters, rng):
-    width, total, stride = 16, 64, 4
+def test_slide_windows_counter_reads_a_real_result(counters, rng, monkeypatch):
+    # `disaggregate` calls `slide` once per block; the counter summed over
+    # those calls is the number of windows of the whole series.
+    width, total, stride = 16, 600, 4
     net = architectures.build_dae(width, rng, conv_filters=2, code_units=4)
-    args = (net, PowerSeries(0, 6, rng.uniform(0, 100, size=total)),
-            WindowSpec("kettle", width, 2400.0, 100.0), sliding.DisaggConfig(stride=stride))
-    windows = (total + width) // stride + 1  # origins -width, ..., total in steps of 4
-    assert counters["sliding.slide.windows"](args, sliding.slide(*args)) == windows
+    counted = []
+    slide = sliding.slide
+
+    def traced(*args):
+        result = slide(*args)
+        counted.append(counters["sliding.slide.windows"](args, result))
+        return result
+
+    monkeypatch.setattr(sliding, "slide", traced)
+    sliding.disaggregate(net, PowerSeries(0, 6, rng.uniform(0, 100, size=total)),
+                         WindowSpec("kettle", width, 2400.0, 100.0),
+                         sliding.DisaggConfig(stride=stride), 1000.0)
+    assert len(counted) > 1
+    assert sum(counted) == (total + width) // stride + 1  # origins -width, ..., total
 
 
 def test_build_network_params_counter_reads_a_real_result(counters):

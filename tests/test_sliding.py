@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disagg.datagen import RectangleTriple, WindowSpec
+from conftest import traced_peak
+from disagg import architectures, sliding
+from disagg.datagen import RectangleTriple, WindowSpec, standardize_input
 from disagg.errors import ConfigError
-from disagg.sliding import (DisaggConfig, WindowOutputs, combine_mean,
-                            combine_rectangles, decode_rectangle, disaggregate, slide)
+from disagg.sliding import (SLIDE_BATCH, DisaggConfig, MeanSums, RectangleSums, WindowOutputs,
+                            combine_mean, combine_rectangles, decode_rectangle, disaggregate)
 from disagg.timeseries import PowerSeries
 
 
@@ -45,6 +47,21 @@ def spec_for(width, max_power=2048.0):
     return WindowSpec("kettle", width, max_power, input_std=100.0)
 
 
+def slid_origins(monkeypatch):
+    """The origins of each block `sliding.slide` runs from now on, one
+    array per call, in call order."""
+    blocks = []
+    slide = sliding.slide
+
+    def recording(*args):
+        outputs = slide(*args)
+        blocks.append(outputs.origins)
+        return outputs
+
+    monkeypatch.setattr(sliding, "slide", recording)
+    return blocks
+
+
 class TestSlide:
     def test_zero_aggregate_windows_are_zero_after_centring(self):
         width = 16
@@ -59,32 +76,46 @@ class TestSlide:
                 seen.append(x.copy())
                 return np.zeros((len(x), width))
 
-        slide(Probe(), aggregate, spec_for(width), DisaggConfig(stride=4))
-        assert all(np.all(chunk == 0) for chunk in seen)
+        disaggregate(Probe(), aggregate, spec_for(width), DisaggConfig(stride=4), 100.0)
+        assert seen and all(np.all(chunk == 0) for chunk in seen)
 
-    def test_window_positions_tile_with_full_stride(self):
+    def test_window_positions_tile_with_full_stride(self, monkeypatch):
         width, total = 16, 64
         aggregate = PowerSeries(0, 6, np.zeros(total))
         net = ConstantNetwork(0.0, width, 2048.0)
-        outputs = slide(net, aggregate, spec_for(width), DisaggConfig(stride=width))
-        assert outputs.origins[0] == -width
-        assert np.all(np.diff(outputs.origins) == width)
+        blocks = slid_origins(monkeypatch)
+        disaggregate(net, aggregate, spec_for(width), DisaggConfig(stride=width), 100.0)
+        origins = np.concatenate(blocks)
+        assert origins[0] == -width
+        assert np.all(np.diff(origins) == width)
         covered = np.zeros(total)
-        for origin in outputs.origins:
+        for origin in origins:
             lo, hi = max(0, origin), min(total, origin + width)
             covered[lo:hi] += 1
         np.testing.assert_array_equal(covered, np.ones(total))
 
-    def test_interior_coverage_with_stride_16(self):
+    def test_interior_coverage_with_stride_16(self, monkeypatch):
         width, stride, total = 128, 16, 512
         aggregate = PowerSeries(0, 6, np.zeros(total))
         net = ConstantNetwork(1.0, width, 2048.0)
-        outputs = slide(net, aggregate, spec_for(width), DisaggConfig(stride=stride))
+        blocks = slid_origins(monkeypatch)
+        disaggregate(net, aggregate, spec_for(width), DisaggConfig(stride=stride), 100.0)
         counts = np.zeros(total)
-        for origin in outputs.origins:
+        for origin in np.concatenate(blocks):
             lo, hi = max(0, int(origin)), min(total, int(origin) + width)
             counts[lo:hi] += 1
         np.testing.assert_array_equal(counts, np.full(total, width // stride))
+
+    def test_blocks_of_slide_batch_windows_in_order(self, monkeypatch):
+        width, stride, total = 8, 2, 500
+        aggregate = PowerSeries(0, 6, np.zeros(total))
+        blocks = slid_origins(monkeypatch)
+        disaggregate(ConstantNetwork(1.0, width, 2048.0), aggregate, spec_for(width),
+                     DisaggConfig(stride=stride), 100.0)
+        assert [len(b) for b in blocks[:-1]] == [SLIDE_BATCH] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= SLIDE_BATCH
+        np.testing.assert_array_equal(np.concatenate(blocks),
+                                      np.arange(-width, total + 1, stride))
 
     def test_standardization_matches_training(self):
         width = 8
@@ -101,7 +132,7 @@ class TestSlide:
                 captured.append(x.copy())
                 return np.zeros((len(x), width))
 
-        slide(Probe(), aggregate, spec, DisaggConfig(stride=width))
+        disaggregate(Probe(), aggregate, spec, DisaggConfig(stride=width), 100.0)
         window = np.concatenate(captured)[1]  # first non-padding window
         raw = values[0:width]
         np.testing.assert_allclose(window, (raw - raw.mean()) / spec.input_std)
@@ -110,9 +141,9 @@ class TestSlide:
         aggregate = PowerSeries(0, 6, np.zeros(32))
         net = ConstantNetwork(0.0, 16, 2048.0)
         with pytest.raises(ConfigError, match="stride"):
-            slide(net, aggregate, spec_for(16), DisaggConfig(stride=17))
+            disaggregate(net, aggregate, spec_for(16), DisaggConfig(stride=17), 100.0)
         with pytest.raises(ConfigError, match="stride"):
-            slide(net, aggregate, spec_for(16), DisaggConfig(stride=0))
+            disaggregate(net, aggregate, spec_for(16), DisaggConfig(stride=0), 100.0)
 
 
 class TestDisaggConfig:
@@ -150,30 +181,18 @@ class TestCombineMean:
                                    atol=1e-9)
 
     def test_two_windows_average(self):
-        outputs = WindowOutputs(kind="sequence", origins=np.array([0, 0]),
-                                outputs=np.array([[100.0], [200.0]]), window_width=1,
-                                output_offset=0, total_length=1, max_power=1.0)
-        estimate = combine_mean(outputs)
-        np.testing.assert_array_equal(estimate.series.values, [150.0])
+        estimate = mean_estimate([0, 0], [[100.0], [200.0]], total=1)
+        np.testing.assert_array_equal(estimate, [150.0])
 
     def test_single_window_passthrough(self):
-        outputs = WindowOutputs(kind="sequence", origins=np.array([0]),
-                                outputs=np.array([[5.0, 7.0]]), window_width=2,
-                                output_offset=0, total_length=2, max_power=1.0)
-        np.testing.assert_array_equal(combine_mean(outputs).series.values, [5.0, 7.0])
+        np.testing.assert_array_equal(mean_estimate([0], [[5.0, 7.0]], total=2), [5.0, 7.0])
 
     def test_negative_means_clipped_to_zero(self):
-        outputs = WindowOutputs(kind="sequence", origins=np.array([0]),
-                                outputs=np.array([[-5.0, 7.0]]), window_width=2,
-                                output_offset=0, total_length=2, max_power=1.0)
-        np.testing.assert_array_equal(combine_mean(outputs).series.values, [0.0, 7.0])
+        np.testing.assert_array_equal(mean_estimate([0], [[-5.0, 7.0]], total=2), [0.0, 7.0])
 
     def test_output_offset_places_halo(self):
         # dAE-style: 3-sample halo at each edge contributes nothing.
-        outputs = WindowOutputs(kind="sequence", origins=np.array([0]),
-                                outputs=np.array([[9.0, 9.0]]), window_width=8,
-                                output_offset=3, total_length=8, max_power=1.0)
-        estimate = combine_mean(outputs).series.values
+        estimate = mean_estimate([0], [[9.0, 9.0]], total=8, offset=3)
         np.testing.assert_array_equal(estimate, [0, 0, 0, 9.0, 9.0, 0, 0, 0])
 
 
@@ -193,44 +212,56 @@ class TestDecodeRectangle:
         assert decoded == (44, 48, 2000.0)
 
 
-def rect_outputs(triples, origins, width, total, max_power=2400.0):
-    return WindowOutputs(kind="triple", origins=np.asarray(origins),
-                         outputs=np.array([t.as_array() for t in triples]),
-                         window_width=width, output_offset=0, total_length=total,
-                         max_power=max_power)
+def rect_outputs(triples, origins):
+    return WindowOutputs(origins=np.asarray(origins),
+                         outputs=np.array([t.as_array() for t in triples]))
+
+
+def rectangle_estimate(blocks, width, total, config, power_threshold, max_power=2400.0):
+    """(values, probability) of combine_rectangles over `blocks` (one
+    WindowOutputs or a list of them), fed in order."""
+    sums = RectangleSums(total, width, max_power, power_threshold,
+                         config.probability_threshold)
+    for block in [blocks] if isinstance(blocks, WindowOutputs) else blocks:
+        combine_rectangles(block, sums)
+    return sums.estimate()
 
 
 class TestCombineRectangles:
     def test_unanimous_rectangles_probability_one(self):
         width, total = 32, 32
         triple = RectangleTriple(0.25, 0.5, 2000.0 / 2400.0)
-        outputs = rect_outputs([triple] * 6, [0] * 6, width, total)
-        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.5), 500.0)
-        np.testing.assert_allclose(estimate.probability[8:16], np.ones(8))
-        np.testing.assert_allclose(estimate.series.values[8:16], np.full(8, 2000.0))
-        np.testing.assert_array_equal(estimate.series.values[:8], np.zeros(8))
+        outputs = rect_outputs([triple] * 6, [0] * 6)
+        values, probability = rectangle_estimate(
+            outputs, width, total, DisaggConfig(probability_threshold=0.5), 500.0)
+        np.testing.assert_allclose(probability[8:16], np.ones(8))
+        np.testing.assert_allclose(values[8:16], np.full(8, 2000.0))
+        np.testing.assert_array_equal(values[:8], np.zeros(8))
 
     def test_no_rectangles_zero_estimate(self):
-        outputs = rect_outputs([RectangleTriple(0, 0, 0)] * 4, [0] * 4, 32, 32)
-        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.5), 500.0)
-        np.testing.assert_array_equal(estimate.series.values, np.zeros(32))
-        np.testing.assert_array_equal(estimate.probability, np.zeros(32))
+        outputs = rect_outputs([RectangleTriple(0, 0, 0)] * 4, [0] * 4)
+        values, probability = rectangle_estimate(
+            outputs, 32, 32, DisaggConfig(probability_threshold=0.5), 500.0)
+        np.testing.assert_array_equal(values, np.zeros(32))
+        np.testing.assert_array_equal(probability, np.zeros(32))
 
     def test_half_of_eight_windows_at_threshold(self):
         width, total = 32, 32
         triple = RectangleTriple(0.25, 0.5, 2000.0 / 2400.0)
         zeros = RectangleTriple(0, 0, 0)
-        outputs = rect_outputs([triple] * 4 + [zeros] * 4, [0] * 8, width, total)
-        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.5), 500.0)
-        np.testing.assert_allclose(estimate.probability[8:16], np.full(8, 0.5))
-        np.testing.assert_allclose(estimate.series.values[8:16], np.full(8, 2000.0))
+        outputs = rect_outputs([triple] * 4 + [zeros] * 4, [0] * 8)
+        values, probability = rectangle_estimate(
+            outputs, width, total, DisaggConfig(probability_threshold=0.5), 500.0)
+        np.testing.assert_allclose(probability[8:16], np.full(8, 0.5))
+        np.testing.assert_allclose(values[8:16], np.full(8, 2000.0))
 
     def test_below_power_threshold_not_a_rectangle(self):
         width, total = 32, 32
         faint = RectangleTriple(0.25, 0.5, 100.0 / 2400.0)  # 100 W < 500 W
-        outputs = rect_outputs([faint] * 4, [0] * 4, width, total)
-        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.0), 500.0)
-        np.testing.assert_array_equal(estimate.probability, np.zeros(total))
+        outputs = rect_outputs([faint] * 4, [0] * 4)
+        values, probability = rectangle_estimate(
+            outputs, width, total, DisaggConfig(probability_threshold=0.0), 500.0)
+        np.testing.assert_array_equal(probability, np.zeros(total))
 
     def test_probability_in_unit_interval_and_power_nonnegative(self, rng):
         width, total = 16, 64
@@ -241,20 +272,21 @@ class TestCombineRectangles:
             triples.append(RectangleTriple(start, min(1.0, start + rng.uniform(0, 0.5)),
                                            rng.uniform(0, 1)))
             origins.append(int(rng.integers(-width, total)))
-        outputs = rect_outputs(triples, origins, width, total)
-        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.4), 200.0)
-        assert np.all(estimate.probability >= 0) and np.all(estimate.probability <= 1)
-        assert np.all(estimate.series.values >= 0)
+        outputs = rect_outputs(triples, origins)
+        values, probability = rectangle_estimate(
+            outputs, width, total, DisaggConfig(probability_threshold=0.4), 200.0)
+        assert np.all(probability >= 0) and np.all(probability <= 1)
+        assert np.all(values >= 0)
 
     def test_rectangle_past_its_window_clipped_to_that_window(self):
         # Each triple decodes to [origin - 8, origin + 24): wider than its window on both sides.
         width, total = 16, 48
         wide = RectangleTriple(-0.5, 1.5, 2000.0 / 2400.0)
-        outputs = rect_outputs([wide, wide], [0, 16], width, total)
-        estimate = combine_rectangles(outputs, DisaggConfig(probability_threshold=0.5), 500.0)
-        np.testing.assert_array_equal(estimate.probability, np.r_[np.ones(32), np.zeros(16)])
-        np.testing.assert_allclose(estimate.series.values,
-                                   np.r_[np.full(32, 2000.0), np.zeros(16)])
+        outputs = rect_outputs([wide, wide], [0, 16])
+        values, probability = rectangle_estimate(
+            outputs, width, total, DisaggConfig(probability_threshold=0.5), 500.0)
+        np.testing.assert_array_equal(probability, np.r_[np.ones(32), np.zeros(16)])
+        np.testing.assert_allclose(values, np.r_[np.full(32, 2000.0), np.zeros(16)])
 
 
 class TestDeterminism:
@@ -281,12 +313,14 @@ class TestDeterminism:
 
 # Property tests against plain per-timestep loops over the windows.  The
 # references add each window's contribution in window order, as the
-# combiners do, so the results must be bitwise equal.
+# combiners do, so the results must be bitwise equal however the windows
+# are split into blocks.
 
 @st.composite
 def window_geometry(draw, min_width=1):
-    """(width, total, origins): slide()'s strided origins through the
-    padding, or arbitrary origins, some wholly outside the series."""
+    """(width, total, origins): the strided origins `disaggregate` slides
+    through the padding, or arbitrary origins, some wholly outside the
+    series."""
     width = draw(st.integers(min_width, 24))
     total = draw(st.integers(0, 80))
     if draw(st.booleans()):
@@ -298,13 +332,32 @@ def window_geometry(draw, min_width=1):
     return width, total, origins
 
 
-def reference_combine_mean(outputs: WindowOutputs):
-    out_len = outputs.outputs.shape[1] if outputs.outputs.size else 0
-    estimate = np.zeros(outputs.total_length)
-    for t in range(outputs.total_length):
+def in_blocks(data, origins, outputs):
+    """The windows as consecutive non-empty WindowOutputs blocks, split at
+    points drawn from `data`."""
+    cuts = data.draw(st.sets(st.integers(1, max(1, len(origins) - 1)), max_size=5))
+    bounds = [0, *sorted(c for c in cuts if c < len(origins)), len(origins)]
+    return [WindowOutputs(origins=origins[lo:hi], outputs=outputs[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def mean_estimate(origins, outputs, total, offset=0):
+    """combine_mean's estimate over the windows, fed as one block."""
+    sums = MeanSums(total, offset)
+    combine_mean(WindowOutputs(origins=np.asarray(origins),
+                               outputs=np.asarray(outputs, dtype=np.float64)), sums)
+    values, probability = sums.estimate()
+    assert probability is None
+    return values
+
+
+def reference_combine_mean(origins, outputs, total_length, output_offset):
+    out_len = outputs.shape[1] if outputs.size else 0
+    estimate = np.zeros(total_length)
+    for t in range(total_length):
         total, count = 0.0, 0
-        for origin, row in zip(outputs.origins, outputs.outputs):
-            k = t - (int(origin) + outputs.output_offset)
+        for origin, row in zip(origins, outputs):
+            k = t - (int(origin) + output_offset)
             if 0 <= k < out_len:
                 total += row[k]
                 count += 1
@@ -319,24 +372,24 @@ def test_combine_mean_matches_per_window_loop(geometry, data):
     offset = data.draw(st.integers(0, (width - 1) // 2))
     values = data.draw(st.lists(st.floats(-500, 3000), min_size=len(origins) * (width - 2 * offset),
                                 max_size=len(origins) * (width - 2 * offset)))
-    outputs = WindowOutputs(kind="sequence", origins=origins,
-                            outputs=np.reshape(values, (len(origins), width - 2 * offset)),
-                            window_width=width, output_offset=offset, total_length=total,
-                            max_power=2400.0)
-    estimate = combine_mean(outputs)
-    np.testing.assert_array_equal(estimate.series.values, reference_combine_mean(outputs))
-    assert estimate.probability is None
+    outputs = np.reshape(values, (len(origins), width - 2 * offset))
+    sums = MeanSums(total, offset)
+    for block in in_blocks(data, origins, outputs):
+        combine_mean(block, sums)
+    estimate, probability = sums.estimate()
+    np.testing.assert_array_equal(estimate,
+                                  reference_combine_mean(origins, outputs, total, offset))
+    assert probability is None
 
 
-def reference_combine_rectangles(outputs: WindowOutputs, config: DisaggConfig,
-                                 power_threshold: float):
-    width, max_power = outputs.window_width, outputs.max_power
-    probability = np.zeros(outputs.total_length)
-    estimate = np.zeros(outputs.total_length)
-    for t in range(outputs.total_length):
+def reference_combine_rectangles(origins, outputs, width, total_length, max_power,
+                                 config: DisaggConfig, power_threshold: float):
+    probability = np.zeros(total_length)
+    estimate = np.zeros(total_length)
+    for t in range(total_length):
         windows = rects = 0
         watts = 0.0
-        for origin, (start, end, height) in zip(outputs.origins, outputs.outputs):
+        for origin, (start, end, height) in zip(origins, outputs):
             origin = int(origin)
             if not origin <= t < origin + width:
                 continue
@@ -366,11 +419,68 @@ def test_combine_rectangles_matches_per_window_loop(geometry, data):
         min_size=len(origins), max_size=len(origins)))
     power_threshold = data.draw(st.floats(0.0, 2400.0))
     config = DisaggConfig(probability_threshold=data.draw(st.floats(0.0, 1.0)))
-    outputs = WindowOutputs(kind="triple", origins=origins,
-                            outputs=np.array(triples, dtype=np.float64).reshape(-1, 3),
-                            window_width=width, output_offset=0, total_length=total,
-                            max_power=2400.0)
-    estimate = combine_rectangles(outputs, config, power_threshold)
-    probability, values = reference_combine_rectangles(outputs, config, power_threshold)
-    np.testing.assert_array_equal(estimate.probability, probability)
-    np.testing.assert_array_equal(estimate.series.values, values)
+    outputs = np.array(triples, dtype=np.float64).reshape(-1, 3)
+    values, probability = rectangle_estimate(in_blocks(data, origins, outputs), width, total,
+                                             config, power_threshold)
+    ref_probability, ref_values = reference_combine_rectangles(
+        origins, outputs, width, total, 2400.0, config, power_threshold)
+    np.testing.assert_array_equal(probability, ref_probability)
+    np.testing.assert_array_equal(values, ref_values)
+
+
+def whole_series_outputs(network, aggregate, spec, stride):
+    """(origins, outputs) of every window at once: the whole window stack
+    standardized, then run SLIDE_BATCH windows per network call."""
+    width = spec.window_width
+    padded = np.concatenate([np.zeros(width), aggregate.values, np.zeros(width)])
+    starts = np.arange(0, len(padded) - width + 1, stride)
+    windows = standardize_input(np.stack([padded[s : s + width] for s in starts]),
+                                spec.input_std)
+    outputs = np.concatenate([network.forward(windows[lo : lo + SLIDE_BATCH])
+                              for lo in range(0, len(windows), SLIDE_BATCH)])
+    if network.output_kind == "sequence":
+        outputs = outputs * spec.max_power
+    return starts - width, outputs
+
+
+@pytest.mark.parametrize("kind", ["dae", "rectangles"])
+def test_streamed_estimate_matches_whole_series_reference(kind):
+    # Several blocks of windows from a real (small) network: the streamed
+    # estimate has the bits of the whole stack run at once, combined by
+    # the per-timestep reference loops.
+    rng = np.random.default_rng(5)
+    width, stride, total, threshold = 16, 3, 700, 300.0
+    if kind == "dae":
+        network = architectures.build_dae(width, rng, conv_filters=2, code_units=4)
+    else:
+        network = architectures.build_rectangles(width, rng, conv_filters=2,
+                                                 dense_units=(6, 4))
+    aggregate = PowerSeries(60, 6, rng.uniform(0, 3000, size=total))
+    spec = spec_for(width, max_power=2400.0)
+    config = DisaggConfig(stride=stride, probability_threshold=0.3)
+    estimate = disaggregate(network, aggregate, spec, config, threshold)
+
+    origins, outputs = whole_series_outputs(network, aggregate, spec, stride)
+    assert len(origins) > 3 * SLIDE_BATCH
+    if kind == "dae":
+        reference = reference_combine_mean(origins, outputs, total, network.output_offset)
+        assert estimate.probability is None
+    else:
+        probability, reference = reference_combine_rectangles(
+            origins, outputs, width, total, spec.max_power, config, threshold)
+        np.testing.assert_array_equal(estimate.probability, probability)
+    np.testing.assert_array_equal(estimate.series.values, reference)
+    assert (estimate.series.start_time, estimate.series.sample_period) == (60, 6)
+
+
+def test_disaggregate_memory_is_bounded_by_a_block_not_the_windows():
+    # 200k samples at width 512, stride 16: about 12.5k windows, 51 MB as
+    # one stack.  Streaming holds the running sums and one block.
+    width, stride, total = 512, 16, 200_000
+    aggregate = PowerSeries(0, 6, np.ones(total))
+    stack_bytes = 8 * width * ((total + width) // stride + 1)
+    peak = traced_peak(lambda: disaggregate(
+        ConstantNetwork(100.0, width, 2048.0), aggregate, spec_for(width),
+        DisaggConfig(stride=stride), 100.0))
+    assert stack_bytes > 50e6
+    assert peak < stack_bytes / 4
