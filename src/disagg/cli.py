@@ -100,7 +100,6 @@ def run(argv=None) -> int:
         raise UsageError("no command given (try --help)")
     cfg = load_config(args.config, seed_override=args.seed,
                       profile_override=args.profile)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "extract":
         cmd_extract(cfg)
     elif args.command == "synth-preview":
@@ -224,9 +223,7 @@ def _library(cfg: ExperimentConfig, stores: dict) -> dict:
 # -- train ----------------------------------------------------------------
 
 def _model_base(cfg: ExperimentConfig, appliance: str, kind: str) -> Path:
-    models = cfg.out_dir / "models"
-    models.mkdir(parents=True, exist_ok=True)
-    return models / f"{channel_slug(appliance)}_{kind}"
+    return cfg.out_dir / "models" / f"{channel_slug(appliance)}_{kind}"
 
 
 def _train_houses(cfg: ExperimentConfig, appliance: str, stores: dict):
@@ -251,7 +248,6 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
     arch = cfg.architecture(kind)
     width = cfg.window_width(appliance)
     budget = cfg.update_budget(kind)
-    target_kind = "rectangle" if kind == "rectangles" else "sequence"
 
     stores = _train_stores(cfg)
     real, synth, spec = datagen.training_sources(
@@ -278,12 +274,13 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
     manifest_text = canonical_json(manifest)
     manifest_hash = sha256_text(manifest_text)
     base = _model_base(cfg, appliance, kind)
+    base.parent.mkdir(parents=True, exist_ok=True)
     base.with_name(base.name + "_manifest.json").write_text(manifest_text)
 
     network = architectures.build_network(kind, width, rng_for(cfg.seed, "init", appliance, kind))
     optimizer = NesterovSGD(network.parameters(), arch.learning_rate)
     batches = datagen.prefetch(datagen.batch_stream(
-        real, synth, spec, target_kind, arch.batch_size,
+        real, synth, spec, network.output_kind, arch.batch_size,
         rng_for(cfg.seed, "batches", appliance, kind)))
 
     def on_checkpoint(tag, step):
@@ -352,9 +349,7 @@ def cmd_synth_preview(cfg: ExperimentConfig, appliance: str, count: int):
 # -- disaggregate -----------------------------------------------------------
 
 def _estimate_path(cfg, appliance, algo, house) -> Path:
-    est_dir = cfg.out_dir / "estimates"
-    est_dir.mkdir(parents=True, exist_ok=True)
-    return est_dir / f"{channel_slug(appliance)}_{algo}_house{house}.csv"
+    return cfg.out_dir / "estimates" / f"{channel_slug(appliance)}_{algo}_house{house}.csv"
 
 
 def _write_estimate_csv(path, estimate: sliding.EstimateSeries):
@@ -384,12 +379,13 @@ def cmd_disaggregate(cfg: ExperimentConfig, appliance: str, kind: str | None = N
 
     if baseline:
         estimate, model_dicts = _run_baseline(cfg, appliance, baseline, aggregate)
-        checkpoint_hash = None
+        manifest_hash = None
     else:
-        estimate, checkpoint_hash = _run_network(cfg, appliance, kind, aggregate)
+        estimate, manifest_hash = _run_network(cfg, appliance, kind, aggregate)
         model_dicts = None
 
     est_path = _estimate_path(cfg, appliance, algo, house)
+    est_path.parent.mkdir(parents=True, exist_ok=True)
     _write_estimate_csv(est_path, estimate)
     report = {
         "appliance": appliance,
@@ -400,7 +396,7 @@ def cmd_disaggregate(cfg: ExperimentConfig, appliance: str, kind: str | None = N
         "disagg_config": {"stride": cfg.disagg.stride,
                           "power_threshold": app.activation_params.on_power_threshold,
                           "probability_threshold": cfg.disagg.probability_threshold},
-        "checkpoint_sha256": checkpoint_hash,
+        "manifest_sha256": manifest_hash,
         "baseline_models": model_dicts,
         "seed": cfg.seed,
         "config": cfg.raw,

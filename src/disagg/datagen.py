@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import bisect
 import numbers
+from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +42,7 @@ class WindowSpec:
                 raise DataError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class RectangleTriple:
+class RectangleTriple(NamedTuple):
     """(start, end, mean height) of the first activation in a window.
 
     All three are fractions in [0, 1]: start/end as proportions of the
@@ -52,9 +53,6 @@ class RectangleTriple:
     start: float
     end: float
     height: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.start, self.end, self.height])
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ class TrainingPair:
     """Standardized input window plus its target.
 
     `target` is either a power vector in [0, 1] with the window's length
-    or a RectangleTriple, depending on the consuming architecture.
+    or a RectangleTriple, by the consuming network's `output_kind`.
     """
 
     input: np.ndarray
@@ -141,20 +139,21 @@ def encode_rectangle(target) -> RectangleTriple:
     return RectangleTriple(start_idx / width, end_idx / width, height)
 
 
-def finish_pair(raw, spec: WindowSpec, target_kind: str) -> TrainingPair:
+def finish_pair(raw, spec: WindowSpec, output_kind: str) -> TrainingPair:
     """Scale one raw draw `(input, target, placements)`, in watts, for training.
 
     This is where every training input is standardized and every target
-    scaled (and, for the rectangles net, encoded as a triple).
+    scaled (and, for a network whose `output_kind` is "triple", encoded
+    as a RectangleTriple).
     """
     raw_input, raw_target, placements = raw
     scaled = scale_target(raw_target, spec.max_power)
-    if target_kind == "rectangle":
+    if output_kind == "triple":
         target = encode_rectangle(scaled)
-    elif target_kind == "sequence":
+    elif output_kind == "sequence":
         target = scaled
     else:
-        raise DataError(f"unknown target kind {target_kind!r}")
+        raise DataError(f"unknown output kind {output_kind!r}")
     return TrainingPair(input=standardize_input(raw_input, spec.input_std),
                         target=target, placements=placements)
 
@@ -387,23 +386,18 @@ def training_sources(houses, library: dict, appliance_id: str,
 
 @dataclass(frozen=True)
 class Batch:
-    """One immutable training batch; targets stacked per target kind."""
+    """One immutable training batch; targets stacked per output kind."""
 
     inputs: np.ndarray
     targets: np.ndarray
 
 
 def stack_pairs(pairs) -> Batch:
-    inputs = np.stack([p.input for p in pairs])
-    first = pairs[0].target
-    if isinstance(first, RectangleTriple):
-        targets = np.stack([p.target.as_array() for p in pairs])
-    else:
-        targets = np.stack([p.target for p in pairs])
-    return Batch(inputs=inputs, targets=targets)
+    return Batch(inputs=np.stack([p.input for p in pairs]),
+                 targets=np.stack([p.target for p in pairs]))
 
 
-def batch_stream(source_real, source_synth, spec: WindowSpec, target_kind: str,
+def batch_stream(source_real, source_synth, spec: WindowSpec, output_kind: str,
                  batch_size: int, rng):
     """Yield batches drawn half from real and half from synthetic windows.
 
@@ -419,56 +413,28 @@ def batch_stream(source_real, source_synth, spec: WindowSpec, target_kind: str,
     while True:
         raws = [source_real.sample(rng) for _ in range(half)]
         raws += [source_synth.sample(rng) for _ in range(half)]
-        yield stack_pairs([finish_pair(raw, spec, target_kind) for raw in raws])
+        yield stack_pairs([finish_pair(raw, spec, output_kind) for raw in raws])
 
 
 def prefetch(iterator):
-    """Run an iterator on a producer thread, buffering PREFETCH_DEPTH items.
+    """Run an iterator on a producer thread, at most PREFETCH_DEPTH items
+    ahead of the consumer.
 
     Batches are immutable once emitted and the producer owns the
     iterator's random state, so training can overlap with preparing the
     next batch without changing the stream's contents or order.  An
     exception raised by the iterator is re-raised in the consumer.
-    Closing the generator stops the producer and joins its thread.
+    Closing the generator cancels the items not yet started and joins
+    the producer thread.
     """
-    import queue
-    import threading
+    from concurrent.futures import ThreadPoolExecutor
 
-    q: "queue.Queue" = queue.Queue(maxsize=PREFETCH_DEPTH)
-    stop = threading.Event()
     done = object()
-
-    class Failure:
-        def __init__(self, exc):
-            self.exc = exc
-
-    def producer():
-        # After `stop` is set and the queue drained, at most one more put
-        # happens before the producer returns, so no put blocks forever.
-        try:
-            for item in iterator:
-                q.put(item)
-                if stop.is_set():
-                    return
-            q.put(done)
-        except BaseException as exc:  # re-raised by the consumer
-            q.put(Failure(exc))
-
-    thread = threading.Thread(target=producer, name="prefetch", daemon=True)
-    thread.start()
+    pool = ThreadPoolExecutor(1, thread_name_prefix="prefetch")
     try:
-        while True:
-            item = q.get()
-            if item is done:
-                return
-            if isinstance(item, Failure):
-                raise item.exc
+        ahead = deque(pool.submit(next, iterator, done) for _ in range(PREFETCH_DEPTH))
+        while (item := ahead.popleft().result()) is not done:
+            ahead.append(pool.submit(next, iterator, done))
             yield item
     finally:
-        stop.set()
-        while True:
-            try:
-                q.get_nowait()
-            except queue.Empty:
-                break
-        thread.join()
+        pool.shutdown(cancel_futures=True)

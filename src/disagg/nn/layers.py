@@ -433,28 +433,18 @@ class Bidirectional:
         return dx_f + dx_b[:, ::-1], grads
 
 
-class _Job:
-    __slots__ = ("run", "result", "error", "done")
-
-    def __init__(self, run):
-        self.run = run
-        self.result = self.error = None
-        self.done = threading.Event()
-
-
 _jobs = None  # queue of the worker thread, started by the first `_in_parallel`
 _jobs_lock = threading.Lock()
 
 
 def _work(jobs):
     while True:
-        job = jobs.get()
+        future, run = jobs.get()
         try:
-            job.result = job.run()
+            future.set_result(run())
         except BaseException as exc:  # re-raised by the caller
-            job.error = exc
-        job.done.set()
-        del job  # hold no result while idle
+            future.set_exception(exc)
+        del future, run  # hold no result while idle
 
 
 def _in_parallel(first, second):
@@ -464,8 +454,10 @@ def _in_parallel(first, second):
     The worker is one daemon thread for the whole process, started on
     first use, so programs that never call this start no thread.
     Concurrent callers share it and their `second` calls queue up.  An
-    exception of `second` is re-raised here once `first` has returned.
+    exception of either is raised here only once both have returned.
     """
+    from concurrent.futures import Future
+
     global _jobs
     with _jobs_lock:
         if _jobs is None:
@@ -473,15 +465,13 @@ def _in_parallel(first, second):
             _jobs = queue.SimpleQueue()
             threading.Thread(target=_work, args=(_jobs,), name="disagg-bidirectional",
                              daemon=True).start()
-    job = _Job(second)
-    _jobs.put(job)
+    future = Future()
+    _jobs.put((future, second))
     try:
         result = first()
     finally:
-        job.done.wait()
-    if job.error is not None:
-        raise job.error
-    return result, job.result
+        future.exception()  # waits for `second`
+    return result, future.result()
 
 
 class Flatten:

@@ -125,11 +125,12 @@ def decode_rectangle(triple: RectangleTriple, window_origin: int, window_width: 
     Returns None when the rounded span is empty (a degenerate triple
     counts as no prediction).
     """
-    start = window_origin + int(np.floor(triple.start * window_width + 0.5))
-    end = window_origin + int(np.floor(triple.end * window_width + 0.5))
+    start, end, height = triple
+    start = window_origin + int(np.floor(start * window_width + 0.5))
+    end = window_origin + int(np.floor(end * window_width + 0.5))
     if end <= start:
         return None
-    return start, end, triple.height * max_power
+    return start, end, height * max_power
 
 
 class RectangleSums:
@@ -177,12 +178,11 @@ def combine_rectangles(window_outputs: WindowOutputs, sums: RectangleSums) -> No
         lo, hi = max(0, origin), min(total, origin + width)
         if hi > lo:
             sums.window_count[lo:hi] += 1
-        triple = RectangleTriple(*row)
+        start, end, height = row
         # A triple only counts as a rectangle above the power threshold.
-        if not (triple.height * sums.max_power > sums.power_threshold
-                and triple.end > triple.start):
+        if not (height * sums.max_power > sums.power_threshold and end > start):
             continue
-        decoded = decode_rectangle(triple, origin, width, sums.max_power)
+        decoded = decode_rectangle(row, origin, width, sums.max_power)
         if decoded is None:
             continue
         r_lo, r_hi, watts = decoded

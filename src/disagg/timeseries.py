@@ -48,11 +48,6 @@ class PowerSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def duration(self) -> float:
-        """Total covered time in seconds (one period per sample)."""
-        return len(self.values) * self.sample_period
-
     def timestamps(self) -> np.ndarray:
         return self.start_time + np.arange(len(self.values)) * float(self.sample_period)
 

@@ -51,14 +51,13 @@ def held_out_household(seed, length=3000):
 def run_desk_experiment(kind, width=32, updates=2000, batch_size=64,
                         learning_rate=0.01, stride=4, seed=33,
                         eval_length=3000) -> DeskRun:
-    target_kind = "rectangle" if kind == "rectangles" else "sequence"
     library = make_library(DESK_APPLIANCES, TRAIN_HOUSES, (TEST_HOUSE,), per_house=80,
                            rng=rng_for(seed, "library"))
     real, synth, spec = datagen.training_sources(train_houses(seed), library, TARGET, width,
                                                  MAX_POWER, 200, rng_for(seed, "std"))
-    stream = datagen.batch_stream(real, synth, spec, target_kind, batch_size,
-                                  rng_for(seed, "batches"))
     network = architectures.build_network(kind, width, rng_for(seed, "init", kind))
+    stream = datagen.batch_stream(real, synth, spec, network.output_kind, batch_size,
+                                  rng_for(seed, "batches"))
     optimizer = NesterovSGD(network.parameters(), learning_rate)
     result = architectures.train(network, stream, optimizer, updates)
 

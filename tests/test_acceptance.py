@@ -132,6 +132,7 @@ class TestCriterion2ArchitectureAudit:
                       f"dAE 128/1536: {dae_small:,}/{dae_large:,}; rectangles 128: {rect_small:,}")
 
 
+@pytest.mark.slow
 class TestCriterion3DeskScaleEndToEnd:
     """Trains the dAE and rectangles nets on the synthetic desk world and
     scores them on a held-out household.  Several minutes of CPU time."""

@@ -275,7 +275,8 @@ class TestCliPipeline:
         assert est.exists()
         report = json.loads(est.with_suffix(".json").read_text())
         assert report["algorithm"] == "dae"
-        assert report["checkpoint_sha256"]
+        manifest = tmp_path / "out" / "models" / "kettle_dae_manifest.json"
+        assert report["manifest_sha256"] == sha256_text(manifest.read_text())
 
         assert main(["evaluate", "--config", str(path), "--appliance", "kettle"]) == 0
         payload = json.loads(
@@ -332,6 +333,19 @@ class TestCliPipeline:
         assert main(["evaluate", "--config", str(path), "--appliance", "kettle"]) == 2
         err = capsys.readouterr().err
         assert f"{est}: malformed row at line 5: could not convert string to float: 'oops'" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["disaggregate", "--appliance", "kettle", "--kind", "dae"], "train first"),
+        (["evaluate", "--appliance", "kettle", "--algorithm", "dae"], "missing estimate"),
+        (["report"], "run evaluate first"),
+    ], ids=["disaggregate-before-train", "evaluate-before-disaggregate",
+            "report-before-evaluate"])
+    def test_failed_read_creates_no_directory(self, tmp_path, capsys, argv, message):
+        # A directory is made only by the command that writes a file into it.
+        path = world_config(tmp_path)
+        assert main([*argv, "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_hash_mismatch_refuses_to_run(self, tmp_path, capsys):
         path = world_config(tmp_path)

@@ -1,9 +1,10 @@
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from disagg.datagen import (Batch, MultiSource, Placement, RealWindowSource,
+from disagg.datagen import (PREFETCH_DEPTH, Batch, MultiSource, Placement, RealWindowSource,
                             RectangleTriple, SyntheticSource, WindowIndex, WindowSpec,
                             batch_stream, encode_rectangle, estimate_input_std, finish_pair,
                             prefetch, scale_target, standardize_input, training_sources)
@@ -37,8 +38,8 @@ def real_source(aggregate, acts, spec):
     return RealWindowSource(aggregate, acts, spec.appliance_id, spec.window_width)
 
 
-def real_pair(aggregate, acts, spec, rng, target_kind="sequence"):
-    return finish_pair(real_source(aggregate, acts, spec).sample(rng), spec, target_kind)
+def real_pair(aggregate, acts, spec, rng, output_kind="sequence"):
+    return finish_pair(real_source(aggregate, acts, spec).sample(rng), spec, output_kind)
 
 
 def synth_pair(library, target_class, spec, rng):
@@ -345,12 +346,12 @@ class TestSynthLibraryOracle:
 
 
 class TestBatchStream:
-    def _stream(self, batch_size, seed, target_kind="sequence"):
+    def _stream(self, batch_size, seed, output_kind="sequence"):
         aggregate, acts = make_world()
         spec = make_spec()
         real = real_source(aggregate, acts, spec)
         synth = SyntheticSource(make_library(), "kettle", spec.window_width)
-        return batch_stream(real, synth, spec, target_kind, batch_size,
+        return batch_stream(real, synth, spec, output_kind, batch_size,
                             np.random.default_rng(seed))
 
     def test_even_split(self):
@@ -364,7 +365,7 @@ class TestBatchStream:
         assert batch.inputs.shape == (16, 128)
 
     def test_rectangle_targets_stack(self):
-        batch = next(self._stream(8, 0, "rectangle"))
+        batch = next(self._stream(8, 0, "triple"))
         assert batch.targets.shape == (8, 3)
 
     def test_determinism(self):
@@ -381,8 +382,8 @@ class TestBatchStream:
         with pytest.raises(DataError, match="even"):
             next(self._stream(7, 0))
 
-    def test_unknown_target_kind_rejected(self):
-        with pytest.raises(DataError, match="unknown target kind"):
+    def test_unknown_output_kind_rejected(self):
+        with pytest.raises(DataError, match="unknown output kind"):
             next(self._stream(8, 0, "triangle"))
 
     def test_prefetch_preserves_stream(self):
@@ -402,6 +403,23 @@ class TestBatchStream:
         assert next(batches) == 1
         with pytest.raises(DataError, match="bad batch"):
             next(batches)
+
+    def test_prefetch_runs_at_most_depth_ahead(self):
+        produced = []
+
+        def counting():
+            while True:
+                produced.append(len(produced) + 1)
+                yield produced[-1]
+
+        batches = prefetch(counting())
+        try:
+            for consumed in range(1, 4):
+                assert next(batches) == consumed
+                time.sleep(0.05)  # time for the producer to run ahead
+                assert len(produced) <= consumed + PREFETCH_DEPTH
+        finally:
+            batches.close()
 
     def test_prefetch_close_stops_producer(self):
         producers = []
@@ -571,20 +589,20 @@ class TestWindowIndexOracle:
                 assert_same_draws(source.sample(new_rng),
                                   reference_real_window_raw(aggregate, acts, spec, ref_rng))
 
-    @pytest.mark.parametrize("target_kind", ["sequence", "rectangle"])
-    def test_source_stream_matches_reference(self, target_kind):
+    @pytest.mark.parametrize("output_kind", ["sequence", "triple"])
+    def test_source_stream_matches_reference(self, output_kind):
         for seed in range(40):
             aggregate, acts, spec = random_world(np.random.default_rng(seed))
             source = real_source(aggregate, acts, spec)
             new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(20):
-                pair = finish_pair(source.sample(new_rng), spec, target_kind)
+                pair = finish_pair(source.sample(new_rng), spec, output_kind)
                 raw_input, raw_target, placements = reference_real_window_raw(
                     aggregate, acts, spec, ref_rng)
                 np.testing.assert_array_equal(
                     pair.input, standardize_input(raw_input, spec.input_std))
                 target = scale_target(raw_target, spec.max_power)
-                if target_kind == "rectangle":
+                if output_kind == "triple":
                     assert pair.target == encode_rectangle(target)
                 else:
                     np.testing.assert_array_equal(pair.target, target)

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from disagg.errors import DataError, DimensionError, NumericError
 from disagg.nn import (LSTM, MOMENTUM, Bidirectional, Conv1D, Dense, Flatten, NesterovSGD,
                        Network, Reshape, clip_gradients, load_checkpoint,
                        save_checkpoint)
-from disagg.nn.layers import _sigmoid_into
+from disagg.nn.layers import _in_parallel, _sigmoid_into
 from disagg.nn.optim import STEP_BLOCK
 
 
@@ -407,6 +408,23 @@ class TestBidirectionalThreads:
         cut_short = (x_b, h_b, c_b, gates_b[:, :2])  # two of the five steps' gates
         with pytest.raises(IndexError):
             layer.backward(np.ones_like(y), (cache_f, cut_short))
+
+    def test_caller_error_raised_after_worker_returns(self):
+        started = threading.Event()
+        finished = []
+
+        def first():
+            started.wait(timeout=10)  # the worker is running `second`
+            raise ValueError("first failed")
+
+        def second():
+            started.set()
+            time.sleep(0.05)
+            finished.append(True)
+
+        with pytest.raises(ValueError, match="first failed"):
+            _in_parallel(first, second)
+        assert finished
 
     def test_concurrent_callers_match_sequential(self):
         # More callers than CPUs, switching often, all sharing the one worker.

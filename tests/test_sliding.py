@@ -214,7 +214,7 @@ class TestDecodeRectangle:
 
 def rect_outputs(triples, origins):
     return WindowOutputs(origins=np.asarray(origins),
-                         outputs=np.array([t.as_array() for t in triples]))
+                         outputs=np.array(triples, dtype=float))
 
 
 def rectangle_estimate(blocks, width, total, config, power_threshold, max_power=2400.0):
