@@ -10,7 +10,6 @@ sums of the per-appliance state means and variances.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from .sliding import EstimateSeries
 from .timeseries import PowerSeries
 
 CO_MAX_COMBINATIONS = 1_000_000
-CO_CHUNK = 4096  # samples per residual block; bounds it at CO_CHUNK x combinations
+CO_BLOCK = 1 << 18  # elements per residual block (samples x combinations)
 FHMM_MAX_JOINT_STATES = 4096
 EMISSION_STD_FLOOR = 10.0
 
@@ -148,8 +147,8 @@ def fit_states(activations, k: int, appliance_id: str = "appliance") -> Applianc
 
 def _joint_assignments(models):
     """All joint state tuples in lexicographic order, with their total power."""
-    grids = [range(m.num_states) for m in models]
-    combos = np.array(list(itertools.product(*grids)), dtype=np.int64)
+    dims = [m.num_states for m in models]
+    combos = np.indices(dims).reshape(len(dims), -1).T
     totals = np.zeros(len(combos))
     for i, m in enumerate(models):
         totals += m.state_powers[combos[:, i]]
@@ -175,9 +174,10 @@ def co_disaggregate(aggregate: PowerSeries, models):
 
     y = aggregate.values
     best = np.empty(len(y), dtype=np.int64)
-    for lo in range(0, len(y), CO_CHUNK):
-        residual = np.abs(y[lo : lo + CO_CHUNK, None] - totals[None, :])
-        best[lo : lo + CO_CHUNK] = np.argmin(residual, axis=1)
+    rows = max(1, CO_BLOCK // n_combos)
+    for lo in range(0, len(y), rows):
+        residual = y[lo : lo + rows, None] - totals[None, :]
+        best[lo : lo + rows] = np.argmin(np.abs(residual, out=residual), axis=1)
 
     out = {}
     for i, m in enumerate(models):

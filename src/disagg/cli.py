@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, architectures, baselines, datagen, metrics, sliding
 from . import timeseries as ts
-from .config import ExperimentConfig, load_config
+from .config import ApplianceConfig, ExperimentConfig, load_config
 from .errors import ConfigError, DataError, DimensionError, NumericError, UsageError
 from .nn import NesterovSGD, load_checkpoint, save_checkpoint
 from .synthworld import channel_slug
@@ -245,21 +245,19 @@ def _train_houses(cfg: ExperimentConfig, appliance: str, stores: dict):
 
 def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
     app = cfg.appliance(appliance)
-    arch = cfg.architecture(kind)
-    width = cfg.window_width(appliance)
-    budget = cfg.update_budget(kind)
+    arch = cfg.architectures[kind]
 
     stores = _train_stores(cfg)
     real, synth, spec = datagen.training_sources(
-        _train_houses(cfg, appliance, stores), _library(cfg, stores), appliance, width,
-        app.activation_params.max_power, cfg.std_sample_count,
+        _train_houses(cfg, appliance, stores), _library(cfg, stores), appliance,
+        app.window_width, app.activation_params.max_power, cfg.std_sample_count,
         rng_for(cfg.seed, "std", appliance, kind))
 
     manifest = {
         "toolkit_version": __version__,
         "appliance_id": appliance,
         "kind": kind,
-        "window_width": width,
+        "window_width": app.window_width,
         "max_power": app.activation_params.max_power,
         "input_std": spec.input_std,
         "seed": cfg.seed,
@@ -267,7 +265,7 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
         "sample_period": cfg.sample_period,
         "train_houses": list(app.train_houses),
         "test_houses": list(app.test_houses),
-        "update_budget": budget,
+        "update_budget": arch.update_budget,
         "batch_size": arch.batch_size,
         "learning_rate": arch.learning_rate,
     }
@@ -277,7 +275,8 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
     base.parent.mkdir(parents=True, exist_ok=True)
     base.with_name(base.name + "_manifest.json").write_text(manifest_text)
 
-    network = architectures.build_network(kind, width, rng_for(cfg.seed, "init", appliance, kind))
+    network = architectures.build_network(kind, app.window_width,
+                                          rng_for(cfg.seed, "init", appliance, kind))
     optimizer = NesterovSGD(network.parameters(), arch.learning_rate)
     batches = datagen.prefetch(datagen.batch_stream(
         real, synth, spec, network.output_kind, arch.batch_size,
@@ -289,6 +288,7 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
                         meta={"manifest_sha256": manifest_hash, "appliance": appliance,
                               "kind": kind, "step": step})
 
+    budget = arch.update_budget
     checkpoint_every = max(1, budget // 4) if budget >= 1000 else None
     # Rows are written as they are logged, so an aborted run keeps its log.
     with open(base.with_name(base.name + "_loss.csv"), "w", newline="") as f:
@@ -316,12 +316,11 @@ def cmd_synth_preview(cfg: ExperimentConfig, appliance: str, count: int):
     if count < 0:
         raise UsageError(f"--count must be >= 0, got {count}")
     app = cfg.appliance(appliance)
-    width = cfg.window_width(appliance)
     rng = rng_for(cfg.seed, "synth-preview", appliance)
     # No real houses: the preview shows the simulator alone.
     _, synth, spec = datagen.training_sources(
-        [], _library(cfg, _train_stores(cfg)), appliance, width, app.activation_params.max_power,
-        min(cfg.std_sample_count, 100), rng)
+        [], _library(cfg, _train_stores(cfg)), appliance, app.window_width,
+        app.activation_params.max_power, min(cfg.std_sample_count, 100), rng)
 
     preview_dir = cfg.out_dir / "preview"
     preview_dir.mkdir(parents=True, exist_ok=True)
@@ -339,8 +338,8 @@ def cmd_synth_preview(cfg: ExperimentConfig, appliance: str, count: int):
                  "is_target": p.is_target} for p in pair.placements
             ],
         })
-    payload = {"appliance": appliance, "window_width": width, "input_std": spec.input_std,
-               "count": count, "windows": windows}
+    payload = {"appliance": appliance, "window_width": app.window_width,
+               "input_std": spec.input_std, "count": count, "windows": windows}
     out = preview_dir / f"{channel_slug(appliance)}_synth.json"
     out.write_text(canonical_json(payload))
     print(f"wrote {count} synthetic windows ({with_target} with target) to {out}")
@@ -365,15 +364,21 @@ def _runtime_info() -> dict:
             "toolkit": __version__}
 
 
+def _test_house(app: ApplianceConfig, house: int | None) -> int:
+    """`house`, or by default the appliance's first test house."""
+    if house is not None:
+        return house
+    if not app.test_houses:
+        raise ConfigError(f"appliance {app.name!r} has no test houses")
+    return app.test_houses[0]
+
+
 def cmd_disaggregate(cfg: ExperimentConfig, appliance: str, kind: str | None = None,
                      baseline: str | None = None, house: int | None = None):
     app = cfg.appliance(appliance)
     if (kind is None) == (baseline is None):
         raise UsageError("pass exactly one of --kind or --baseline")
-    if house is None:
-        if not app.test_houses:
-            raise ConfigError(f"appliance {appliance!r} has no test houses")
-        house = app.test_houses[0]
+    house = _test_house(app, house)
     aggregate = _load_channel(cfg, house, "aggregate")
     algo = baseline if baseline else kind
 
@@ -481,10 +486,7 @@ def _read_estimate_csv(path, sample_period: int) -> ts.PowerSeries:
 def cmd_evaluate(cfg: ExperimentConfig, appliance: str, algorithms=None,
                  house: int | None = None):
     app = cfg.appliance(appliance)
-    if house is None:
-        if not app.test_houses:
-            raise ConfigError(f"appliance {appliance!r} has no test houses")
-        house = app.test_houses[0]
+    house = _test_house(app, house)
     truth = _load_channel(cfg, house, appliance)
     aggregate = _load_channel(cfg, house, "aggregate")
     _check_alignment("truth", truth, "aggregate", aggregate)

@@ -17,34 +17,21 @@ from .timeseries import DEFAULT_MAX_FORWARD_FILL, DEFAULT_SAMPLE_PERIOD, Activat
 
 CONFIG_VERSION = 1
 
-# Full-scale extraction arguments per appliance: max power (W), on-power
-# threshold (W), min on duration (s), min off duration (s).
-DEFAULT_ACTIVATION_PARAMS = {
-    "kettle": ActivationParams(3100, 2000, 12, 0),
-    "fridge": ActivationParams(300, 50, 60, 12),
-    "washing machine": ActivationParams(2500, 20, 1800, 160),
-    "microwave": ActivationParams(3000, 200, 12, 30),
-    "dish washer": ActivationParams(2500, 10, 1800, 1800),
-}
-
-# Kettle/fridge/dish-washer widths are fixed by the training recipe;
-# washing machine and microwave are sized to hold their minimum on
-# durations with margin.  All overridable per appliance.
-DEFAULT_WINDOW_WIDTHS = {
-    "kettle": 128,
-    "fridge": 512,
-    "washing machine": 1024,
-    "microwave": 288,
-    "dish washer": 1536,
-}
-
-# Two-state vs multi-state appliance split for the baselines.
-DEFAULT_STATE_COUNTS = {
-    "kettle": 2,
-    "fridge": 2,
-    "microwave": 2,
-    "washing machine": 3,
-    "dish washer": 3,
+# Full-scale defaults per appliance, each overridable in the config:
+# (extraction arguments, window width, baseline state count).
+# - Extraction arguments: max power (W), on-power threshold (W), min on
+#   duration (s), min off duration (s).
+# - Kettle/fridge/dish-washer widths are fixed by the training recipe;
+#   washing machine and microwave are sized to hold their minimum on
+#   durations with margin.
+# - State counts: the two-state vs multi-state appliance split for the
+#   baselines.
+APPLIANCE_DEFAULTS = {
+    "kettle": (ActivationParams(3100, 2000, 12, 0), 128, 2),
+    "fridge": (ActivationParams(300, 50, 60, 12), 512, 2),
+    "washing machine": (ActivationParams(2500, 20, 1800, 160), 1024, 3),
+    "microwave": (ActivationParams(3000, 200, 12, 30), 288, 2),
+    "dish washer": (ActivationParams(2500, 10, 1800, 1800), 1536, 3),
 }
 
 DEFAULT_STD_SAMPLE_COUNT = 1000
@@ -57,6 +44,8 @@ DESK_MIN_WINDOW = 16
 
 @dataclass(frozen=True)
 class ApplianceConfig:
+    """One appliance's settings; `window_width` has the profile applied."""
+
     name: str
     activation_params: ActivationParams
     window_width: int
@@ -67,6 +56,8 @@ class ApplianceConfig:
 
 @dataclass(frozen=True)
 class ArchRunConfig:
+    """One architecture's recipe; `update_budget` has the profile applied."""
+
     update_budget: int
     batch_size: int
     learning_rate: float
@@ -91,24 +82,6 @@ class ExperimentConfig:
             raise ConfigError(f"appliance {name!r} not in config "
                               f"(have {sorted(self.appliances)})")
         return self.appliances[name]
-
-    def architecture(self, kind: str) -> ArchRunConfig:
-        if kind not in self.architectures:
-            raise ConfigError(f"unknown architecture kind {kind!r}; choose from {KINDS}")
-        return self.architectures[kind]
-
-    def window_width(self, name: str) -> int:
-        """Window width with the desk-profile divisor applied."""
-        width = self.appliance(name).window_width
-        if self.profile == "desk":
-            width = max(DESK_MIN_WINDOW, width // DESK_WINDOW_DIVISOR)
-        return width
-
-    def update_budget(self, kind: str) -> int:
-        budget = self.architecture(kind).update_budget
-        if self.profile == "desk":
-            budget = max(1, math.ceil(budget / DESK_BUDGET_DIVISOR))
-        return budget
 
 
 def _take(mapping: dict, context: str, known: dict):
@@ -164,7 +137,7 @@ def parse_config(raw: dict, base_dir=Path("."), *, seed_override: int | None = N
         raise ConfigError("config must list at least one appliance")
     appliances = {}
     for entry in top["appliances"]:
-        app = _parse_appliance(entry)
+        app = _parse_appliance(entry, profile)
         if app.name in appliances:
             raise ConfigError(f"appliance {app.name!r} listed twice")
         appliances[app.name] = app
@@ -179,8 +152,11 @@ def parse_config(raw: dict, base_dir=Path("."), *, seed_override: int | None = N
             "batch_size": BATCH_SIZES[kind],
             "learning_rate": DEFAULT_LEARNING_RATE,
         })
+        budget = _checked(f"{context}.update_budget", entry["update_budget"], int)
+        if profile == "desk":
+            budget = max(1, math.ceil(budget / DESK_BUDGET_DIVISOR))
         architectures[kind] = ArchRunConfig(
-            update_budget=_checked(f"{context}.update_budget", entry["update_budget"], int),
+            update_budget=budget,
             batch_size=_checked(f"{context}.batch_size", entry["batch_size"], int, minimum=2),
             learning_rate=_checked(f"{context}.learning_rate", entry["learning_rate"], float))
 
@@ -197,7 +173,7 @@ def parse_config(raw: dict, base_dir=Path("."), *, seed_override: int | None = N
     )
 
 
-def _parse_appliance(entry: dict) -> ApplianceConfig:
+def _parse_appliance(entry: dict, profile: str) -> ApplianceConfig:
     if not isinstance(entry, dict):
         raise ConfigError(f"appliance entry must be a JSON object, got {entry!r}")
     fields = _take(entry, f"appliance {entry.get('name', '?')!r}", {
@@ -209,7 +185,7 @@ def _parse_appliance(entry: dict) -> ApplianceConfig:
     name = fields["name"]
     if not name or not isinstance(name, str):
         raise ConfigError("appliance entry missing 'name'")
-    defaults = DEFAULT_ACTIVATION_PARAMS.get(name)
+    defaults, default_width, default_states = APPLIANCE_DEFAULTS.get(name, (None, None, 2))
 
     def pick(key, table_default, kind, minimum=0):
         value = fields[key] if fields[key] is not None else table_default
@@ -224,8 +200,10 @@ def _parse_appliance(entry: dict) -> ApplianceConfig:
                         "min_off_duration")})
     except DataError as exc:  # an on-power threshold above the maximum power
         raise ConfigError(f"appliance {name!r}: {exc}") from None
-    window_width = pick("window_width", DEFAULT_WINDOW_WIDTHS.get(name), int, minimum=1)
-    state_count = pick("state_count", DEFAULT_STATE_COUNTS.get(name, 2), int, minimum=2)
+    window_width = pick("window_width", default_width, int, minimum=1)
+    if profile == "desk":
+        window_width = max(DESK_MIN_WINDOW, window_width // DESK_WINDOW_DIVISOR)
+    state_count = pick("state_count", default_states, int, minimum=2)
     train_houses = _checked(f"appliance {name!r}: train_houses",
                             fields["train_houses"] or [], tuple)
     test_houses = _checked(f"appliance {name!r}: test_houses",

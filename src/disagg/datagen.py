@@ -12,6 +12,7 @@ appliance's maximum power so they live in [0, 1].
 from __future__ import annotations
 
 import bisect
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
@@ -35,11 +36,13 @@ class WindowSpec:
     input_std: float
 
     def __post_init__(self):
-        # Inference reads these from a manifest file: refuse nulls and strings too.
+        # Inference reads these from a manifest file: refuse nulls, strings,
+        # booleans and JSON's Infinity too.
         for name in ("window_width", "max_power", "input_std"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and value > 0):
-                raise DataError(f"{name} must be positive")
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0):
+                raise DataError(f"{name} must be positive and finite, got {value!r}")
 
 
 class RectangleTriple(NamedTuple):

@@ -15,7 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .timeseries import Activation, PowerSeries, write_rows
+from .timeseries import DEFAULT_SAMPLE_PERIOD, Activation, PowerSeries, write_rows
+
+START_TIME = 0.0      # seconds; every simulated series starts here
+VAMPIRE_WATTS = 35.0  # always-on load in every aggregate
+NOISE_STD = 4.0       # watts; scale of the aggregate's non-negative noise floor
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,7 @@ def make_library(appliances, train_houses, test_houses, per_house: int,
     return library
 
 
-def make_household(appliances, length: int, rng, sample_period: int = 6,
-                   start_time: float = 0.0, noise_std: float = 4.0,
-                   vampire_watts: float = 35.0):
+def make_household(appliances, length: int, rng):
     """Simulate one household: per-appliance channels plus their aggregate.
 
     Each appliance runs on its own renewal process (uniform gaps around
@@ -87,11 +89,11 @@ def make_household(appliances, length: int, rng, sample_period: int = 6,
             channel[cursor:end] = act.values[: end - cursor]
             gap = int(rng.uniform(0.5, 1.5) * spec.mean_gap)
             cursor = end + max(1, gap)
-        channels[spec.name] = PowerSeries(start_time, sample_period, channel)
+        channels[spec.name] = PowerSeries(START_TIME, DEFAULT_SAMPLE_PERIOD, channel)
 
     total = sum(c.values for c in channels.values())
-    total = total + vampire_watts + np.abs(rng.normal(scale=noise_std, size=length))
-    aggregate = PowerSeries(start_time, sample_period, total)
+    total = total + VAMPIRE_WATTS + np.abs(rng.normal(scale=NOISE_STD, size=length))
+    aggregate = PowerSeries(START_TIME, DEFAULT_SAMPLE_PERIOD, total)
     return aggregate, channels
 
 
@@ -99,14 +101,12 @@ def channel_slug(name: str) -> str:
     return name.replace(" ", "_")
 
 
-def write_world(data_dir, houses, length: int, seed: int,
-                appliances=DESK_APPLIANCES, sample_period: int = 6):
+def write_world(data_dir, houses, length: int, seed: int, appliances=DESK_APPLIANCES):
     """Write per-house channel CSVs for the CLI: aggregate + one per appliance."""
     data_dir = Path(data_dir)
     for house in houses:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(house,)))
-        aggregate, channels = make_household(appliances, length, rng,
-                                             sample_period=sample_period)
+        aggregate, channels = make_household(appliances, length, rng)
         house_dir = data_dir / f"house_{house}"
         house_dir.mkdir(parents=True, exist_ok=True)
         for name, series in {"aggregate": aggregate, **channels}.items():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from disagg.baselines import (ApplianceStateModel, co_disaggregate, fhmm_disaggregate,
                               fit_states, _viterbi)
 from disagg.errors import DataError
@@ -132,6 +133,21 @@ class TestCO:
                     m.state_powers == estimates[m.appliance_id].series.values[t])[0])
                     for m in models)
                 assert got == expected
+
+    def test_residual_block_is_bounded_by_elements(self, rng):
+        # 12 two-state models: 4,096 combinations on 4,096 samples.  A
+        # block of whole rows holds every combination per sample, so a
+        # row-count bound would take 4,096 x 4,096 float64 (134 MB).
+        models = [make_model(f"m{i}", [0.0, float(p)])
+                  for i, p in enumerate(rng.uniform(20, 2000, size=12))]
+        y = rng.uniform(0, 12_000, size=4096)
+        estimates = {}
+        peak = traced_peak(lambda: estimates.update(
+            co_disaggregate(PowerSeries(0, 6, y), models)))
+        assert peak < 16 * 2**20
+        for t in range(0, len(y), 257):
+            got = tuple(int(estimates[m.appliance_id].series.values[t] > 0) for m in models)
+            assert got == co_oracle(y[t], models)
 
 
 def path_log_probability(log_init, log_trans, emission, path) -> float:

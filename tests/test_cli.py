@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -141,11 +142,11 @@ class TestConfig:
     def test_desk_profile_scales_budget_and_window(self, tmp_path):
         path = world_config(tmp_path)
         cfg = load_config(path, profile_override="desk")
-        assert cfg.update_budget("dae") == 1  # ceil(4 / 100)
-        assert cfg.window_width("kettle") == 16  # floor to the minimum
+        assert cfg.architectures["dae"].update_budget == 1  # ceil(4 / 100)
+        assert cfg.appliance("kettle").window_width == 16  # floor to the minimum
         paper = load_config(path)
-        assert paper.update_budget("dae") == 4
-        assert paper.window_width("kettle") == 24
+        assert paper.architectures["dae"].update_budget == 4
+        assert paper.appliance("kettle").window_width == 24
 
     def test_paper_appliance_defaults(self, tmp_path):
         (tmp_path / "data").mkdir()
@@ -153,7 +154,8 @@ class TestConfig:
             "version": 1, "seed": 1,
             "paths": {"data_dir": "data", "out_dir": "out"},
             "appliances": [{"name": "kettle", "train_houses": [1, 2, 3, 4],
-                            "test_houses": [5]}],
+                            "test_houses": [5]},
+                           {"name": "dish washer", "train_houses": [1]}],
         }
         cfg = parse_config(raw, base_dir=tmp_path)
         app = cfg.appliance("kettle")
@@ -162,7 +164,19 @@ class TestConfig:
         assert app.activation_params.min_on_duration == 12
         assert app.activation_params.min_off_duration == 0
         assert app.window_width == 128
-        assert cfg.architecture("dae").update_budget == 100_000
+        assert app.state_count == 2
+        dish_washer = cfg.appliance("dish washer")
+        assert dish_washer.activation_params.min_off_duration == 1800
+        assert (dish_washer.window_width, dish_washer.state_count) == (1536, 3)
+        assert cfg.architectures["dae"].update_budget == 100_000
+
+    def test_readme_config_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        (tmp_path / "data").mkdir()
+        cfg = parse_config(json.loads(block), base_dir=tmp_path)
+        assert cfg.appliance("kettle").window_width == 16  # max(16, 32 // 4)
+        assert cfg.architectures["dae"].update_budget == 1_000  # 100,000 / 100
 
 
 class TestCliPipeline:
@@ -429,6 +443,8 @@ class TestCliPipeline:
         ("window_width", 24.5, "window_width must be a non-negative integer"),
         ("seed", "7", "seed must be a non-negative integer"),
         ("seed", -1, "seed must be a non-negative integer"),
+        ("input_std", float("inf"), "input_std must be positive"),
+        ("max_power", True, "max_power must be positive"),
     ])
     def test_manifest_with_bad_value_exits_2(self, tmp_path, capsys, key, value, match):
         def replace(text):

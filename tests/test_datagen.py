@@ -48,7 +48,8 @@ def synth_pair(library, target_class, spec, rng):
 
 
 class TestWindowSpec:
-    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), None, "500"])
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), None, "500", True,
+                                       float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["window_width", "max_power", "input_std"])
     def test_rejects_what_is_not_a_positive_number(self, name, value):
         fields = {"window_width": 128, "max_power": 2400.0, "input_std": 500.0, name: value}
