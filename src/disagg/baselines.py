@@ -22,6 +22,7 @@ from .timeseries import PowerSeries
 CO_MAX_COMBINATIONS = 1_000_000
 CO_BLOCK = 1 << 18  # elements per residual block (samples x combinations)
 FHMM_MAX_JOINT_STATES = 4096
+EMISSION_BLOCK = 4096  # FHMM timesteps per emission and backpointer block
 EMISSION_STD_FLOOR = 10.0
 
 
@@ -104,8 +105,8 @@ def fit_states(activations, k: int, appliance_id: str = "appliance") -> Applianc
         raise DataError("need k >= 2 states (including off)")
     if not activations:
         raise DataError("cannot fit states from an empty activation list")
-    pooled = np.concatenate([np.asarray(a.values, dtype=np.float64) for a in activations])
-    pooled = pooled[pooled > 0]
+    values = np.concatenate([np.asarray(a.values, dtype=np.float64) for a in activations])
+    pooled = values[values > 0]
     if pooled.size == 0:
         raise DataError("activations contain no positive samples")
 
@@ -122,18 +123,19 @@ def fit_states(activations, k: int, appliance_id: str = "appliance") -> Applianc
     powers = np.concatenate([[0.0], centroids])
     n = len(powers)
 
-    counts = np.ones((n, n))  # add-one smoothing
-    occupancy = np.ones(n)
-    sums = np.zeros(n)
-    sq_sums = np.zeros(n)
-    members = np.zeros(n)
-    for a in activations:
-        states = np.argmin(np.abs(np.asarray(a.values)[:, None] - powers[None, :]), axis=1)
-        np.add.at(counts, (states[:-1], states[1:]), 1)
-        np.add.at(occupancy, states, 1)
-        np.add.at(sums, states, a.values)
-        np.add.at(sq_sums, states, np.square(a.values))
-        np.add.at(members, states, 1)
+    # Quantise every sample at once; a transition pair that crosses from
+    # one activation into the next is not a transition.  bincount adds each
+    # bin's weights in sample order, as a loop over the activations would.
+    states = np.argmin(np.abs(values[:, None] - powers[None, :]), axis=1)
+    starts = np.zeros(len(values) + 1, dtype=bool)  # where each later activation begins
+    starts[np.cumsum([len(a.values) for a in activations])] = True
+    within = ~starts[1:len(values)]
+    counts = 1 + np.bincount(states[:-1][within] * n + states[1:][within],
+                             minlength=n * n).reshape(n, n)  # add-one smoothing
+    members = np.bincount(states, minlength=n)
+    occupancy = 1 + members
+    sums = np.bincount(states, weights=values, minlength=n)
+    sq_sums = np.bincount(states, weights=np.square(values), minlength=n)
     with np.errstate(invalid="ignore"):
         variance = np.where(members > 0, sq_sums / np.maximum(members, 1)
                             - np.square(sums / np.maximum(members, 1)), 0.0)
@@ -212,20 +214,23 @@ def fhmm_disaggregate(aggregate: PowerSeries, models):
         variances += np.square(m.emission_std)[state_i]
 
     y = aggregate.values
-    if len(y) == 0:
-        return {m.appliance_id: EstimateSeries(series=PowerSeries(
-            aggregate.start_time, aggregate.sample_period, np.empty(0))) for m in models}
-
-    # log N(y | total, var) over (t, joint state), built in one T x J
-    # buffer with the operations of log_norm - 0.5 * (y - total)**2 / var.
     log_norm = -0.5 * np.log(2 * np.pi * variances)
-    emission = np.subtract(y[:, None], totals[None, :])
-    np.square(emission, out=emission)
-    emission *= 0.5
-    emission /= variances
-    np.subtract(log_norm, emission, out=emission)
 
-    path = _viterbi(log_init, log_trans, emission)
+    def emission_rows():
+        """log N(y | total, var) over (t, joint state), one block of rows at a
+        time, with the operations of log_norm - 0.5 * (y - total)**2 / var.
+        The buffer is refilled once the decoder has read the block's rows."""
+        buffer = np.empty((min(EMISSION_BLOCK, len(y)), n_joint))
+        for lo in range(0, len(y), EMISSION_BLOCK):
+            block = np.subtract(y[lo : lo + EMISSION_BLOCK, None], totals[None, :],
+                                out=buffer[: len(y) - lo])
+            np.square(block, out=block)
+            block *= 0.5
+            block /= variances
+            np.subtract(log_norm, block, out=block)
+            yield from block
+
+    path = _viterbi(log_init, log_trans, emission_rows())
     out = {}
     for i, m in enumerate(models):
         watts = m.state_powers[combos[path, i]]
@@ -237,22 +242,46 @@ def fhmm_disaggregate(aggregate: PowerSeries, models):
 def _viterbi(log_init, log_trans, emission):
     """Most probable state path; standard max-product recursion in log space.
 
-    Backpointers are stored in the smallest unsigned dtype that holds
-    every state index: uint8 up to 256 states, uint16 up to
-    FHMM_MAX_JOINT_STATES.
+    `emission` yields one row of log-emissions per timestep: a (T, J)
+    array or any iterable of rows, each read once.  Each step adds delta
+    to the rows of the transposed transitions, so the argmax runs along
+    contiguous rows and keeps the first maximum, as over the columns of
+    log_trans.  Backpointers are stored in blocks of EMISSION_BLOCK steps,
+    in the smallest unsigned dtype that holds every state index: uint8 up
+    to 256 states, uint16 up to FHMM_MAX_JOINT_STATES.
     """
-    horizon, n_states = emission.shape
-    backptr = np.zeros((horizon, n_states), dtype=np.min_scalar_type(n_states - 1))
+    n_states = len(log_init)
+    trans_t = np.ascontiguousarray(np.transpose(log_trans))
+    scores = np.empty((n_states, n_states))
     states = np.arange(n_states)
-    delta = log_init + emission[0]
-    for t in range(1, horizon):
-        scores = delta[:, None] + log_trans
-        best = np.argmax(scores, axis=0)
-        backptr[t] = best
-        delta = scores[best, states] + emission[t]
-    path = np.zeros(horizon, dtype=np.int64)
-    path[-1] = int(np.argmax(delta))
-    for t in range(horizon - 1, 0, -1):
-        path[t - 1] = backptr[t, path[t]]
-    return path
+    rows = iter(emission)
+    first = next(rows, None)
+    if first is None:
+        return np.empty(0, dtype=np.int64)
+    delta = log_init + first
+    dtype = np.min_scalar_type(n_states - 1)
+    blocks = []
+    block = np.zeros((EMISSION_BLOCK, n_states), dtype=dtype)  # row 0: no predecessor
+    filled = 1
+    for row in rows:
+        if filled == EMISSION_BLOCK:
+            blocks.append(block)
+            block = np.empty((EMISSION_BLOCK, n_states), dtype=dtype)
+            filled = 0
+        np.add(trans_t, delta, out=scores)
+        best = scores.argmax(axis=1)
+        block[filled] = best
+        filled += 1
+        delta = scores[states, best]
+        delta += row
+    blocks.append(block[:filled])
 
+    path = np.empty(sum(len(b) for b in blocks), dtype=np.int64)
+    state = np.argmax(delta)
+    t = len(path)
+    for block in reversed(blocks):
+        for pointers in block[::-1]:
+            t -= 1
+            path[t] = state
+            state = pointers[state]
+    return path

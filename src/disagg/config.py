@@ -161,6 +161,10 @@ def parse_config(raw: dict, base_dir=Path("."), *, seed_override: int | None = N
             learning_rate=_checked(f"{context}.learning_rate", entry["learning_rate"], float))
 
     disagg = DisaggConfig(**_take(top["disagg"], "disagg", asdict(DisaggConfig())))
+    for app in appliances.values():
+        if disagg.stride > app.window_width:
+            raise ConfigError(f"disagg.stride {disagg.stride} exceeds appliance "
+                              f"{app.name!r}'s window width {app.window_width}")
 
     return ExperimentConfig(
         seed=seed, profile=profile, data_dir=data_dir, out_dir=out_dir,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
+from disagg import baselines
 from disagg.baselines import (ApplianceStateModel, co_disaggregate, fhmm_disaggregate,
                               fit_states, _viterbi)
 from disagg.errors import DataError
@@ -57,12 +58,51 @@ class TestFitStates:
             ApplianceStateModel("x", [0.0, 100.0], np.array([[0.5, 0.4], [0.5, 0.5]]),
                                 [0.5, 0.5], [10.0, 10.0])
 
+    def test_matches_per_activation_reference(self, rng):
+        # Single-sample and empty activations, and neighbours whose boundary
+        # samples fall in different states (high end, then low start).
+        acts = [Activation(0, np.array([1800.0])), Activation(0, np.array([])),
+                Activation(0, np.array([1800.0, 20.0, 900.0])),
+                Activation(0, np.array([0.0, 950.0, 1750.0])),
+                Activation(0, np.array([70.0]))]
+        acts += [Activation(0, rng.uniform(0, 2000, size=int(rng.integers(1, 40))))
+                 for _ in range(30)]
+        for k in (2, 3, 4):
+            model = fit_states(acts, k=k)
+            transition, initial, std = per_activation_markov(acts, model.state_powers)
+            for got, want in ((model.transition, transition), (model.initial, initial),
+                              (model.emission_std, std)):
+                assert got.tobytes() == want.tobytes()
+
     def test_to_dict_lists_every_field(self):
         model = make_model("a", [0.0, 100.0])
         assert model.to_dict() == {"appliance_id": "a", "state_powers": [0.0, 100.0],
                                    "transition": model.transition.tolist(),
                                    "initial": model.initial.tolist(),
                                    "emission_std": model.emission_std.tolist()}
+
+
+def per_activation_markov(activations, powers):
+    """Transition matrix, initial distribution and emission std of a
+    fitted model, accumulated one activation at a time."""
+    n = len(powers)
+    counts = np.ones((n, n))  # add-one smoothing
+    occupancy = np.ones(n)
+    sums = np.zeros(n)
+    sq_sums = np.zeros(n)
+    members = np.zeros(n)
+    for a in activations:
+        states = np.argmin(np.abs(np.asarray(a.values)[:, None] - powers[None, :]), axis=1)
+        np.add.at(counts, (states[:-1], states[1:]), 1)
+        np.add.at(occupancy, states, 1)
+        np.add.at(sums, states, a.values)
+        np.add.at(sq_sums, states, np.square(a.values))
+        np.add.at(members, states, 1)
+    with np.errstate(invalid="ignore"):
+        variance = np.where(members > 0, sq_sums / np.maximum(members, 1)
+                            - np.square(sums / np.maximum(members, 1)), 0.0)
+    stds = np.maximum(np.sqrt(np.maximum(variance, 0.0)), baselines.EMISSION_STD_FLOOR)
+    return (counts / counts.sum(axis=1, keepdims=True), occupancy / occupancy.sum(), stds)
 
 
 def co_oracle(y, models):
@@ -266,16 +306,11 @@ class TestFHMM:
         for est in estimates.values():
             assert len(est.series) == 0
 
-    def test_joint_guard(self, rng):
-        import disagg.baselines as bl
+    def test_joint_guard(self, rng, monkeypatch):
         models = random_models(rng, 3)
-        original = bl.FHMM_MAX_JOINT_STATES
-        bl.FHMM_MAX_JOINT_STATES = 2
-        try:
-            with pytest.raises(DataError, match="guard"):
-                fhmm_disaggregate(PowerSeries(0, 6, np.zeros(3)), models)
-        finally:
-            bl.FHMM_MAX_JOINT_STATES = original
+        monkeypatch.setattr(baselines, "FHMM_MAX_JOINT_STATES", 2)
+        with pytest.raises(DataError, match="guard"):
+            fhmm_disaggregate(PowerSeries(0, 6, np.zeros(3)), models)
 
     def test_viterbi_equals_brute_force(self, rng):
         for _ in range(30):
@@ -318,3 +353,86 @@ class TestFHMM:
         for name in runs[0]:
             np.testing.assert_array_equal(runs[0][name].series.values,
                                           runs[1][name].series.values)
+
+
+def joint_chain(models, y):
+    """log_init, log_trans and the full (T, J) emission table of the joint
+    chain, built as the decoder builds them, with the joint state tuples."""
+    combos = np.array(list(itertools.product(*[range(m.num_states) for m in models])))
+    totals = np.zeros(len(combos))
+    variances = np.zeros(len(combos))
+    log_trans = np.zeros((len(combos), len(combos)))
+    log_init = np.zeros(len(combos))
+    for i, m in enumerate(models):
+        idx = combos[:, i]
+        totals += m.state_powers[idx]
+        variances += m.emission_std[idx] ** 2
+        log_trans += np.log(m.transition)[idx[:, None], idx[None, :]]
+        log_init += np.log(m.initial)[idx]
+    emission = (-0.5 * np.log(2 * np.pi * variances)[None, :]
+                - 0.5 * (y[:, None] - totals[None, :]) ** 2 / variances[None, :])
+    return combos, log_init, log_trans, emission
+
+
+def paper_models(rng):
+    """Five appliances with 2, 2, 2, 3 and 3 states: 72 joint states."""
+    models = []
+    for i, k in enumerate((2, 2, 2, 3, 3)):
+        powers = np.concatenate([[0.0], np.sort(rng.uniform(50, 2000, size=k - 1))])
+        models.append(make_model(f"m{i}", powers, rng.dirichlet(np.ones(k) * 5, size=k),
+                                 rng.dirichlet(np.ones(k) * 5), rng.uniform(10, 80, size=k)))
+    return models
+
+
+BLOCK_HORIZONS = [baselines.EMISSION_BLOCK - 1, baselines.EMISSION_BLOCK,
+                  baselines.EMISSION_BLOCK + 1, 2 * baselines.EMISSION_BLOCK + 3]
+
+
+class TestBlockedDecode:
+    @pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+    def test_viterbi_matches_int64_reference(self, rng, horizon):
+        n_states = 12
+        log_trans = np.log(rng.dirichlet(np.ones(n_states), size=n_states))
+        log_init = np.log(rng.dirichlet(np.ones(n_states)))
+        emission = rng.normal(scale=5.0, size=(horizon, n_states))
+        expected = int64_viterbi(log_init, log_trans, emission)
+        np.testing.assert_array_equal(_viterbi(log_init, log_trans, emission), expected)
+        # Any iterable of rows decodes the same.
+        np.testing.assert_array_equal(_viterbi(log_init, log_trans, iter(emission)), expected)
+        # Flat transitions and integer emissions: argmax ties everywhere.
+        flat = np.full((n_states, n_states), -np.log(n_states))
+        ties = np.round(emission / 5.0)
+        np.testing.assert_array_equal(_viterbi(log_init, flat, ties),
+                                      int64_viterbi(log_init, flat, ties))
+
+    @pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+    def test_fhmm_matches_int64_reference(self, rng, horizon):
+        models = paper_models(rng)
+        y = rng.uniform(0, 5000, size=horizon)
+        combos, log_init, log_trans, emission = joint_chain(models, y)
+        assert len(combos) == 72
+        path = int64_viterbi(log_init, log_trans, emission)
+        estimates = fhmm_disaggregate(PowerSeries(0, 6, y), models)
+        for i, m in enumerate(models):
+            np.testing.assert_array_equal(estimates[m.appliance_id].series.values,
+                                          m.state_powers[combos[path, i]])
+
+    def test_fhmm_tie_heavy_matches_int64_reference(self):
+        # Uniform chains and equal stds: joint states with the same total
+        # power tie on every emission and every transition.
+        models = [make_model(f"m{i}", [0.0, 100.0, 200.0]) for i in range(3)]
+        y = np.tile([0.0, 100.0, 200.0, 300.0, 150.0], baselines.EMISSION_BLOCK // 2)
+        combos, log_init, log_trans, emission = joint_chain(models, y)
+        path = int64_viterbi(log_init, log_trans, emission)
+        estimates = fhmm_disaggregate(PowerSeries(0, 6, y), models)
+        for i, m in enumerate(models):
+            np.testing.assert_array_equal(estimates[m.appliance_id].series.values,
+                                          m.state_powers[combos[path, i]])
+
+    def test_memory_is_bounded(self, rng):
+        # 200k samples, 72 joint states: a float64 emission table alone
+        # would take 115 MB; the backpointers take 14.4 MB.
+        models = paper_models(rng)
+        y = rng.uniform(0, 5000, size=200_000)
+        peak = traced_peak(lambda: fhmm_disaggregate(PowerSeries(0, 6, y), models))
+        assert peak < 32 * 2**20

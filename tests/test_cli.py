@@ -170,6 +170,16 @@ class TestConfig:
         assert (dish_washer.window_width, dish_washer.state_count) == (1536, 3)
         assert cfg.architectures["dae"].update_budget == 100_000
 
+    def test_stride_wider_than_desk_window_exits_1_before_training(self, tmp_path, capsys):
+        # Stride 96 fits the paper width 128, not the desk width 32.
+        path = world_config(tmp_path, window=128, stride=96)
+        assert main(["extract", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--profile", "desk",
+                     "--appliance", "kettle", "--kind", "dae"]) == 1
+        assert "disagg.stride 96 exceeds appliance 'kettle'" in capsys.readouterr().err
+        assert not list((tmp_path / "out").rglob("*.ckpt"))
+
     def test_readme_config_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
