@@ -16,7 +16,10 @@ window width:
 
 Every builder either draws fresh weights from a numpy Generator (for
 training) or adopts the tensors of a checkpoint (for inference), so an
-inference network holds each parameter once.
+inference network holds each parameter once.  The builders compute in
+float64 by default, which the finite-difference gradient checks need;
+`build_network`, the one the CLI and the acceptance experiment train
+and run, builds in NETWORK_DTYPE.
 
 Layer widths default to the full-scale values; tests pass smaller ones
 for gradient checking.  Update budgets and batch sizes default to the
@@ -44,6 +47,10 @@ UPDATE_BUDGETS = {"lstm": 10_000, "dae": 100_000, "rectangles": 300_000}
 # forced 16.
 BATCH_SIZES = {"lstm": 16, "dae": 64, "rectangles": 64}
 
+# The nets train and infer in single precision, as the paper's did on a
+# GPU; checkpoints still store float64 (see nn.checkpoint).
+NETWORK_DTYPE = np.float32
+
 DEFAULT_LEARNING_RATE = 0.01
 BPTT_TRUNCATE = 500
 
@@ -56,14 +63,14 @@ MIN_LEARNING_RATE = 1e-5
 
 
 def build_network(kind: str, window_width: int, init) -> Network:
-    """The `kind` network for `window_width`, initialised from `init` (see
-    `build_lstm`)."""
+    """The `kind` network for `window_width` in NETWORK_DTYPE, initialised
+    from `init` (see `build_lstm`)."""
     if kind == "lstm":
-        return build_lstm(window_width, init)
+        return build_lstm(window_width, init, dtype=NETWORK_DTYPE)
     if kind == "dae":
-        return build_dae(window_width, init)
+        return build_dae(window_width, init, dtype=NETWORK_DTYPE)
     if kind == "rectangles":
-        return build_rectangles(window_width, init)
+        return build_rectangles(window_width, init, dtype=NETWORK_DTYPE)
     raise ConfigError(f"unknown architecture kind {kind!r}; choose from {KINDS}")
 
 
@@ -88,23 +95,26 @@ def _network(layers, init, window_width, **outputs) -> Network:
     return network
 
 
-def _bidirectional(name, input_dim, units, init) -> Bidirectional:
+def _bidirectional(name, input_dim, units, init, dtype) -> Bidirectional:
     """A bidirectional LSTM layer; a checkpoint names its halves' tensors
     `{name}/fwd.{param}` and `{name}/bwd.{param}`."""
     fwd, bwd = (LSTM(f"{name}/{half}", input_dim, units, truncate=BPTT_TRUNCATE,
-                     init=_part(init, f"{name}/{half}.")) for half in ("fwd", "bwd"))
+                     init=_part(init, f"{name}/{half}."), dtype=dtype)
+                for half in ("fwd", "bwd"))
     return Bidirectional(name, fwd, bwd)
 
 
 def build_lstm(window_width: int, init=None, conv_filters: int = 16,
-               lstm_units: tuple[int, int] = (128, 256), dense_units: int = 128) -> Network:
+               lstm_units: tuple[int, int] = (128, 256), dense_units: int = 128,
+               dtype=np.float64) -> Network:
     """Recurrent sequence-to-sequence net; output length equals input length.
 
     `init` (as for every builder) is a numpy Generator the fresh weights
     are drawn from, default `default_rng(0)`, or a {'layer/param': array}
     mapping such as `load_checkpoint` returns, whose arrays the layers
     adopt as their parameters; a tensor missing, left over or of the
-    wrong shape is a DimensionError.
+    wrong shape is a DimensionError.  The parameters have `dtype`; a
+    tensor of another dtype is rounded to it.
     """
     if window_width <= 0:
         raise ConfigError("window_width must be positive")
@@ -113,18 +123,20 @@ def build_lstm(window_width: int, init=None, conv_filters: int = 16,
     layers = [
         Reshape("to_channels", (window_width, 1)),
         Conv1D("conv", 1, conv_filters, filter_size=4, stride=1, border="same",
-               activation="linear", init=_part(init, "conv/")),
-        _bidirectional("bilstm1", conv_filters, u1, init),
-        _bidirectional("bilstm2", 2 * u1, u2, init),
-        Dense("dense", 2 * u2, dense_units, activation="tanh", init=_part(init, "dense/")),
-        Dense("head", dense_units, 1, activation="linear", init=_part(init, "head/")),
+               activation="linear", init=_part(init, "conv/"), dtype=dtype),
+        _bidirectional("bilstm1", conv_filters, u1, init, dtype),
+        _bidirectional("bilstm2", 2 * u1, u2, init, dtype),
+        Dense("dense", 2 * u2, dense_units, activation="tanh", init=_part(init, "dense/"),
+              dtype=dtype),
+        Dense("head", dense_units, 1, activation="linear", init=_part(init, "head/"),
+              dtype=dtype),
         Reshape("to_sequence", (window_width,)),
     ]
     return _network(layers, init, window_width, output_kind="sequence", output_offset=0)
 
 
 def build_dae(window_width: int, init=None, conv_filters: int = 8,
-              code_units: int = 128) -> Network:
+              code_units: int = 128, dtype=np.float64) -> Network:
     """Denoising autoencoder; output covers the centre window_width-6 samples."""
     if window_width <= 8:
         raise ConfigError("window_width must exceed 8 for the autoencoder")
@@ -133,23 +145,25 @@ def build_dae(window_width: int, init=None, conv_filters: int = 8,
     layers = [
         Reshape("to_channels", (window_width, 1)),
         Conv1D("encoder_conv", 1, conv_filters, filter_size=4, stride=1, border="valid",
-               activation="linear", init=_part(init, "encoder_conv/")),
+               activation="linear", init=_part(init, "encoder_conv/"), dtype=dtype),
         Flatten("flatten"),
         Dense("encoder_dense", hidden, hidden, activation="relu",
-              init=_part(init, "encoder_dense/")),
-        Dense("code", hidden, code_units, activation="relu", init=_part(init, "code/")),
+              init=_part(init, "encoder_dense/"), dtype=dtype),
+        Dense("code", hidden, code_units, activation="relu", init=_part(init, "code/"),
+              dtype=dtype),
         Dense("decoder_dense", code_units, hidden, activation="relu",
-              init=_part(init, "decoder_dense/")),
+              init=_part(init, "decoder_dense/"), dtype=dtype),
         Reshape("unflatten", (window_width - 3, conv_filters)),
         Conv1D("decoder_conv", conv_filters, 1, filter_size=4, stride=1, border="valid",
-               activation="linear", init=_part(init, "decoder_conv/")),
+               activation="linear", init=_part(init, "decoder_conv/"), dtype=dtype),
         Reshape("to_sequence", (window_width - 6,)),
     ]
     return _network(layers, init, window_width, output_kind="sequence", output_offset=3)
 
 
 def build_rectangles(window_width: int, init=None, conv_filters: int = 16,
-                     dense_units: tuple[int, ...] = (4096, 3072, 2048, 512)) -> Network:
+                     dense_units: tuple[int, ...] = (4096, 3072, 2048, 512),
+                     dtype=np.float64) -> Network:
     """Regressor for (start, end, mean power) of the first activation."""
     if window_width <= 8:
         raise ConfigError("window_width must exceed 8 for the rectangles net")
@@ -157,17 +171,18 @@ def build_rectangles(window_width: int, init=None, conv_filters: int = 16,
     layers = [
         Reshape("to_channels", (window_width, 1)),
         Conv1D("conv1", 1, conv_filters, filter_size=4, stride=1, border="valid",
-               activation="linear", init=_part(init, "conv1/")),
+               activation="linear", init=_part(init, "conv1/"), dtype=dtype),
         Conv1D("conv2", conv_filters, conv_filters, filter_size=4, stride=1, border="valid",
-               activation="linear", init=_part(init, "conv2/")),
+               activation="linear", init=_part(init, "conv2/"), dtype=dtype),
         Flatten("flatten"),
     ]
     width = (window_width - 6) * conv_filters
     for idx, units in enumerate(dense_units, start=1):
         layers.append(Dense(f"dense{idx}", width, units, activation="relu",
-                            init=_part(init, f"dense{idx}/")))
+                            init=_part(init, f"dense{idx}/"), dtype=dtype))
         width = units
-    layers.append(Dense("head", width, 3, activation="linear", init=_part(init, "head/")))
+    layers.append(Dense("head", width, 3, activation="linear", init=_part(init, "head/"),
+                        dtype=dtype))
     return _network(layers, init, window_width, output_kind="triple")
 
 

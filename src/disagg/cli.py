@@ -429,7 +429,7 @@ def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
     if not ckpt_path.exists() or not manifest_path.exists():
         raise DataError(f"missing checkpoint or manifest for {appliance}/{kind}; train first")
     manifest = _read_manifest(manifest_path)
-    params, meta = load_checkpoint(ckpt_path)
+    params, meta = load_checkpoint(ckpt_path, architectures.NETWORK_DTYPE)
     actual_hash = sha256_text(canonical_json(manifest))
     if meta.get("manifest_sha256") != actual_hash:
         raise DataError(

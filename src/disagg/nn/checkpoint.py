@@ -1,9 +1,13 @@
 """Parameter checkpoint container.
 
 A checkpoint is a single self-describing file: one JSON header line
-(tensor names, shapes, dtypes, byte offsets, plus free-form metadata
-such as the manifest hash) followed by the concatenated little-endian
-tensor bytes.  Writing is fully deterministic, so identical parameters
+(tensor names, shapes, byte offsets and sizes, plus free-form metadata
+such as the manifest hash) followed by the concatenated tensor bytes.
+Every tensor is stored as little-endian float64 (`<f8`), whatever the
+dtype of the network that wrote or reads it: saving widens float32
+exactly, and loading rounds to the requested dtype.  Both convert one
+block of IO_BLOCK elements at a time, so neither holds a second copy of
+the parameters.  Writing is fully deterministic, so identical parameters
 and metadata always produce identical files.
 """
 
@@ -17,37 +21,46 @@ import numpy as np
 from ..errors import DataError
 
 FORMAT_TAG = "disagg-checkpoint-v1"
+STORED = np.dtype("<f8")
+IO_BLOCK = 1 << 16  # elements per conversion block: 512 KiB of `<f8`
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None):
     """Write `params` and `meta` to `path`.
 
-    Each tensor's bytes go to the file straight from its array, so saving
-    holds no copy of the parameters.
+    Each tensor goes to the file one block at a time, widened to `<f8`
+    in one reused buffer, so saving holds one block beyond the
+    parameters.
     """
     names = sorted(params)
-    arrays = [np.asarray(params[name], dtype="<f8") for name in names]  # keeps a 0-d shape
+    arrays = [np.asarray(params[name]) for name in names]  # keeps a 0-d shape
     entries = []
     offset = 0
     for name, arr in zip(names, arrays):
+        nbytes = arr.size * STORED.itemsize
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset,
-                        "nbytes": arr.nbytes})
-        offset += arr.nbytes
+                        "nbytes": nbytes})
+        offset += nbytes
     header = {"format": FORMAT_TAG, "meta": meta or {}, "tensors": entries}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
         f.write(b"\n")
+        block = np.empty(IO_BLOCK, STORED)
         for arr in arrays:
-            f.write(np.ascontiguousarray(arr).data)
+            flat = np.ascontiguousarray(arr).reshape(-1)
+            for start in range(0, flat.size, IO_BLOCK):
+                chunk = block[: flat.size - start]
+                chunk[...] = flat[start : start + IO_BLOCK]
+                f.write(chunk.data)
 
 
-def load_checkpoint(path):
-    """Returns (params dict, meta dict)."""
+def load_checkpoint(path, dtype=np.float64):
+    """Returns (params dict, meta dict), the tensors rounded to `dtype`."""
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
             header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a first line that is not UTF-8
             raise DataError(f"{path}: not a checkpoint file ({exc})") from None
         if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
             raise DataError(f"{path}: not a {FORMAT_TAG} checkpoint")
@@ -56,17 +69,22 @@ def load_checkpoint(path):
             raise DataError(f"{path}: checkpoint header lacks its tensors or meta")
         body_start = f.tell()
         body_size = os.fstat(f.fileno()).st_size - body_start
+        block = np.empty(IO_BLOCK, STORED)
         params = {}
         for entry in tensors:
             name, lo, nbytes, shape = _tensor_entry(path, entry)
             if lo + nbytes > body_size:
                 raise DataError(f"{path}: truncated checkpoint (tensor {name!r})")
-            # Read straight into the tensor's own array, so loading peaks
-            # at the parameters' size rather than a multiple of the file.
-            arr = np.empty(shape, dtype="<f8")
+            # Read one block at a time and round it into the tensor's own
+            # array, so loading peaks at the parameters' size plus one block.
+            arr = np.empty(shape, dtype)
+            flat = arr.reshape(-1)
             f.seek(body_start + lo)
-            f.readinto(arr.reshape(-1).view(np.uint8))
-            params[name] = arr.astype(np.float64, copy=False)
+            for start in range(0, flat.size, IO_BLOCK):
+                chunk = block[: flat.size - start]
+                f.readinto(chunk.view(np.uint8))
+                flat[start : start + chunk.size] = chunk
+            params[name] = arr
     return params, meta
 
 
@@ -79,6 +97,6 @@ def _tensor_entry(path, entry):
     if not (isinstance(name, str) and isinstance(shape, list)
             and all(type(v) is int and v >= 0 for v in [lo, nbytes, *shape])):
         raise DataError(f"{path}: malformed tensor entry {entry!r}")
-    if 8 * int(np.prod(shape, dtype=np.int64)) != nbytes:
+    if STORED.itemsize * int(np.prod(shape, dtype=np.int64)) != nbytes:
         raise DataError(f"{path}: tensor {name!r} has shape {shape} but {nbytes} bytes")
     return name, lo, nbytes, shape

@@ -1,7 +1,10 @@
 """Trainable layers with hand-written forward and backward passes.
 
-All layers operate on float64 arrays with a leading batch axis.
-Sequence layers use (batch, time, channels).  Forward passes are pure
+Every array has a leading batch axis; sequence layers use (batch, time,
+channels).  A layer computes in its parameters' dtype (`dtype`,
+float64 by default; the CLI's networks use float32), and every buffer
+it allocates takes its input's dtype, so a float32 network never
+widens to float64 mid-pass.  Forward passes are pure
 functions of the input and the layer's parameters; caches needed by the
 backward pass are returned explicitly rather than stored on the layer,
 so frozen networks can run forward from multiple threads.  `forward`
@@ -15,8 +18,10 @@ calls, so with one BLAS thread the two halves use two CPUs.  Results
 are bitwise the same as running the halves one after the other.
 
 A trainable layer is built from `init`: a numpy Generator it draws its
-fresh weights from, or a {param: array} mapping of a checkpoint's
-tensors, which it adopts as its parameters without a copy.
+fresh weights from (always in float64, then rounded to `dtype`, so a
+float32 layer starts from the float64 layer's weights, rounded), or a
+{param: array} mapping of a checkpoint's tensors, which it adopts as
+its parameters without a copy when they already have its dtype.
 
 Backward passes return (grad_input, grad_params) where grad_params is
 keyed like the layer's `params` dict.  Gradients are of the scalar loss
@@ -49,25 +54,28 @@ def zeros(rng, shape):
     return np.zeros(shape)
 
 
-def _init_params(layer_name, init, specs):
-    """A layer's parameters, {param: array}, for `specs`, {param: (shape, draw)}.
+def _init_params(layer_name, init, specs, dtype):
+    """A layer's parameters, {param: array of `dtype`}, for `specs`,
+    {param: (shape, draw)}.
 
-    `init` is a numpy Generator, drawn from as `draw(init, shape)` param
-    by param in the order of `specs`, or a {param: array} mapping of the
-    layer's tensors (a checkpoint's), which the layer adopts without a
-    copy once their names and shapes match its own.
+    `init` is a numpy Generator, drawn from in float64 as
+    `draw(init, shape)` param by param in the order of `specs`, or a
+    {param: array} mapping of the layer's tensors (a checkpoint's), which
+    the layer adopts without a copy once their names, shapes and dtype
+    match its own.
     """
     if init is None:
         init = np.random.default_rng(0)
     if isinstance(init, np.random.Generator):
-        return {key: draw(init, shape) for key, (shape, draw) in specs.items()}
+        return {key: draw(init, shape).astype(dtype, copy=False)
+                for key, (shape, draw) in specs.items()}
     missing, extra = sorted(set(specs) - set(init)), sorted(set(init) - set(specs))
     if missing or extra:
         raise DimensionError(
             f"{layer_name}: parameter name mismatch: missing={missing} extra={extra}")
     params = {}
     for key, (shape, _) in specs.items():
-        value = np.asarray(init[key], dtype=np.float64)
+        value = np.asarray(init[key], dtype=dtype)
         if value.shape != shape:
             raise DimensionError(f"{layer_name}: shape mismatch for {key!r}: "
                                  f"checkpoint {value.shape} vs network {shape}")
@@ -117,7 +125,8 @@ class Dense:
     on sequences (batch, time, features).
     """
 
-    def __init__(self, name, input_dim, output_dim, activation="linear", init=None):
+    def __init__(self, name, input_dim, output_dim, activation="linear", init=None,
+                 dtype=np.float64):
         if activation not in ACTIVATIONS:
             raise DimensionError(f"{name}: unsupported activation {activation!r}")
         self.name = name
@@ -127,7 +136,7 @@ class Dense:
         self.params = _init_params(name, init, {
             "weights": ((input_dim, output_dim), glorot_uniform(input_dim, output_dim)),
             "bias": ((output_dim,), zeros),
-        })
+        }, dtype)
 
     def describe(self):
         return {"type": "dense", "units": self.output_dim, "activation": self.activation}
@@ -166,7 +175,7 @@ class Conv1D:
     """
 
     def __init__(self, name, in_channels, num_filters, filter_size, stride=1,
-                 border="valid", activation="linear", init=None):
+                 border="valid", activation="linear", init=None, dtype=np.float64):
         if border not in ("valid", "same"):
             raise DimensionError(f"{name}: unknown border mode {border!r}")
         if border == "same" and stride != 1:
@@ -184,7 +193,7 @@ class Conv1D:
             "weights": ((filter_size, in_channels, num_filters),
                         glorot_uniform(filter_size * in_channels, num_filters)),
             "bias": ((num_filters,), zeros),
-        })
+        }, dtype)
 
     def describe(self):
         return {"type": "conv1d", "filter_size": self.filter_size, "stride": self.stride,
@@ -229,7 +238,7 @@ class Conv1D:
         left, right = self._pads()
         batch, time, _ = x_shape
         out_len = dz.shape[1]
-        dx_pad = np.zeros((batch, time + left + right, self.in_channels))
+        dx_pad = np.zeros((batch, time + left + right, self.in_channels), dz.dtype)
         weights = self.params["weights"]
         for j in range(self.filter_size):
             # output step t consumed x_pad[t*stride + j]
@@ -251,7 +260,8 @@ class LSTM:
 
     GATES = ("in", "forget", "cell", "out")  # pre-activation slot order
 
-    def __init__(self, name, input_dim, hidden_size, truncate=500, init=None):
+    def __init__(self, name, input_dim, hidden_size, truncate=500, init=None,
+                 dtype=np.float64):
         self.name = name
         self.input_dim = input_dim
         self.hidden_size = hidden_size
@@ -264,7 +274,7 @@ class LSTM:
             "peep_in": ((n,), small_uniform),
             "peep_forget": ((n,), small_uniform),
             "peep_out": ((n,), small_uniform),
-        })
+        }, dtype)
 
     def describe(self):
         return {"type": "lstm", "units": self.hidden_size, "peepholes": True}
@@ -293,20 +303,21 @@ class LSTM:
         pre_all = x @ p["w_input"]  # hoisted input contribution
         pre_all += p["bias"]
 
-        h = np.empty((batch, time, n))
-        c = np.empty((batch, time, n)) if history else None
-        gates = np.empty((batch, time, 4 * n)) if history else None
-        pre = np.empty((batch, 4 * n))
-        step_gates = np.empty((batch, 4 * n))
+        dtype = x.dtype
+        h = np.empty((batch, time, n), dtype)
+        c = np.empty((batch, time, n), dtype) if history else None
+        gates = np.empty((batch, time, 4 * n), dtype) if history else None
+        pre = np.empty((batch, 4 * n), dtype)
+        step_gates = np.empty((batch, 4 * n), dtype)
         i_f, i_g, f_g, g_g, o_g = (step_gates[:, : 2 * n], step_gates[:, 0:n],
                                    step_gates[:, n : 2 * n], step_gates[:, 2 * n : 3 * n],
                                    step_gates[:, 3 * n :])
-        e = np.empty((batch, 2 * n))  # sigmoid scratch
+        e = np.empty((batch, 2 * n), dtype)  # sigmoid scratch
         mask = np.empty((batch, 2 * n), dtype=bool)
-        tmp = np.empty((batch, n))
-        h_t = np.zeros((batch, n))
-        c_prev = np.zeros((batch, n))
-        c_t = np.empty((batch, n))
+        tmp = np.empty((batch, n), dtype)
+        h_t = np.zeros((batch, n), dtype)
+        c_prev = np.zeros((batch, n), dtype)
+        c_t = np.empty((batch, n), dtype)
         for t in range(time):
             np.matmul(h_t, p["w_hidden"], out=pre)
             np.add(pre_all[:, t], pre, out=pre)
@@ -333,17 +344,17 @@ class LSTM:
         n = self.hidden_size
         p = self.params
         grads = {k: np.zeros_like(v) for k, v in p.items()}
-        d_pre_all = np.zeros((batch, time, 4 * n))
+        d_pre_all = np.zeros((batch, time, 4 * n), x.dtype)
+        zero = np.zeros((batch, n), x.dtype)  # read only
 
-        dh_carry = np.zeros((batch, n))
-        dc_carry = np.zeros((batch, n))
+        dh_carry = dc_carry = zero
         for t in range(time - 1, -1, -1):
             i_g = gates[:, t, 0:n]
             f_g = gates[:, t, n : 2 * n]
             g_g = gates[:, t, 2 * n : 3 * n]
             o_g = gates[:, t, 3 * n :]
             c_t = c[:, t]
-            c_prev = c[:, t - 1] if t > 0 else np.zeros((batch, n))
+            c_prev = c[:, t - 1] if t > 0 else zero
             tc = np.tanh(c_t)
 
             dh = dh_out[:, t] + dh_carry
@@ -373,8 +384,7 @@ class LSTM:
             dh_carry = d_pre @ p["w_hidden"].T
             if (time - t) % self.truncate == 0:
                 # Block boundary: stop the gradient flowing further back.
-                dh_carry = np.zeros((batch, n))
-                dc_carry = np.zeros((batch, n))
+                dh_carry = dc_carry = zero
 
         flat_x = x.reshape(-1, self.input_dim)
         flat_dpre = d_pre_all.reshape(-1, 4 * n)

@@ -8,9 +8,13 @@ from ..errors import DimensionError, NumericError
 
 
 def _check_finite(arr, layer_name, stage):
-    # One reduction pass: the sum is non-finite iff any element is (large
-    # nets make a full isfinite scan per op noticeably expensive).
-    if not np.isfinite(np.sum(arr)):
+    # One reduction pass: the sum is finite only if every element is (large
+    # nets make a full isfinite scan per op noticeably expensive).  A sum of
+    # finite elements can still overflow, float32 ones most easily, so only
+    # the element scan can say that one is not finite.
+    with np.errstate(over="ignore"):
+        total = np.sum(arr)
+    if not np.isfinite(total) and not np.isfinite(arr).all():
         raise NumericError(f"non-finite values after {stage} of layer {layer_name!r}")
 
 
@@ -23,6 +27,9 @@ class Network:
     the target is compared against its centre crop and `output_offset`
     records how many samples each edge loses, so disaggregation can
     place outputs at their true absolute positions.
+
+    The network computes in its parameters' one dtype (`dtype`), casting
+    inputs and targets to it; a network without parameters uses float64.
     """
 
     def __init__(self, layers, window_width, output_kind="sequence", output_offset=0):
@@ -32,6 +39,10 @@ class Network:
             if layer.name in seen:
                 raise DimensionError(f"duplicate layer name {layer.name!r}")
             seen.add(layer.name)
+        dtypes = {value.dtype for value in self.parameters().values()}
+        if len(dtypes) > 1:
+            raise DimensionError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
+        self.dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
         self.window_width = window_width
         self.output_kind = output_kind
         self.output_offset = output_offset
@@ -40,7 +51,7 @@ class Network:
 
     def forward(self, x):
         """Pure forward pass; safe to call concurrently on frozen params."""
-        y = np.asarray(x, dtype=np.float64)
+        y = np.asarray(x, dtype=self.dtype)
         for layer in self.layers:
             y = layer.forward(y)
             _check_finite(y, layer.name, "forward")
@@ -48,14 +59,14 @@ class Network:
 
     def loss_and_gradients(self, x, target):
         """MSE loss (mean over batch and elements) and parameter gradients."""
-        y = np.asarray(x, dtype=np.float64)
+        y = np.asarray(x, dtype=self.dtype)
         caches = []
         for layer in self.layers:
             y, cache = layer.forward_cached(y)
             _check_finite(y, layer.name, "forward")
             caches.append(cache)
 
-        target = self.align_target(np.asarray(target, dtype=np.float64), y.shape)
+        target = self.align_target(np.asarray(target, dtype=self.dtype), y.shape)
         diff = y - target
         loss = float(np.mean(diff * diff))
         grad = (2.0 / diff.size) * diff

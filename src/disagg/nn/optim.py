@@ -18,8 +18,9 @@ from ..errors import DimensionError
 
 GRADIENT_CLIP_BOUND = 10.0
 MOMENTUM = 0.9
-# 32k float64 elements is 256 KiB per array: the block's parameters,
-# velocity, gradients and scratch (1 MiB) fit in L2.
+# 32k elements is 256 KiB per float64 array and 128 KiB per float32 one:
+# a block's parameters, velocity, gradients and scratch (1 MiB or 512 KiB)
+# fit in L2.
 STEP_BLOCK = 1 << 15
 
 
@@ -60,9 +61,9 @@ class NesterovSGD:
     def step(self, grads: dict):
         lr = self.learning_rate
         mu = MOMENTUM
-        scratch = np.empty(STEP_BLOCK)
         for key, p in self.params.items():
             p = p.reshape(-1)
+            scratch = np.empty(min(p.size, STEP_BLOCK), p.dtype)
             v = self.velocity[key].reshape(-1)
             # A non-contiguous gradient (Conv1D's einsum result) is copied
             # so its flat view lines up with the parameter's.

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from disagg.architectures import (BATCH_SIZES, PLATEAU_PATIENCE, UPDATE_BUDGETS, build_dae,
-                                  build_lstm, build_network, build_rectangles, train)
+from disagg.architectures import (BATCH_SIZES, KINDS, NETWORK_DTYPE, PLATEAU_PATIENCE,
+                                  UPDATE_BUDGETS, build_dae, build_lstm, build_network,
+                                  build_rectangles, train)
 from disagg.datagen import Batch
 from disagg.errors import ConfigError, DimensionError, NumericError
 from disagg.nn import Dense, NesterovSGD, Network
@@ -206,16 +207,83 @@ class TestBuildFromCheckpoint:
                 SMALL[kind](bad)
 
 
+def arrays_in(value):
+    """Every array in a (nested) cache tuple."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from arrays_in(item)
+
+
+BUILDERS = {"lstm": build_lstm, "dae": build_dae, "rectangles": build_rectangles}
+
+
+class TestNetworkDtype:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_build_network_trains_in_float32(self, kind, rng):
+        assert NETWORK_DTYPE == np.float32
+        width = 12
+        net = build_network(kind, width, np.random.default_rng(0))
+        assert net.dtype == np.float32
+        # The float64 builder's draws from the same seed, rounded.
+        wide = BUILDERS[kind](width, np.random.default_rng(0)).parameters()
+        for name, value in net.parameters().items():
+            assert value.dtype == np.float32
+            np.testing.assert_array_equal(value, wide[name].astype(np.float32))
+
+        x = rng.normal(size=(2, width))
+        assert net.forward(x).dtype == np.float32
+        y, caches = np.asarray(x, net.dtype), []
+        for layer in net.layers:
+            y, cache = layer.forward_cached(y)
+            assert y.dtype == np.float32, layer.name
+            assert all(a.dtype == np.float32 for a in arrays_in(cache)), layer.name
+            caches.append(cache)
+        dy = np.ones_like(y)
+        for layer, cache in zip(reversed(net.layers), reversed(caches)):
+            dy, layer_grads = layer.backward(dy, cache)
+            assert dy.dtype == np.float32, layer.name
+            assert all(g.dtype == np.float32 for g in layer_grads.values()), layer.name
+        target = rng.uniform(size=3 if net.output_kind == "triple" else width)
+        _, grads = net.loss_and_gradients(x, np.tile(target, (2, 1)))
+        assert grads.keys() == net.parameters().keys()
+        assert all(g.dtype == np.float32 for g in grads.values())
+
+        optimizer = NesterovSGD(net.parameters(), 0.01)
+        optimizer.step(grads)
+        for tensors in (optimizer.velocity, net.parameters()):
+            assert all(v.dtype == np.float32 for v in tensors.values())
+
+    def test_float32_tensors_adopted_float64_rounded(self, rng):
+        tensors = {k: v.astype(np.float32) for k, v in SMALL["dae"](rng).parameters().items()}
+        net = build_dae(16, tensors, conv_filters=2, code_units=4, dtype=np.float32)
+        for name, value in net.parameters().items():
+            assert np.shares_memory(value, tensors[name])
+        wide = {k: v.astype(np.float64) for k, v in tensors.items()}
+        net = build_dae(16, wide, conv_filters=2, code_units=4, dtype=np.float32)
+        for name, value in net.parameters().items():
+            assert value.dtype == np.float32
+            np.testing.assert_array_equal(value, tensors[name])
+
+    def test_mixed_parameter_dtypes_rejected(self, rng):
+        with pytest.raises(DimensionError, match="mix dtypes"):
+            Network([Dense("a", 2, 2, init=rng), Dense("b", 2, 2, init=rng, dtype=np.float32)],
+                    window_width=2)
+
+
 class TestTraining:
-    def _toy_net_and_batch(self, kind, rng):
+    def _toy_net_and_batch(self, kind, rng, dtype=np.float64):
         if kind == "lstm":
-            net = build_lstm(16, rng, conv_filters=2, lstm_units=(3, 3), dense_units=3)
+            net = build_lstm(16, rng, conv_filters=2, lstm_units=(3, 3), dense_units=3,
+                             dtype=dtype)
             targets = rng.uniform(0, 1, size=(8, 16))
         elif kind == "dae":
-            net = build_dae(16, rng, conv_filters=2, code_units=4)
+            net = build_dae(16, rng, conv_filters=2, code_units=4, dtype=dtype)
             targets = rng.uniform(0, 1, size=(8, 16))
         else:
-            net = build_rectangles(16, rng, conv_filters=2, dense_units=(8, 6, 4, 3))
+            net = build_rectangles(16, rng, conv_filters=2, dense_units=(8, 6, 4, 3),
+                                   dtype=dtype)
             targets = rng.uniform(0, 1, size=(8, 3))
         batch = Batch(inputs=rng.normal(size=(8, 16)), targets=targets)
         return net, batch
@@ -228,9 +296,11 @@ class TestTraining:
         for key, value in net.parameters().items():
             np.testing.assert_array_equal(value, before[key])
 
-    @pytest.mark.parametrize("kind", ["lstm", "dae", "rectangles"])
-    def test_memorisation_loss_decreases(self, kind, rng):
-        net, batch = self._toy_net_and_batch(kind, rng)
+    @pytest.mark.parametrize("kind, dtype", [
+        pytest.param(kind, dtype, id=kind + suffix) for suffix, dtype in
+        [("", np.float64), ("-float32", np.float32)] for kind in ["lstm", "dae", "rectangles"]])
+    def test_memorisation_loss_decreases(self, kind, dtype, rng):
+        net, batch = self._toy_net_and_batch(kind, rng, dtype)
         opt = NesterovSGD(net.parameters(), learning_rate=0.01)
         result = train(net, repeat_batch(batch), opt, 200)
         assert result.losses[-1] < result.losses[0]

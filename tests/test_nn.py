@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import check_network_gradients, numeric_gradient, relative_error, traced_peak
-from disagg.architectures import build_lstm
+from disagg.architectures import build_lstm, build_network
 from disagg.errors import DataError, DimensionError, NumericError
 from disagg.nn import (LSTM, MOMENTUM, Bidirectional, Conv1D, Dense, Flatten, NesterovSGD,
                        Network, Reshape, clip_gradients, load_checkpoint,
                        save_checkpoint)
+from disagg.nn.checkpoint import IO_BLOCK
 from disagg.nn.layers import _in_parallel, _sigmoid_into
 from disagg.nn.optim import STEP_BLOCK
 
@@ -167,11 +168,11 @@ def reference_lstm_forward(layer, x):
     n = layer.hidden_size
     p = layer.params
     pre_all = x @ p["w_input"] + p["bias"]
-    h = np.zeros((batch, time, n))
-    c = np.zeros((batch, time, n))
-    gates = np.zeros((batch, time, 4 * n))
-    h_prev = np.zeros((batch, n))
-    c_prev = np.zeros((batch, n))
+    h = np.zeros((batch, time, n), x.dtype)
+    c = np.zeros((batch, time, n), x.dtype)
+    gates = np.zeros((batch, time, 4 * n), x.dtype)
+    h_prev = np.zeros((batch, n), x.dtype)
+    c_prev = np.zeros((batch, n), x.dtype)
     for t in range(time):
         pre = pre_all[:, t] + h_prev @ p["w_hidden"]
         pre[:, 0:n] += c_prev * p["peep_in"]
@@ -199,16 +200,16 @@ def reference_lstm_backward(layer, dh_out, cache):
     n = layer.hidden_size
     p = layer.params
     grads = {k: np.zeros_like(v) for k, v in p.items()}
-    d_pre_all = np.zeros((batch, time, 4 * n))
-    dh_carry = np.zeros((batch, n))
-    dc_carry = np.zeros((batch, n))
+    d_pre_all = np.zeros((batch, time, 4 * n), x.dtype)
+    dh_carry = np.zeros((batch, n), x.dtype)
+    dc_carry = np.zeros((batch, n), x.dtype)
     for t in range(time - 1, -1, -1):
         i_g = gates[:, t, 0:n]
         f_g = gates[:, t, n : 2 * n]
         g_g = gates[:, t, 2 * n : 3 * n]
         o_g = gates[:, t, 3 * n :]
         c_t = c[:, t]
-        c_prev = c[:, t - 1] if t > 0 else np.zeros((batch, n))
+        c_prev = c[:, t - 1] if t > 0 else np.zeros((batch, n), x.dtype)
         tc = np.tanh(c_t)
         dh = dh_out[:, t] + dh_carry
         do = dh * tc
@@ -233,8 +234,8 @@ def reference_lstm_backward(layer, dh_out, cache):
         dc_carry = dc * f_g + d_pre_i * p["peep_in"] + d_pre_f * p["peep_forget"]
         dh_carry = d_pre @ p["w_hidden"].T
         if (time - t) % layer.truncate == 0:
-            dh_carry = np.zeros((batch, n))
-            dc_carry = np.zeros((batch, n))
+            dh_carry = np.zeros((batch, n), x.dtype)
+            dc_carry = np.zeros((batch, n), x.dtype)
     flat_x = x.reshape(-1, layer.input_dim)
     flat_dpre = d_pre_all.reshape(-1, 4 * n)
     grads["w_input"] = flat_x.T @ flat_dpre
@@ -257,39 +258,43 @@ def reference_bidirectional(layer, x, dy):
     return y, dx_f + dx_b[:, ::-1], grads
 
 
-def assert_bitwise(actual, expected):
-    """Same shape and the same bits (so -0.0 differs from 0.0)."""
+def assert_bitwise(actual, expected, dtype=np.float64):
+    """Same shape, both of `dtype`, and the same bits (so -0.0 differs from 0.0)."""
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.shape == expected.shape
-    assert actual.dtype == expected.dtype == np.float64
+    assert actual.dtype == expected.dtype == dtype
     assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 SPECIAL_PRE = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf])
 
 
-def random_lstm(seed, input_dim, hidden, truncate=500, special_bias=False):
+def random_lstm(seed, input_dim, hidden, truncate=500, special_bias=False, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    layer = LSTM("l", input_dim, hidden, truncate=truncate, init=rng)
+    layer = LSTM("l", input_dim, hidden, truncate=truncate, init=rng, dtype=dtype)
     layer.params["bias"][:] = (rng.choice(SPECIAL_PRE, size=4 * hidden) if special_bias
                                else rng.normal(size=4 * hidden))
     return layer
 
 
 def check_against_reference(layer, x, rng):
+    """The layer's outputs, caches and gradients against the reference's,
+    bit for bit; `x` and the output gradient are cast to the layer's dtype."""
+    dtype = layer.params["w_input"].dtype
+    x = x.astype(dtype)
     expected_h, expected_cache = reference_lstm_forward(layer, x)
-    assert_bitwise(layer.forward(x), expected_h)
+    assert_bitwise(layer.forward(x), expected_h, dtype)
     h, cache = layer.forward_cached(x)
-    assert_bitwise(h, expected_h)
+    assert_bitwise(h, expected_h, dtype)
     for got, want in zip(cache[1:], expected_cache[1:]):  # h, c, gates
-        assert_bitwise(got, want)
-    dh = rng.normal(size=h.shape)
+        assert_bitwise(got, want, dtype)
+    dh = rng.normal(size=h.shape).astype(dtype)
     dx, grads = layer.backward(dh, cache)
     expected_dx, expected_grads = reference_lstm_backward(layer, dh, expected_cache)
-    assert_bitwise(dx, expected_dx)
+    assert_bitwise(dx, expected_dx, dtype)
     assert grads.keys() == expected_grads.keys()
     for key in grads:
-        assert_bitwise(grads[key], expected_grads[key])
+        assert_bitwise(grads[key], expected_grads[key], dtype)
 
 
 class TestLSTMReference:
@@ -305,6 +310,13 @@ class TestLSTMReference:
     def test_paper_width(self, rng):
         layer = random_lstm(3, 16, 128, truncate=500)
         check_against_reference(layer, rng.normal(size=(3, 20, 16)), rng)
+
+    @pytest.mark.parametrize("truncate", [3, 500])
+    def test_float32_bitwise_equal_to_float32_reference(self, truncate, rng):
+        # Every buffer takes the input's dtype: one float64 scratch array
+        # would widen the recurrence and change the float32 bits.
+        layer = random_lstm(9, 16, 128, truncate=truncate, dtype=np.float32)
+        check_against_reference(layer, rng.normal(scale=2.0, size=(3, 20, 16)), rng)
 
     @pytest.mark.parametrize("truncate", [1, 3, 7])
     def test_truncate_below_sequence_length(self, truncate, rng):
@@ -619,6 +631,15 @@ class TestNetwork:
         with pytest.raises(NumericError, match="out"):
             net.forward(rng.normal(size=(1, 6)))
 
+    def test_finite_float32_values_whose_sum_overflows_pass(self):
+        net = Network([Dense("big", 2, 2, init=np.random.default_rng(0), dtype=np.float32)],
+                      window_width=2)
+        net.layers[0].params["weights"][:] = np.diag([3e38, 3e38])
+        y = net.forward(np.ones((4, 2)))
+        assert y.dtype == np.float32 and np.isfinite(y).all()
+        with np.errstate(over="ignore"):
+            assert np.sum(y) == np.inf
+
     def test_parameter_roundtrip_and_shape_rejection(self, rng, tmp_path):
         # A network built from a loaded checkpoint adopts its arrays, the
         # Bidirectional halves included, and computes what the saved one did.
@@ -682,6 +703,12 @@ class TestNetwork:
         with pytest.raises(DataError):
             load_checkpoint(path)
 
+    def test_binary_first_line_is_data_error(self, tmp_path):
+        path = tmp_path / "junk.ckpt"
+        path.write_bytes(b"\x00\x00\x01\xff garbage\n")
+        with pytest.raises(DataError, match="not a checkpoint file"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("corrupt, match", [
         (lambda h: h["tensors"][0].update(shape=[5, 4]), "has shape"),
         (lambda h: h.pop("tensors"), "lacks its tensors"),
@@ -702,3 +729,62 @@ class TestNetwork:
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
         with pytest.raises(DataError, match=match):
             load_checkpoint(path)
+
+
+MIB = 1 << 20
+
+
+class TestCheckpointPrecision:
+    """Checkpoints store `<f8` whatever the network's dtype: float32 widens
+    exactly on save and a load rounds to the requested dtype."""
+
+    def _float32_params(self, rng):
+        # One tensor longer than a conversion block and not a multiple of it.
+        big = rng.normal(size=(3 * IO_BLOCK + 5,)).astype(np.float32)
+        big[:6] = [-0.0, 0.0, np.float32(1e-45), np.finfo(np.float32).max, np.inf, -np.inf]
+        return {"big": big, "w": rng.normal(size=(4, 3)).astype(np.float32),
+                "s": np.array(-2.5, np.float32), "empty": np.zeros((0, 2), np.float32)}
+
+    def test_float32_save_writes_the_float64_widening(self, rng, tmp_path):
+        params = self._float32_params(rng)
+        wide = {k: v.astype(np.float64) for k, v in params.items()}
+        narrow_path, wide_path = tmp_path / "f32.ckpt", tmp_path / "f64.ckpt"
+        save_checkpoint(narrow_path, params, meta={"step": 2})
+        save_checkpoint(wide_path, wide, meta={"step": 2})
+        assert narrow_path.read_bytes() == wide_path.read_bytes()
+        body = narrow_path.read_bytes().split(b"\n", 1)[1]
+        assert body == b"".join(wide[k].astype("<f8").tobytes() for k in sorted(wide))
+
+    def test_float32_load_round_trips_bit_for_bit(self, rng, tmp_path):
+        params = self._float32_params(rng)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, params)
+        loaded, _ = load_checkpoint(path, np.float32)
+        assert sorted(loaded) == sorted(params)
+        for name, value in params.items():
+            assert_bitwise(loaded[name], value, np.float32)
+
+    def test_float64_checkpoint_loads_rounded_to_nearest(self, rng, tmp_path):
+        wide = rng.normal(size=2 * IO_BLOCK + 3)
+        wide[:4] = [1 + 2.0**-24, 1 + 3 * 2.0**-24, -(1 + 2.0**-24), 1e-50]  # ties go to even
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, {"w": wide})
+        loaded, _ = load_checkpoint(path, np.float32)
+        assert_bitwise(loaded["w"], wide.astype(np.float32), np.float32)
+        assert loaded["w"][:3].tolist() == [1.0, 1 + 2.0**-22, -1.0]
+
+    def test_paper_width_rectangles_checkpoint_memory(self, tmp_path):
+        # 27.9M parameters, 106.5 MiB in float32: converting whole tensors
+        # would hold a float64 copy of each (213 MiB for the set).
+        net = build_network("rectangles", 128, np.random.default_rng(0))
+        params = net.parameters()
+        param_bytes = sum(v.nbytes for v in params.values())
+        assert param_bytes > 100 * MIB
+        path = tmp_path / "rect.ckpt"
+        save_peak = traced_peak(lambda: save_checkpoint(path, params, meta={"step": 1}))
+        assert save_peak < 2 * MIB
+        loaded = {}
+        load_peak = traced_peak(lambda: loaded.update(load_checkpoint(path, np.float32)[0]))
+        assert load_peak < param_bytes + 2 * MIB
+        for name, value in params.items():
+            assert_bitwise(loaded[name], value, np.float32)
