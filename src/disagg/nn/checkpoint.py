@@ -5,10 +5,11 @@ A checkpoint is a single self-describing file: one JSON header line
 such as the manifest hash) followed by the concatenated tensor bytes.
 Every tensor is stored as little-endian float64 (`<f8`), whatever the
 dtype of the network that wrote or reads it: saving widens float32
-exactly, and loading rounds to the requested dtype.  Both convert one
-block of IO_BLOCK elements at a time, so neither holds a second copy of
-the parameters.  Writing is fully deterministic, so identical parameters
-and metadata always produce identical files.
+exactly, and loading rounds to the requested dtype (a finite value
+beyond that dtype's range is a DataError, not an infinity).  Both
+convert one block of IO_BLOCK elements at a time, so neither holds a
+second copy of the parameters.  Writing is fully deterministic, so
+identical parameters and metadata always produce identical files.
 """
 
 from __future__ import annotations
@@ -83,7 +84,13 @@ def load_checkpoint(path, dtype=np.float64):
             for start in range(0, flat.size, IO_BLOCK):
                 chunk = block[: flat.size - start]
                 f.readinto(chunk.view(np.uint8))
-                flat[start : start + chunk.size] = chunk
+                try:
+                    # A finite value that rounds to +-inf raises; an inf is exact.
+                    with np.errstate(over="raise"):
+                        flat[start : start + chunk.size] = chunk
+                except FloatingPointError:
+                    raise DataError(f"{path}: tensor {name!r} holds a value beyond the "
+                                    f"range of {arr.dtype}") from None
             params[name] = arr
     return params, meta
 

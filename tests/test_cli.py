@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,21 @@ class TestCliPipeline:
         code, err = self._disaggregate_with_manifest(tmp_path, capsys, reshape_code_weights,
                                                      sign=False)
         assert code == 3 and "code: shape mismatch for 'weights'" in err
+
+    def test_checkpoint_value_beyond_float32_exits_2_naming_it(self, tmp_path, capsys):
+        # The checkpoint stores <f8; 1e300 has no float32 value.
+        def overflow_code_weights(text):
+            ckpt = tmp_path / "out" / "models" / "kettle_dae.ckpt"
+            params, meta = load_checkpoint(ckpt)
+            params["code/weights"][0, 0] = 1e300
+            save_checkpoint(ckpt, params, meta=meta)
+            return text
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self._disaggregate_with_manifest(tmp_path, capsys,
+                                                         overflow_code_weights, sign=False)
+        assert code == 2 and "kettle_dae.ckpt: tensor 'code/weights'" in err
 
     def test_inference_draws_no_random_weights(self, tmp_path, capsys, monkeypatch):
         # The network is built from the checkpoint: nothing is drawn from

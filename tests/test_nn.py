@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -149,10 +150,12 @@ class TestLSTM:
 
 
 # -- reference LSTM ---------------------------------------------------------
-# The straightforward step loop, one fresh array per operation.  The layer
-# computes in preallocated buffers and runs the two halves of a
-# bidirectional layer on two threads; every result must stay bitwise
-# equal to this.
+# The straightforward step loop, one fresh array per operation, in the
+# layer's layout: states (time, n, batch), gates (time, 4n, batch), with
+# the layer's GEMM orientations and its weight-gradient sums taken after
+# the loop.  The layer computes in preallocated buffers and runs the two
+# halves of a bidirectional layer on two threads; every result must stay
+# bitwise equal to this.
 
 def reference_sigmoid(z):
     out = np.empty_like(z)
@@ -164,6 +167,99 @@ def reference_sigmoid(z):
 
 
 def reference_lstm_forward(layer, x):
+    batch, time, input_dim = x.shape
+    n = layer.hidden_size
+    p = layer.params
+    x_rows = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(time * batch, input_dim)
+    pre_all = (p["w_input"].T @ x_rows.T).reshape(4 * n, time, batch) + p["bias"][:, None, None]
+    w_hidden_t = np.ascontiguousarray(p["w_hidden"].T)
+    peep_in, peep_forget, peep_out = (p[key][:, None]
+                                      for key in ("peep_in", "peep_forget", "peep_out"))
+    h = np.zeros((time, n, batch), x.dtype)
+    c = np.zeros((time, n, batch), x.dtype)
+    gates = np.zeros((time, 4 * n, batch), x.dtype)
+    h_prev = np.zeros((n, batch), x.dtype)
+    c_prev = np.zeros((n, batch), x.dtype)
+    for t in range(time):
+        pre = pre_all[:, t] + w_hidden_t @ h_prev
+        pre[0:n] += c_prev * peep_in
+        pre[n : 2 * n] += c_prev * peep_forget
+        i_g = reference_sigmoid(pre[0:n])
+        f_g = reference_sigmoid(pre[n : 2 * n])
+        g_g = np.tanh(pre[2 * n : 3 * n])
+        c_t = f_g * c_prev + i_g * g_g
+        pre_o = pre[3 * n :] + c_t * peep_out
+        o_g = reference_sigmoid(pre_o)
+        h_t = o_g * np.tanh(c_t)
+        gates[t, 0:n] = i_g
+        gates[t, n : 2 * n] = f_g
+        gates[t, 2 * n : 3 * n] = g_g
+        gates[t, 3 * n :] = o_g
+        c[t] = c_t
+        h[t] = h_t
+        h_prev, c_prev = h_t, c_t
+    return h.transpose(2, 0, 1), (x, h, c, gates)
+
+
+def reference_lstm_backward(layer, dh_out, cache):
+    x, h, c, gates = cache
+    batch, time, input_dim = x.shape
+    n = layer.hidden_size
+    p = layer.params
+    peep_in, peep_forget, peep_out = (p[key][:, None]
+                                      for key in ("peep_in", "peep_forget", "peep_out"))
+    d_pre_all = np.zeros((time, 4 * n, batch), x.dtype)
+    dh_carry = np.zeros((n, batch), x.dtype)
+    dc_carry = np.zeros((n, batch), x.dtype)
+    for t in range(time - 1, -1, -1):
+        i_g = gates[t, 0:n]
+        f_g = gates[t, n : 2 * n]
+        g_g = gates[t, 2 * n : 3 * n]
+        o_g = gates[t, 3 * n :]
+        c_t = c[t]
+        c_prev = c[t - 1] if t > 0 else np.zeros((n, batch), x.dtype)
+        tc = np.tanh(c_t)
+        dh = dh_out[:, t].T + dh_carry
+        do = dh * tc
+        d_pre_o = do * o_g * (1.0 - o_g)
+        dc = dh * o_g * (1.0 - tc * tc) + dc_carry + d_pre_o * peep_out
+        di = dc * g_g
+        df = dc * c_prev
+        dg = dc * i_g
+        d_pre_i = di * i_g * (1.0 - i_g)
+        d_pre_f = df * f_g * (1.0 - f_g)
+        d_pre_g = dg * (1.0 - g_g * g_g)
+        d_pre_all[t, 0:n] = d_pre_i
+        d_pre_all[t, n : 2 * n] = d_pre_f
+        d_pre_all[t, 2 * n : 3 * n] = d_pre_g
+        d_pre_all[t, 3 * n :] = d_pre_o
+        dc_carry = dc * f_g + d_pre_i * peep_in + d_pre_f * peep_forget
+        dh_carry = p["w_hidden"] @ d_pre_all[t]
+        if (time - t) % layer.truncate == 0:
+            dh_carry = np.zeros((n, batch), x.dtype)
+            dc_carry = np.zeros((n, batch), x.dtype)
+    # Rows (and h's columns) indexed by step, then batch.
+    d_rows = np.ascontiguousarray(d_pre_all.transpose(0, 2, 1)).reshape(time * batch, 4 * n)
+    x_rows = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(time * batch, input_dim)
+    h_cols = np.ascontiguousarray(h.transpose(1, 0, 2)).reshape(n, time * batch)
+    grads = {
+        "w_input": x_rows.T @ d_rows,
+        "w_hidden": h_cols[:, : (time - 1) * batch] @ d_rows[batch:],
+        "bias": d_rows.sum(axis=0),
+        "peep_in": np.einsum("tjb,tjb->j", d_pre_all[1:, 0:n], c[:-1]),
+        "peep_forget": np.einsum("tjb,tjb->j", d_pre_all[1:, n : 2 * n], c[:-1]),
+        "peep_out": np.einsum("tjb,tjb->j", d_pre_all[:, 3 * n :], c),
+    }
+    dx = (d_rows @ p["w_input"].T).reshape(time, batch, input_dim).transpose(1, 0, 2)
+    return dx, grads
+
+
+# The batch-major step loop: (batch, time, ...) arrays, `h_prev @
+# w_hidden` steps and weight gradients accumulated step by step.  It sums
+# in another order than the layer, so it is a float64 oracle to within
+# rounding, not bit for bit.
+
+def batch_major_lstm_forward(layer, x):
     batch, time, _ = x.shape
     n = layer.hidden_size
     p = layer.params
@@ -194,7 +290,7 @@ def reference_lstm_forward(layer, x):
     return h, (x, h, c, gates)
 
 
-def reference_lstm_backward(layer, dh_out, cache):
+def batch_major_lstm_backward(layer, dh_out, cache):
     x, h, c, gates = cache
     batch, time, _ = x.shape
     n = layer.hidden_size
@@ -297,6 +393,31 @@ def check_against_reference(layer, x, rng):
         assert_bitwise(grads[key], expected_grads[key], dtype)
 
 
+def check_against_batch_major(layer, x, rng):
+    """The float64 layer's outputs, caches and gradients against the
+    batch-major step loop's, to within rounding: 1e-12 relative to each
+    element, or to the array's largest element where a sum cancels."""
+    def close(actual, desired):
+        np.testing.assert_allclose(actual, desired, rtol=1e-12,
+                                   atol=1e-12 * np.abs(desired).max(initial=0.0))
+
+    expected_h, (_, _, expected_c, expected_gates) = batch_major_lstm_forward(layer, x)
+    close(layer.forward(x), expected_h)
+    h, cache = layer.forward_cached(x)
+    close(h, expected_h)
+    _, _, c, gates = cache
+    close(c.transpose(2, 0, 1), expected_c)
+    close(gates.transpose(2, 0, 1), expected_gates)
+    dh = rng.normal(size=h.shape)
+    dx, grads = layer.backward(dh, cache)
+    expected_dx, expected_grads = batch_major_lstm_backward(
+        layer, dh, (x, expected_h, expected_c, expected_gates))
+    close(dx, expected_dx)
+    assert grads.keys() == expected_grads.keys()
+    for key in grads:
+        close(grads[key], expected_grads[key])
+
+
 class TestLSTMReference:
     @settings(max_examples=30, deadline=None)
     @given(batch=st.integers(1, 5), time=st.integers(1, 9), input_dim=st.integers(1, 4),
@@ -310,6 +431,21 @@ class TestLSTMReference:
     def test_paper_width(self, rng):
         layer = random_lstm(3, 16, 128, truncate=500)
         check_against_reference(layer, rng.normal(size=(3, 20, 16)), rng)
+
+    @settings(max_examples=30, deadline=None)
+    @given(batch=st.integers(1, 5), time=st.integers(1, 9), input_dim=st.integers(1, 4),
+           hidden=st.integers(1, 6), truncate=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_within_rounding_of_batch_major_loop(self, batch, time, input_dim, hidden,
+                                                 truncate, seed):
+        layer = random_lstm(seed, input_dim, hidden, truncate)
+        rng = np.random.default_rng(seed + 1)
+        check_against_batch_major(
+            layer, rng.normal(scale=2.0, size=(batch, time, input_dim)), rng)
+
+    @pytest.mark.parametrize("truncate", [3, 500])
+    def test_paper_width_within_rounding_of_batch_major_loop(self, truncate, rng):
+        layer = random_lstm(3, 16, 128, truncate=truncate)
+        check_against_batch_major(layer, rng.normal(size=(3, 20, 16)), rng)
 
     @pytest.mark.parametrize("truncate", [3, 500])
     def test_float32_bitwise_equal_to_float32_reference(self, truncate, rng):
@@ -372,6 +508,13 @@ class TestBidirectional:
         layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 4, init=rng))
         assert layer.forward(rng.normal(size=(1, 5, 2))).shape == (1, 5, 8)
 
+    def test_output_is_c_contiguous(self, rng):
+        # The halves return time-major views; the next layer's GEMMs want rows.
+        layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 4, init=rng))
+        x = rng.normal(size=(3, 5, 2))
+        assert layer.forward(x).flags.c_contiguous
+        assert layer.forward_cached(x)[0].flags.c_contiguous
+
     def test_mismatched_halves_rejected(self, rng):
         with pytest.raises(DimensionError, match="share hidden size"):
             Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 5, init=rng))
@@ -417,9 +560,22 @@ class TestBidirectionalThreads:
         layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 4, init=rng))
         y, (cache_f, cache_b) = layer.forward_cached(rng.normal(size=(1, 5, 2)))
         x_b, h_b, c_b, gates_b = cache_b
-        cut_short = (x_b, h_b, c_b, gates_b[:, :2])  # two of the five steps' gates
+        cut_short = (x_b, h_b, c_b, gates_b[:2])  # two of the five steps' gates
         with pytest.raises(IndexError):
             layer.backward(np.ones_like(y), (cache_f, cut_short))
+
+    @pytest.mark.parametrize("half", [0, 1])
+    @pytest.mark.parametrize("part", ["x", "h", "c", "gates"])
+    def test_cache_cut_on_time_axis_raises_in_caller(self, half, part, rng):
+        # x is (batch, time, input); h, c and the gates are time-major.
+        layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 4, init=rng))
+        y, caches = layer.forward_cached(rng.normal(size=(2, 5, 2)))
+        x, h, c, gates = caches[half]
+        cut = {"x": (x[:, :2], h, c, gates), "h": (x, h[:2], c, gates),
+               "c": (x, h, c[:2], gates), "gates": (x, h, c, gates[:2])}[part]
+        caches = (cut, caches[1]) if half == 0 else (caches[0], cut)
+        with pytest.raises((IndexError, ValueError)):
+            layer.backward(np.ones_like(y), caches)
 
     def test_caller_error_raised_after_worker_returns(self):
         started = threading.Event()
@@ -772,6 +928,31 @@ class TestCheckpointPrecision:
         loaded, _ = load_checkpoint(path, np.float32)
         assert_bitwise(loaded["w"], wide.astype(np.float32), np.float32)
         assert loaded["w"][:3].tolist() == [1.0, 1 + 2.0**-22, -1.0]
+
+    @pytest.mark.parametrize("value", [1e300, -1e300, 2.0 * float(np.finfo(np.float32).max)])
+    def test_value_beyond_float32_range_is_data_error(self, value, rng, tmp_path):
+        wide = rng.normal(size=2 * IO_BLOCK + 3)
+        wide[IO_BLOCK + 7] = value  # in the second block
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, {"b": np.ones(3), "w": wide})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"net\.ckpt: tensor 'w' .* float32"):
+                load_checkpoint(path, np.float32)
+        loaded, _ = load_checkpoint(path)
+        assert_bitwise(loaded["w"], wide)
+
+    def test_values_that_round_into_float32_range_load(self, tmp_path):
+        # Stored infinities stay infinite; a value just above float32's
+        # largest rounds down to it.
+        top = float(np.finfo(np.float32).max)
+        wide = np.array([np.inf, -np.inf, top * (1 + 2.0**-26), -top])
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, {"w": wide})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded, _ = load_checkpoint(path, np.float32)
+        assert loaded["w"].tolist() == [np.inf, -np.inf, top, -top]
 
     def test_paper_width_rectangles_checkpoint_memory(self, tmp_path):
         # 27.9M parameters, 106.5 MiB in float32: converting whole tensors

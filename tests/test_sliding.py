@@ -488,9 +488,8 @@ def test_disaggregate_memory_is_bounded_by_a_block_not_the_windows():
 
 def test_lstm_block_memory_at_paper_width():
     # One block of SLIDE_BATCH windows through the float32 LSTM net at
-    # width 128.  Each direction of bilstm2 holds a (64, 128, 1024) input
-    # projection while both run at once: 90 MiB in float32, 180 MiB in
-    # float64.
+    # width 128.  Each direction of bilstm2 holds a 64 × 128 × 1024 input
+    # projection while both run at once: 92 MiB in float32.
     network = architectures.build_network("lstm", 128, np.random.default_rng(0))
     windows = np.random.default_rng(1).normal(size=(SLIDE_BATCH, 128))
     peak = traced_peak(lambda: network.forward(windows))

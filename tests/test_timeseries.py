@@ -201,19 +201,19 @@ def random_csv(rng, path, fault_rate=0.0):
 
 
 class TestLoadCsvOracle:
+    # Each case gets its own file: overwriting one file 400 times costs
+    # tens of milliseconds per write on some file systems.
     def test_matches_row_scanner_bitwise(self, rng, tmp_path):
-        path = tmp_path / "channel.csv"
-        for _ in range(400):
-            random_csv(rng, path)
+        for i in range(400):
+            path = random_csv(rng, tmp_path / f"channel{i}.csv")
             for period, fill in ((6, 180.0), (1, 4.0), (10, 0.0)):
                 assert_same_series(load_csv(path, period, fill),
                                    reference_load_csv(path, period, fill))
 
     def test_rejections_match_row_scanner(self, rng, tmp_path):
-        path = tmp_path / "channel.csv"
         rejected = 0
-        for _ in range(400):
-            random_csv(rng, path, fault_rate=0.05)
+        for i in range(400):
+            path = random_csv(rng, tmp_path / f"channel{i}.csv", fault_rate=0.05)
             got, want = outcome(load_csv, path), outcome(reference_load_csv, path)
             if isinstance(want, str):
                 rejected += 1
