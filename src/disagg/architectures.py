@@ -48,7 +48,8 @@ UPDATE_BUDGETS = {"lstm": 10_000, "dae": 100_000, "rectangles": 300_000}
 BATCH_SIZES = {"lstm": 16, "dae": 64, "rectangles": 64}
 
 # The nets train and infer in single precision, as the paper's did on a
-# GPU; checkpoints still store float64 (see nn.checkpoint).
+# GPU; their checkpoints hold float32 too, and `disaggregate` refuses a
+# tensor of any other dtype.
 NETWORK_DTYPE = np.float32
 
 DEFAULT_LEARNING_RATE = 0.01

@@ -429,7 +429,11 @@ def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
     if not ckpt_path.exists() or not manifest_path.exists():
         raise DataError(f"missing checkpoint or manifest for {appliance}/{kind}; train first")
     manifest = _read_manifest(manifest_path)
-    params, meta = load_checkpoint(ckpt_path, architectures.NETWORK_DTYPE)
+    params, meta = load_checkpoint(ckpt_path)
+    for name, value in params.items():
+        if value.dtype != architectures.NETWORK_DTYPE:
+            raise DataError(f"{ckpt_path}: tensor {name!r} is {value.dtype}, not "
+                            f"{np.dtype(architectures.NETWORK_DTYPE)}; retrain")
     actual_hash = sha256_text(canonical_json(manifest))
     if meta.get("manifest_sha256") != actual_hash:
         raise DataError(
@@ -492,11 +496,8 @@ def cmd_evaluate(cfg: ExperimentConfig, appliance: str, algorithms=None,
     _check_alignment("truth", truth, "aggregate", aggregate)
 
     if not algorithms:
-        prefix = f"{channel_slug(appliance)}_"
-        suffix = f"_house{house}.csv"
-        est_dir = cfg.out_dir / "estimates"
-        algorithms = sorted(p.name[len(prefix):-len(suffix)]
-                            for p in est_dir.glob(f"{prefix}*{suffix}"))
+        algorithms = sorted(algo for algo in architectures.KINDS + BASELINE_ALGOS
+                            if _estimate_path(cfg, appliance, algo, house).exists())
         if not algorithms:
             raise DataError(f"no estimates found for {appliance} house {house}; "
                             "run disaggregate first")

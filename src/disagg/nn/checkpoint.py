@@ -1,15 +1,13 @@
 """Parameter checkpoint container.
 
 A checkpoint is a single self-describing file: one JSON header line
-(tensor names, shapes, byte offsets and sizes, plus free-form metadata
-such as the manifest hash) followed by the concatenated tensor bytes.
-Every tensor is stored as little-endian float64 (`<f8`), whatever the
-dtype of the network that wrote or reads it: saving widens float32
-exactly, and loading rounds to the requested dtype (a finite value
-beyond that dtype's range is a DataError, not an infinity).  Both
-convert one block of IO_BLOCK elements at a time, so neither holds a
-second copy of the parameters.  Writing is fully deterministic, so
-identical parameters and metadata always produce identical files.
+(tensor names, shapes, dtypes, byte offsets and sizes, plus free-form
+metadata such as the manifest hash) followed by the concatenated tensor
+bytes.  Each tensor is stored in its own dtype, little-endian float32
+(`<f4`) or float64 (`<f8`), and loads back in that dtype bit for bit:
+nothing is widened or rounded, and neither direction holds a second
+copy of the parameters.  Writing is fully deterministic, so identical
+parameters and metadata always produce identical files.
 """
 
 from __future__ import annotations
@@ -21,42 +19,36 @@ import numpy as np
 
 from ..errors import DataError
 
-FORMAT_TAG = "disagg-checkpoint-v1"
-STORED = np.dtype("<f8")
-IO_BLOCK = 1 << 16  # elements per conversion block: 512 KiB of `<f8`
+FORMAT_TAG = "disagg-checkpoint-v2"
+DTYPES = ("<f4", "<f8")
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None):
-    """Write `params` and `meta` to `path`.
+    """Write `params` and `meta` to `path`, each tensor's bytes as they are.
 
-    Each tensor goes to the file one block at a time, widened to `<f8`
-    in one reused buffer, so saving holds one block beyond the
-    parameters.
+    Every tensor must be little-endian float32 or float64.
     """
     names = sorted(params)
     arrays = [np.asarray(params[name]) for name in names]  # keeps a 0-d shape
     entries = []
     offset = 0
     for name, arr in zip(names, arrays):
-        nbytes = arr.size * STORED.itemsize
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset,
-                        "nbytes": nbytes})
-        offset += nbytes
+        if arr.dtype.str not in DTYPES:
+            raise ValueError(f"tensor {name!r} is {arr.dtype.str}; a checkpoint holds "
+                             f"{' or '.join(DTYPES)}")
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str,
+                        "offset": offset, "nbytes": arr.nbytes})
+        offset += arr.nbytes
     header = {"format": FORMAT_TAG, "meta": meta or {}, "tensors": entries}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
         f.write(b"\n")
-        block = np.empty(IO_BLOCK, STORED)
         for arr in arrays:
-            flat = np.ascontiguousarray(arr).reshape(-1)
-            for start in range(0, flat.size, IO_BLOCK):
-                chunk = block[: flat.size - start]
-                chunk[...] = flat[start : start + IO_BLOCK]
-                f.write(chunk.data)
+            f.write(np.ascontiguousarray(arr).data)
 
 
-def load_checkpoint(path, dtype=np.float64):
-    """Returns (params dict, meta dict), the tensors rounded to `dtype`."""
+def load_checkpoint(path):
+    """Returns (params dict, meta dict), each tensor in its stored dtype."""
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
@@ -70,40 +62,28 @@ def load_checkpoint(path, dtype=np.float64):
             raise DataError(f"{path}: checkpoint header lacks its tensors or meta")
         body_start = f.tell()
         body_size = os.fstat(f.fileno()).st_size - body_start
-        block = np.empty(IO_BLOCK, STORED)
         params = {}
         for entry in tensors:
-            name, lo, nbytes, shape = _tensor_entry(path, entry)
+            name, lo, nbytes, shape, dtype = _tensor_entry(path, entry)
             if lo + nbytes > body_size:
                 raise DataError(f"{path}: truncated checkpoint (tensor {name!r})")
-            # Read one block at a time and round it into the tensor's own
-            # array, so loading peaks at the parameters' size plus one block.
             arr = np.empty(shape, dtype)
-            flat = arr.reshape(-1)
             f.seek(body_start + lo)
-            for start in range(0, flat.size, IO_BLOCK):
-                chunk = block[: flat.size - start]
-                f.readinto(chunk.view(np.uint8))
-                try:
-                    # A finite value that rounds to +-inf raises; an inf is exact.
-                    with np.errstate(over="raise"):
-                        flat[start : start + chunk.size] = chunk
-                except FloatingPointError:
-                    raise DataError(f"{path}: tensor {name!r} holds a value beyond the "
-                                    f"range of {arr.dtype}") from None
+            f.readinto(arr.reshape(-1).view(np.uint8))
             params[name] = arr
     return params, meta
 
 
 def _tensor_entry(path, entry):
-    """(name, offset, nbytes, shape) of one header entry, checked for consistency."""
+    """(name, offset, nbytes, shape, dtype) of one header entry, checked."""
     try:
-        name, lo, nbytes, shape = entry["name"], entry["offset"], entry["nbytes"], entry["shape"]
+        name, lo, nbytes = entry["name"], entry["offset"], entry["nbytes"]
+        shape, dtype = entry["shape"], entry["dtype"]
     except (KeyError, TypeError):
         raise DataError(f"{path}: malformed tensor entry {entry!r}") from None
-    if not (isinstance(name, str) and isinstance(shape, list)
+    if not (isinstance(name, str) and isinstance(shape, list) and dtype in DTYPES
             and all(type(v) is int and v >= 0 for v in [lo, nbytes, *shape])):
         raise DataError(f"{path}: malformed tensor entry {entry!r}")
-    if STORED.itemsize * int(np.prod(shape, dtype=np.int64)) != nbytes:
+    if np.dtype(dtype).itemsize * int(np.prod(shape, dtype=np.int64)) != nbytes:
         raise DataError(f"{path}: tensor {name!r} has shape {shape} but {nbytes} bytes")
-    return name, lo, nbytes, shape
+    return name, lo, nbytes, shape, dtype

@@ -496,40 +496,25 @@ def _concat_features(a, b):
     return np.concatenate([a, b], axis=2, out=np.empty((batch, time, 2 * n), a.dtype))
 
 
-_jobs = None  # queue of the worker thread, started by the first `_in_parallel`
-_jobs_lock = threading.Lock()
-
-
-def _work(jobs):
-    while True:
-        future, run = jobs.get()
-        try:
-            future.set_result(run())
-        except BaseException as exc:  # re-raised by the caller
-            future.set_exception(exc)
-        del future, run  # hold no result while idle
+_worker = None  # one-thread executor, created by the first `_in_parallel`
+_worker_lock = threading.Lock()
 
 
 def _in_parallel(first, second):
     """(first(), second()), with `second` run on the worker thread while
     the caller runs `first`.
 
-    The worker is one daemon thread for the whole process, started on
-    first use, so programs that never call this start no thread.
-    Concurrent callers share it and their `second` calls queue up.  An
-    exception of either is raised here only once both have returned.
+    The worker is one thread for the whole process, started on first use,
+    so programs that never call this start no thread.  Concurrent callers
+    share it and their `second` calls queue up.  An exception of either is
+    raised here only once both have returned.
     """
-    from concurrent.futures import Future
-
-    global _jobs
-    with _jobs_lock:
-        if _jobs is None:
-            import queue
-            _jobs = queue.SimpleQueue()
-            threading.Thread(target=_work, args=(_jobs,), name="disagg-bidirectional",
-                             daemon=True).start()
-    future = Future()
-    _jobs.put((future, second))
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="disagg-bidirectional")
+    future = _worker.submit(second)
     try:
         result = first()
     finally:

@@ -344,6 +344,21 @@ class TestCliPipeline:
         assert main(["evaluate", "--config", str(path), "--appliance", "kettle"]) == 2
         assert "misaligned grids" in capsys.readouterr().err
 
+    def test_evaluate_skips_estimates_of_an_appliance_with_a_longer_name(self, tmp_path):
+        # An appliance named "fridge freezer" writes fridge_freezer_dae_house2.csv,
+        # which a pattern like fridge_*_house2.csv would take for a fridge estimate.
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        main(["disaggregate", "--config", str(path), "--appliance", "fridge",
+              "--baseline", "co"])
+        estimates = tmp_path / "out" / "estimates"
+        (estimates / "fridge_freezer_dae_house2.csv").write_bytes(
+            (estimates / "fridge_co_house2.csv").read_bytes())
+        assert main(["evaluate", "--config", str(path), "--appliance", "fridge"]) == 0
+        payload = json.loads(
+            (tmp_path / "out" / "evaluation" / "metrics_fridge_house2.json").read_text())
+        assert list(payload["algorithms"]) == ["co"]
+
     def test_evaluate_malformed_estimate_row_exits_2(self, tmp_path, capsys):
         path = world_config(tmp_path)
         main(["extract", "--config", str(path)])
@@ -409,7 +424,7 @@ class TestCliPipeline:
         def reshape_code_weights(text):
             models = tmp_path / "out" / "models"
             params, meta = load_checkpoint(models / "kettle_dae.ckpt")
-            params["code/weights"] = np.zeros((3, 3))
+            params["code/weights"] = np.zeros((3, 3), np.float32)
             save_checkpoint(models / "kettle_dae.ckpt", params, meta=meta)
             return text
 
@@ -418,10 +433,12 @@ class TestCliPipeline:
         assert code == 3 and "code: shape mismatch for 'weights'" in err
 
     def test_checkpoint_value_beyond_float32_exits_2_naming_it(self, tmp_path, capsys):
-        # The checkpoint stores <f8; 1e300 has no float32 value.
+        # A float64 tensor is refused before the float32 net is built, so
+        # 1e300, which has no float32 value, never reaches it.
         def overflow_code_weights(text):
             ckpt = tmp_path / "out" / "models" / "kettle_dae.ckpt"
             params, meta = load_checkpoint(ckpt)
+            params["code/weights"] = params["code/weights"].astype(np.float64)
             params["code/weights"][0, 0] = 1e300
             save_checkpoint(ckpt, params, meta=meta)
             return text

@@ -2,7 +2,6 @@ import json
 import sys
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from disagg.errors import DataError, DimensionError, NumericError
 from disagg.nn import (LSTM, MOMENTUM, Bidirectional, Conv1D, Dense, Flatten, NesterovSGD,
                        Network, Reshape, clip_gradients, load_checkpoint,
                        save_checkpoint)
-from disagg.nn.checkpoint import IO_BLOCK
 from disagg.nn.layers import _in_parallel, _sigmoid_into
 from disagg.nn.optim import STEP_BLOCK
 
@@ -874,8 +872,13 @@ class TestNetwork:
         (lambda h: h["tensors"][0].update(offset=8), "truncated checkpoint"),
         (lambda h: h["tensors"][0].update(shape=[2**20, 2**20], nbytes=2**43),
          "truncated checkpoint"),
+        (lambda h: h["tensors"][0].update(dtype="<f2", nbytes=32), "malformed tensor entry"),
+        (lambda h: h["tensors"][0].update(dtype=">f8"), "malformed tensor entry"),
+        (lambda h: h["tensors"][0].update(dtype="float32"), "malformed tensor entry"),
+        (lambda h: h["tensors"][0].pop("dtype"), "malformed tensor entry"),
     ], ids=["shape-vs-nbytes", "no-tensors", "no-offset", "no-shape", "negative-offset",
-            "past-end", "huge-shape"])
+            "past-end", "huge-shape", "half-precision", "big-endian", "dtype-name",
+            "no-dtype"])
     def test_malformed_header_is_data_error(self, tmp_path, corrupt, match):
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, {"w": np.arange(16.0).reshape(4, 4)})
@@ -891,72 +894,69 @@ MIB = 1 << 20
 
 
 class TestCheckpointPrecision:
-    """Checkpoints store `<f8` whatever the network's dtype: float32 widens
-    exactly on save and a load rounds to the requested dtype."""
+    """Each tensor is stored in its own dtype and loads back bit for bit."""
 
-    def _float32_params(self, rng):
-        # One tensor longer than a conversion block and not a multiple of it.
-        big = rng.normal(size=(3 * IO_BLOCK + 5,)).astype(np.float32)
-        big[:6] = [-0.0, 0.0, np.float32(1e-45), np.finfo(np.float32).max, np.inf, -np.inf]
-        return {"big": big, "w": rng.normal(size=(4, 3)).astype(np.float32),
-                "s": np.array(-2.5, np.float32), "empty": np.zeros((0, 2), np.float32)}
+    BIG = 196_613  # elements of one tensor: a read far larger than a file buffer
 
-    def test_float32_save_writes_the_float64_widening(self, rng, tmp_path):
-        params = self._float32_params(rng)
-        wide = {k: v.astype(np.float64) for k, v in params.items()}
-        narrow_path, wide_path = tmp_path / "f32.ckpt", tmp_path / "f64.ckpt"
-        save_checkpoint(narrow_path, params, meta={"step": 2})
-        save_checkpoint(wide_path, wide, meta={"step": 2})
-        assert narrow_path.read_bytes() == wide_path.read_bytes()
-        body = narrow_path.read_bytes().split(b"\n", 1)[1]
-        assert body == b"".join(wide[k].astype("<f8").tobytes() for k in sorted(wide))
+    def _params(self, rng, dtype):
+        info = np.finfo(dtype)
+        big = rng.normal(size=(self.BIG,)).astype(dtype)
+        big[:7] = [-0.0, 0.0, info.smallest_subnormal, -info.smallest_subnormal, info.max,
+                   np.inf, -np.inf]
+        return {"big": big, "w": rng.normal(size=(4, 3)).astype(dtype),
+                "s": np.array(-2.5, dtype), "empty": np.zeros((0, 2), dtype)}
+
+    def test_save_writes_each_tensor_in_its_own_dtype(self, rng, tmp_path):
+        params = self._params(rng, np.float32)
+        params["wide"] = rng.normal(size=(2, 5))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, params, meta={"step": 2})
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        entries = json.loads(header_line)["tensors"]
+        names = sorted(params)
+        assert [e["name"] for e in entries] == names
+        assert [e["dtype"] for e in entries] == [params[k].dtype.str for k in names]
+        assert [e["nbytes"] for e in entries] == [params[k].nbytes for k in names]
+        assert body == b"".join(params[k].tobytes() for k in names)
 
     def test_float32_load_round_trips_bit_for_bit(self, rng, tmp_path):
-        params = self._float32_params(rng)
+        params = self._params(rng, np.float32)
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, params)
-        loaded, _ = load_checkpoint(path, np.float32)
+        loaded, _ = load_checkpoint(path)
         assert sorted(loaded) == sorted(params)
         for name, value in params.items():
             assert_bitwise(loaded[name], value, np.float32)
 
-    def test_float64_checkpoint_loads_rounded_to_nearest(self, rng, tmp_path):
-        wide = rng.normal(size=2 * IO_BLOCK + 3)
-        wide[:4] = [1 + 2.0**-24, 1 + 3 * 2.0**-24, -(1 + 2.0**-24), 1e-50]  # ties go to even
+    def test_float64_checkpoint_loads_bit_for_bit(self, rng, tmp_path):
+        params = self._params(rng, np.float64)
+        params["big"][7] = 1 + 2.0**-24  # no float32 value: nothing is rounded
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, {"w": wide})
-        loaded, _ = load_checkpoint(path, np.float32)
-        assert_bitwise(loaded["w"], wide.astype(np.float32), np.float32)
-        assert loaded["w"][:3].tolist() == [1.0, 1 + 2.0**-22, -1.0]
-
-    @pytest.mark.parametrize("value", [1e300, -1e300, 2.0 * float(np.finfo(np.float32).max)])
-    def test_value_beyond_float32_range_is_data_error(self, value, rng, tmp_path):
-        wide = rng.normal(size=2 * IO_BLOCK + 3)
-        wide[IO_BLOCK + 7] = value  # in the second block
-        path = tmp_path / "net.ckpt"
-        save_checkpoint(path, {"b": np.ones(3), "w": wide})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataError, match=r"net\.ckpt: tensor 'w' .* float32"):
-                load_checkpoint(path, np.float32)
+        save_checkpoint(path, params)
         loaded, _ = load_checkpoint(path)
-        assert_bitwise(loaded["w"], wide)
+        assert sorted(loaded) == sorted(params)
+        for name, value in params.items():
+            assert_bitwise(loaded[name], value, np.float64)
 
-    def test_values_that_round_into_float32_range_load(self, tmp_path):
-        # Stored infinities stay infinite; a value just above float32's
-        # largest rounds down to it.
-        top = float(np.finfo(np.float32).max)
-        wide = np.array([np.inf, -np.inf, top * (1 + 2.0**-26), -top])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, ">f8"])
+    def test_save_refuses_other_dtypes(self, dtype, tmp_path):
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, {"w": wide})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            loaded, _ = load_checkpoint(path, np.float32)
-        assert loaded["w"].tolist() == [np.inf, -np.inf, top, -top]
+        with pytest.raises(ValueError, match="tensor 'w' is"):
+            save_checkpoint(path, {"b": np.ones(2), "w": np.ones(3, dtype)})
+        assert not path.exists()
+
+    def test_v1_checkpoint_is_data_error_naming_it(self, tmp_path):
+        # A v1 file stored every tensor as <f8 and had no dtype entries.
+        path = tmp_path / "old.ckpt"
+        header = {"format": "disagg-checkpoint-v1", "meta": {},
+                  "tensors": [{"name": "w", "nbytes": 24, "offset": 0, "shape": [3]}]}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + np.ones(3).tobytes())
+        with pytest.raises(DataError, match=r"old\.ckpt: not a disagg-checkpoint-v2"):
+            load_checkpoint(path)
 
     def test_paper_width_rectangles_checkpoint_memory(self, tmp_path):
-        # 27.9M parameters, 106.5 MiB in float32: converting whole tensors
-        # would hold a float64 copy of each (213 MiB for the set).
+        # 27.9M parameters, 106.5 MiB in float32: neither direction may hold
+        # a copy of a tensor.
         net = build_network("rectangles", 128, np.random.default_rng(0))
         params = net.parameters()
         param_bytes = sum(v.nbytes for v in params.values())
@@ -965,7 +965,7 @@ class TestCheckpointPrecision:
         save_peak = traced_peak(lambda: save_checkpoint(path, params, meta={"step": 1}))
         assert save_peak < 2 * MIB
         loaded = {}
-        load_peak = traced_peak(lambda: loaded.update(load_checkpoint(path, np.float32)[0]))
+        load_peak = traced_peak(lambda: loaded.update(load_checkpoint(path)[0]))
         assert load_peak < param_bytes + 2 * MIB
         for name, value in params.items():
             assert_bitwise(loaded[name], value, np.float32)
