@@ -85,10 +85,10 @@ def _part(init, prefix):
             if name.startswith(prefix)}
 
 
-def _network(layers, init, window_width, **outputs) -> Network:
+def _network(layers, init, **outputs) -> Network:
     """The network of `layers`; a DimensionError if `init` is a mapping
     with a tensor no layer adopted."""
-    network = Network(layers, window_width, **outputs)
+    network = Network(layers, **outputs)
     if not isinstance(init, np.random.Generator):
         extra = sorted(set(init) - set(network.parameters()))
         if extra:
@@ -133,7 +133,7 @@ def build_lstm(window_width: int, init=None, conv_filters: int = 16,
               dtype=dtype),
         Reshape("to_sequence", (window_width,)),
     ]
-    return _network(layers, init, window_width, output_kind="sequence", output_offset=0)
+    return _network(layers, init, output_kind="sequence", output_offset=0)
 
 
 def build_dae(window_width: int, init=None, conv_filters: int = 8,
@@ -159,7 +159,7 @@ def build_dae(window_width: int, init=None, conv_filters: int = 8,
                activation="linear", init=_part(init, "decoder_conv/"), dtype=dtype),
         Reshape("to_sequence", (window_width - 6,)),
     ]
-    return _network(layers, init, window_width, output_kind="sequence", output_offset=3)
+    return _network(layers, init, output_kind="sequence", output_offset=3)
 
 
 def build_rectangles(window_width: int, init=None, conv_filters: int = 16,
@@ -184,7 +184,7 @@ def build_rectangles(window_width: int, init=None, conv_filters: int = 16,
         width = units
     layers.append(Dense("head", width, 3, activation="linear", init=_part(init, "head/"),
                         dtype=dtype))
-    return _network(layers, init, window_width, output_kind="triple")
+    return _network(layers, init, output_kind="triple")
 
 
 @dataclass

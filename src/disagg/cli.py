@@ -327,15 +327,16 @@ def cmd_synth_preview(cfg: ExperimentConfig, appliance: str, count: int):
     windows = []
     with_target = 0
     for _ in range(count):
-        pair = datagen.finish_pair(synth.sample(rng), spec, "sequence")
-        has_target = any(p.is_target for p in pair.placements)
-        with_target += has_target
+        raw_input, raw_target, placements = synth.sample(rng)
+        with_target += any(p.is_target for p in placements)
         windows.append({
-            "input": [round(float(v), 6) for v in pair.input],
-            "target": [round(float(v), 6) for v in pair.target],
+            "input": [round(float(v), 6)
+                      for v in datagen.standardize_input(raw_input, spec.input_std)],
+            "target": [round(float(v), 6)
+                       for v in datagen.scale_target(raw_target, spec.max_power)],
             "placements": [
                 {"appliance": p.appliance, "offset": p.offset, "length": len(p.values),
-                 "is_target": p.is_target} for p in pair.placements
+                 "is_target": p.is_target} for p in placements
             ],
         })
     payload = {"appliance": appliance, "window_width": app.window_width,

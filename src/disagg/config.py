@@ -101,7 +101,7 @@ def load_config(path, *, seed_override: int | None = None,
         raise ConfigError(f"config file {path} does not exist")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a file that is not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return parse_config(raw, base_dir=path.parent, seed_override=seed_override,
                         profile_override=profile_override)

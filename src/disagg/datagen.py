@@ -1,12 +1,14 @@
-"""Training pair generation.
+"""Training batch generation.
 
-Two kinds of (input, target) pairs are produced: windows cut from real
-aggregate data, and synthetic aggregates built by summing randomly
-placed appliance activations.  Training draws from both in a 50:50
-ratio.  Inputs are independently mean-centred and divided by one
-dataset-level standard deviation estimate (never each window's own
+Two kinds of raw (input, target) draws, in watts, are produced: windows
+cut from real aggregate data, and synthetic aggregates built by summing
+randomly placed appliance activations.  Training draws from both in a
+50:50 ratio.  `stack_pairs` stacks a batch of draws and scales the
+stacks: each input row is mean-centred on its own mean and divided by
+one dataset-level standard deviation estimate (never each window's own
 std, which would destroy the power scale); targets are divided by the
-appliance's maximum power so they live in [0, 1].
+appliance's maximum power so they live in [0, 1].  Inference scales its
+windows with the same functions.
 """
 
 from __future__ import annotations
@@ -78,19 +80,6 @@ class Placement:
         return out
 
 
-@dataclass(frozen=True)
-class TrainingPair:
-    """Standardized input window plus its target.
-
-    `target` is either a power vector in [0, 1] with the window's length
-    or a RectangleTriple, by the consuming network's `output_kind`.
-    """
-
-    input: np.ndarray
-    target: np.ndarray | RectangleTriple
-    placements: tuple[Placement, ...] = ()
-
-
 def standardize_input(window, input_std: float) -> np.ndarray:
     """Centre each window (the last axis) on its own mean, divide by the
     dataset std."""
@@ -140,25 +129,6 @@ def encode_rectangle(target) -> RectangleTriple:
     end_idx = int(nonzero[breaks[0]] + 1) if breaks.size else int(nonzero[-1] + 1)
     height = float(target[start_idx:end_idx].mean())
     return RectangleTriple(start_idx / width, end_idx / width, height)
-
-
-def finish_pair(raw, spec: WindowSpec, output_kind: str) -> TrainingPair:
-    """Scale one raw draw `(input, target, placements)`, in watts, for training.
-
-    This is where every training input is standardized and every target
-    scaled (and, for a network whose `output_kind` is "triple", encoded
-    as a RectangleTriple).
-    """
-    raw_input, raw_target, placements = raw
-    scaled = scale_target(raw_target, spec.max_power)
-    if output_kind == "triple":
-        target = encode_rectangle(scaled)
-    elif output_kind == "sequence":
-        target = scaled
-    else:
-        raise DataError(f"unknown output kind {output_kind!r}")
-    return TrainingPair(input=standardize_input(raw_input, spec.input_std),
-                        target=target, placements=placements)
 
 
 class WindowIndex:
@@ -348,7 +318,7 @@ class SyntheticSource:
 
 @dataclass
 class MultiSource:
-    """Uniform mixture over several samplers (one per training house)."""
+    """Uniform mixture over samplers, one per training house."""
 
     sources: list
 
@@ -372,13 +342,7 @@ def training_sources(houses, library: dict, appliance_id: str,
     synth = SyntheticSource(library, appliance_id, window_width)
     real_sources = [RealWindowSource(aggregate, acts, appliance_id, window_width)
                     for aggregate, acts in houses]
-    if not real_sources:
-        real = synth
-    elif len(real_sources) == 1:
-        # Unwrapped, so no draw of a house index (rng.integers(0, 1)) per window.
-        real = real_sources[0]
-    else:
-        real = MultiSource(real_sources)
+    real = MultiSource(real_sources) if real_sources else synth
 
     def draw_input(rng):
         return (real if rng.random() < 0.5 else synth).sample(rng)[0]
@@ -395,9 +359,23 @@ class Batch:
     targets: np.ndarray
 
 
-def stack_pairs(pairs) -> Batch:
-    return Batch(inputs=np.stack([p.input for p in pairs]),
-                 targets=np.stack([p.target for p in pairs]))
+def stack_pairs(raws, spec: WindowSpec, output_kind: str) -> Batch:
+    """The batch of raw draws `(input, target, placements)`, in watts,
+    scaled by `spec` for a network whose output is `output_kind`.
+
+    This is where every training input is standardized and every target
+    scaled (and, for "triple", each target row encoded as a
+    RectangleTriple).  The draws are stacked first and each stack is
+    scaled in one call, which gives every row the bits it has when
+    scaled alone.
+    """
+    inputs, targets, _ = zip(*raws)
+    targets = scale_target(np.stack(targets), spec.max_power)
+    if output_kind == "triple":
+        targets = np.array([encode_rectangle(row) for row in targets])
+    elif output_kind != "sequence":
+        raise DataError(f"unknown output kind {output_kind!r}")
+    return Batch(inputs=standardize_input(np.stack(inputs), spec.input_std), targets=targets)
 
 
 def batch_stream(source_real, source_synth, spec: WindowSpec, output_kind: str,
@@ -405,7 +383,7 @@ def batch_stream(source_real, source_synth, spec: WindowSpec, output_kind: str,
     """Yield batches drawn half from real and half from synthetic windows.
 
     Both sources resample with replacement, so the stream never runs
-    dry.  Each draw is scaled by `spec` through `finish_pair`.  All
+    dry.  Each batch's draws are scaled by `spec` in `stack_pairs`.  All
     randomness flows through `rng`, making the stream fully determined
     by its seed; run it on a producer thread if batch preparation should
     overlap training.
@@ -416,7 +394,7 @@ def batch_stream(source_real, source_synth, spec: WindowSpec, output_kind: str,
     while True:
         raws = [source_real.sample(rng) for _ in range(half)]
         raws += [source_synth.sample(rng) for _ in range(half)]
-        yield stack_pairs([finish_pair(raw, spec, output_kind) for raw in raws])
+        yield stack_pairs(raws, spec, output_kind)
 
 
 def prefetch(iterator):

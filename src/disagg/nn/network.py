@@ -32,7 +32,7 @@ class Network:
     inputs and targets to it; a network without parameters uses float64.
     """
 
-    def __init__(self, layers, window_width, output_kind="sequence", output_offset=0):
+    def __init__(self, layers, output_kind="sequence", output_offset=0):
         self.layers = list(layers)
         seen = set()
         for layer in self.layers:
@@ -43,7 +43,6 @@ class Network:
         if len(dtypes) > 1:
             raise DimensionError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
         self.dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
-        self.window_width = window_width
         self.output_kind = output_kind
         self.output_offset = output_offset
 

@@ -125,9 +125,9 @@ def read_rows(path, extra_columns: bool = False) -> np.ndarray:
     bad line whenever a row fails those checks.
     """
     with open(path) as f:
-        if not _is_header(next(csv.reader([f.readline()]), [])):
-            f.seek(0)
-        try:
+        try:  # a ValueError here includes bytes that are not UTF-8
+            if not _is_header(next(csv.reader([f.readline()]), [])):
+                f.seek(0)
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 rows = np.loadtxt(f, delimiter=",", comments=None, quotechar='"', ndmin=2,

@@ -171,7 +171,7 @@ class TestBuildFromCheckpoint:
         assert net.parameters().keys() == tensors.keys()
         for name, value in net.parameters().items():
             assert np.shares_memory(value, tensors[name])
-        x = rng.normal(size=(3, net.window_width))
+        x = rng.normal(size=(3, net.layers[0].target_shape[0]))  # "to_channels": (width, 1)
         np.testing.assert_array_equal(net.forward(x), trained.forward(x))
 
     @pytest.mark.parametrize("kind, name, layer, param", [
@@ -268,8 +268,7 @@ class TestNetworkDtype:
 
     def test_mixed_parameter_dtypes_rejected(self, rng):
         with pytest.raises(DimensionError, match="mix dtypes"):
-            Network([Dense("a", 2, 2, init=rng), Dense("b", 2, 2, init=rng, dtype=np.float32)],
-                    window_width=2)
+            Network([Dense("a", 2, 2, init=rng), Dense("b", 2, 2, init=rng, dtype=np.float32)])
 
 
 class TestTraining:
@@ -349,8 +348,7 @@ class TestTraining:
 
         def build_and_train():
             net = Network([Dense("d1", 1000, 2500, activation="relu", init=rng),
-                           Dense("d2", 2500, 1000, activation="linear", init=rng)],
-                          window_width=1000)
+                           Dense("d2", 2500, 1000, activation="linear", init=rng)])
             holder["param_bytes"] = sum(v.nbytes for v in net.parameters().values())
             train(net, repeat_batch(batch), NesterovSGD(net.parameters(), 0.01), 3)
 

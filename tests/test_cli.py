@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import re
-import threading
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -85,6 +87,12 @@ class TestConfig:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match="both train and test"):
             load_config(path)
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"version": 1, "seed": \xff1}')
+        assert main(["extract", "--config", str(path)]) == 1
+        assert f"{path}: invalid JSON" in capsys.readouterr().err
 
     def test_missing_data_dir_rejected(self, tmp_path):
         path = world_config(tmp_path)
@@ -213,6 +221,15 @@ class TestCliPipeline:
         (tmp_path / "data" / "house_1" / "kettle.csv").unlink()
         assert main(["extract", "--config", str(path)]) == 2
         assert "kettle.csv" in capsys.readouterr().err
+
+    def test_extract_non_utf8_channel_exits_2(self, tmp_path, capsys):
+        path = world_config(tmp_path)
+        channel = tmp_path / "data" / "house_1" / "kettle.csv"
+        data = bytearray(channel.read_bytes())
+        data[40] = 0xFF
+        channel.write_bytes(bytes(data))
+        assert main(["extract", "--config", str(path)]) == 2
+        assert f"{channel}: unreadable CSV" in capsys.readouterr().err
 
     def test_unknown_kind_usage_error(self, tmp_path, capsys):
         path = world_config(tmp_path)
@@ -575,16 +592,20 @@ class TestCliPipeline:
 
     def test_lstm_disaggregate_leaves_no_foreground_thread(self, tmp_path):
         # Bidirectional layers run a worker thread; it must not keep the
-        # process alive once the command has returned.
+        # process alive once the command has returned, so the command run
+        # as its own process exits.
         path = world_config(tmp_path)
         main(["extract", "--config", str(path)])
-        before = set(threading.enumerate())
         assert main(["train", "--config", str(path), "--appliance", "kettle",
                      "--kind", "lstm"]) == 0
-        assert main(["disaggregate", "--config", str(path), "--appliance", "kettle",
-                     "--kind", "lstm"]) == 0
-        left = [t for t in set(threading.enumerate()) - before if not t.daemon]
-        assert not left
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-m", "disagg.cli", "disaggregate", "--config", str(path),
+             "--appliance", "kettle", "--kind", "lstm"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
 
     def test_zero_length_aggregate_empty_estimate(self, tmp_path):
         path = world_config(tmp_path)

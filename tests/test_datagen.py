@@ -1,13 +1,14 @@
 import threading
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from disagg.datagen import (PREFETCH_DEPTH, Batch, MultiSource, Placement, RealWindowSource,
                             RectangleTriple, SyntheticSource, WindowIndex, WindowSpec,
-                            batch_stream, encode_rectangle, estimate_input_std, finish_pair,
-                            prefetch, scale_target, standardize_input, training_sources)
+                            batch_stream, encode_rectangle, estimate_input_std, prefetch,
+                            scale_target, stack_pairs, standardize_input, training_sources)
 from disagg.errors import DataError
 from disagg.synthworld import DESK_APPLIANCES, make_activation
 from disagg.synthworld import make_library as synth_library
@@ -38,13 +39,25 @@ def real_source(aggregate, acts, spec):
     return RealWindowSource(aggregate, acts, spec.appliance_id, spec.window_width)
 
 
-def real_pair(aggregate, acts, spec, rng, output_kind="sequence"):
-    return finish_pair(real_source(aggregate, acts, spec).sample(rng), spec, output_kind)
+class ScaledDraw(NamedTuple):
+    input: np.ndarray
+    target: np.ndarray
+    placements: tuple
+
+
+def scaled(raw, spec):
+    """One raw draw scaled alone, as `stack_pairs` scales each row."""
+    raw_input, raw_target, placements = raw
+    return ScaledDraw(standardize_input(raw_input, spec.input_std),
+                      scale_target(raw_target, spec.max_power), placements)
+
+
+def real_pair(aggregate, acts, spec, rng):
+    return scaled(real_source(aggregate, acts, spec).sample(rng), spec)
 
 
 def synth_pair(library, target_class, spec, rng):
-    source = SyntheticSource(library, target_class, spec.window_width)
-    return finish_pair(source.sample(rng), spec, "sequence")
+    return scaled(SyntheticSource(library, target_class, spec.window_width).sample(rng), spec)
 
 
 class TestWindowSpec:
@@ -369,6 +382,24 @@ class TestBatchStream:
         batch = next(self._stream(8, 0, "triple"))
         assert batch.targets.shape == (8, 3)
 
+    @pytest.mark.parametrize("output_kind", ["sequence", "triple"])
+    def test_rows_bitwise_equal_to_each_draw_scaled_alone(self, output_kind):
+        rng = np.random.default_rng(12)
+        for width in (7, 128, 1536):
+            aggregate = PowerSeries(0, 6, rng.uniform(0, 3000, size=3 * width))
+            acts = [Activation(width, rng.uniform(100, 2500, size=width // 2 + 1), house=1)]
+            spec = make_spec(width=width, input_std=321.5)
+            real = real_source(aggregate, acts, spec)
+            synth = SyntheticSource(make_library(), "kettle", width)
+            raws = [source.sample(rng) for source in (real, synth) for _ in range(8)]
+            batch = stack_pairs(raws, spec, output_kind)
+            for row, raw in enumerate(raws):
+                alone = scaled(raw, spec)
+                target = (np.array(encode_rectangle(alone.target)) if output_kind == "triple"
+                          else alone.target)
+                assert batch.inputs[row].tobytes() == alone.input.tobytes()
+                assert batch.targets[row].tobytes() == target.tobytes()
+
     def test_determinism(self):
         for _ in range(2):
             batches = []
@@ -454,10 +485,7 @@ def reference_input_std(real_sources, synth, sample_count, rng):
     pooled = []
     for _ in range(sample_count):
         if rng.random() < 0.5 and real_sources:
-            if len(real_sources) > 1:
-                source = real_sources[int(rng.integers(0, len(real_sources)))]
-            else:
-                source = real_sources[0]
+            source = real_sources[int(rng.integers(0, len(real_sources)))]
         else:
             source = synth
         pooled.append(source.sample(rng)[0])
@@ -477,12 +505,19 @@ class TestTrainingSources:
                                        60, np.random.default_rng(9))
         assert spec.input_std == expected
 
-    def test_one_house_is_drawn_without_a_house_index(self):
-        houses = [make_world()]
-        real, synth, _ = training_sources(houses, make_library(), "kettle", 128, 2400.0, 10,
-                                          np.random.default_rng(0))
-        assert isinstance(real, RealWindowSource)
-        assert real.aggregate is houses[0][0]
+    def test_one_house_mixture_draws_as_the_bare_source(self):
+        # Generator.integers(0, 1) is 0 and consumes no state, so a one-house
+        # mixture gives the house's own windows and leaves the generator as
+        # the bare source does.
+        aggregate, acts = make_world()
+        real, _, _ = training_sources([(aggregate, acts)], make_library(), "kettle", 128,
+                                      2400.0, 10, np.random.default_rng(0))
+        assert isinstance(real, MultiSource)
+        bare = RealWindowSource(aggregate, acts, "kettle", 128)
+        mixed_rng, bare_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(50):
+            assert_same_draws(real.sample(mixed_rng), bare.sample(bare_rng))
+        assert mixed_rng.bit_generator.state == bare_rng.bit_generator.state
 
     def test_no_houses_draws_both_halves_from_the_simulator(self):
         real, synth, _ = training_sources([], make_library(), "kettle", 128, 2400.0, 10,
@@ -597,17 +632,17 @@ class TestWindowIndexOracle:
             source = real_source(aggregate, acts, spec)
             new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(20):
-                pair = finish_pair(source.sample(new_rng), spec, output_kind)
+                raw = source.sample(new_rng)
+                batch = stack_pairs([raw], spec, output_kind)
                 raw_input, raw_target, placements = reference_real_window_raw(
                     aggregate, acts, spec, ref_rng)
                 np.testing.assert_array_equal(
-                    pair.input, standardize_input(raw_input, spec.input_std))
+                    batch.inputs[0], standardize_input(raw_input, spec.input_std))
                 target = scale_target(raw_target, spec.max_power)
                 if output_kind == "triple":
-                    assert pair.target == encode_rectangle(target)
-                else:
-                    np.testing.assert_array_equal(pair.target, target)
-                assert [p.offset for p in pair.placements] == [p.offset for p in placements]
+                    target = encode_rectangle(target)
+                np.testing.assert_array_equal(batch.targets[0], target)
+                assert [p.offset for p in raw[2]] == [p.offset for p in placements]
             assert new_rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("total, positions", [

@@ -729,7 +729,7 @@ class TestBlockedNesterovStep:
         net = Network([Reshape("to_channels", (6, 1)),
                        Conv1D("conv", 1, 2, filter_size=3, border="same", init=rng),
                        Flatten("flat"),
-                       Dense("out", 12, 6, "linear", init=rng)], window_width=6)
+                       Dense("out", 12, 6, "linear", init=rng)])
         expected = {k: v.copy() for k, v in net.parameters().items()}
         velocity = {k: np.zeros_like(v) for k, v in expected.items()}
         opt = NesterovSGD(net.parameters(), learning_rate=0.05)
@@ -755,10 +755,10 @@ class TestNetwork:
             Conv1D("conv", 1, 2, filter_size=3, border="same", init=rng),
             Flatten("flat"),
             Dense("out", 12, 6, "linear", init=rng),
-        ], window_width=6)
+        ])
 
     def test_single_neuron_gradient_hand_value(self):
-        net = Network([Dense("n", 1, 1, "linear")], window_width=1)
+        net = Network([Dense("n", 1, 1, "linear")])
         net.layers[0].params["weights"][:] = 1.0
         net.layers[0].params["bias"][:] = 0.0
         loss, grads = net.loss_and_gradients(np.array([[1.0]]), np.array([[0.0]]))
@@ -786,8 +786,7 @@ class TestNetwork:
             net.forward(rng.normal(size=(1, 6)))
 
     def test_finite_float32_values_whose_sum_overflows_pass(self):
-        net = Network([Dense("big", 2, 2, init=np.random.default_rng(0), dtype=np.float32)],
-                      window_width=2)
+        net = Network([Dense("big", 2, 2, init=np.random.default_rng(0), dtype=np.float32)])
         net.layers[0].params["weights"][:] = np.diag([3e38, 3e38])
         y = net.forward(np.ones((4, 2)))
         assert y.dtype == np.float32 and np.isfinite(y).all()
