@@ -92,6 +92,9 @@ def main(argv=None) -> int:
     except (NumericError, DimensionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # names its path: a directory read as a file, a file in the way
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
 
 
 def run(argv=None) -> int:
@@ -150,7 +153,7 @@ def cmd_extract(cfg: ExperimentConfig):
                 "sample_period": cfg.sample_period,
                 "series_start_time": series.start_time,
                 "activations": [
-                    {"source_offset": a.source_offset, "values": list(map(float, a.values))}
+                    {"source_offset": a.source_offset, "values": a.values.tolist()}
                     for a in acts
                 ],
             }
@@ -441,7 +444,7 @@ def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
             f"checkpoint/manifest hash mismatch for {appliance}/{kind}: "
             f"checkpoint says {meta.get('manifest_sha256')}, manifest is {actual_hash}")
 
-    spec = datagen.WindowSpec(appliance, manifest["window_width"], manifest["max_power"],
+    spec = datagen.WindowSpec(manifest["window_width"], manifest["max_power"],
                               manifest["input_std"])
     network = architectures.build_network(kind, manifest["window_width"], params)
     estimate = sliding.disaggregate(network, aggregate, spec, cfg.disagg,
@@ -482,10 +485,17 @@ def _check_alignment(name_a, series_a, name_b, series_b):
 
 
 def _read_estimate_csv(path, sample_period: int) -> ts.PowerSeries:
+    """The estimate series; a DataError naming the first timestamp that is
+    not start + i * sample_period."""
     rows = ts.read_rows(path, extra_columns=True)  # a probability column is ignored
     if not len(rows):
         return ts.PowerSeries(0.0, sample_period, np.empty(0))
-    return ts.PowerSeries(float(rows[0, 0]), sample_period, np.ascontiguousarray(rows[:, 1]))
+    series = ts.PowerSeries(float(rows[0, 0]), sample_period, np.ascontiguousarray(rows[:, 1]))
+    off_grid = np.flatnonzero(series.timestamps() != rows[:, 0])
+    if off_grid.size:
+        raise DataError(f"{path}: timestamp {float(rows[off_grid[0], 0])} is off the "
+                        f"{sample_period} s grid starting {series.start_time}")
+    return series
 
 
 def cmd_evaluate(cfg: ExperimentConfig, appliance: str, algorithms=None,

@@ -97,10 +97,10 @@ def _take(mapping: dict, context: str, known: dict):
 def load_config(path, *, seed_override: int | None = None,
                 profile_override: str | None = None) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
     try:
         raw = json.loads(path.read_text())
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{path}: cannot read config: {exc.strerror}") from None
     except ValueError as exc:  # also a file that is not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return parse_config(raw, base_dir=path.parent, seed_override=seed_override,

@@ -32,7 +32,6 @@ PREFETCH_DEPTH = 2  # batches a producer thread may prepare ahead of training
 class WindowSpec:
     """Window geometry and scaling constants for one target appliance."""
 
-    appliance_id: str
     window_width: int
     max_power: float
     input_std: float
@@ -348,7 +347,7 @@ def training_sources(houses, library: dict, appliance_id: str,
         return (real if rng.random() < 0.5 else synth).sample(rng)[0]
 
     input_std = estimate_input_std(draw_input, std_sample_count, std_rng)
-    return real, synth, WindowSpec(appliance_id, window_width, max_power, input_std)
+    return real, synth, WindowSpec(window_width, max_power, input_std)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import os
 import numpy as np
 
 from ..errors import DataError
+from ..util import canonical_json
 
 FORMAT_TAG = "disagg-checkpoint-v2"
 DTYPES = ("<f4", "<f8")
@@ -41,8 +42,7 @@ def save_checkpoint(path, params: dict, meta: dict | None = None):
         offset += arr.nbytes
     header = {"format": FORMAT_TAG, "meta": meta or {}, "tensors": entries}
     with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
-        f.write(b"\n")
+        f.write(canonical_json(header).encode())
         for arr in arrays:
             f.write(np.ascontiguousarray(arr).data)
 

@@ -259,8 +259,6 @@ class LSTM:
     that many steps counted from the sequence end.
     """
 
-    GATES = ("in", "forget", "cell", "out")  # pre-activation slot order
-
     def __init__(self, name, input_dim, hidden_size, truncate=500, init=None,
                  dtype=np.float64):
         self.name = name

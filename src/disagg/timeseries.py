@@ -93,24 +93,12 @@ def load_csv(path, sample_period: int = DEFAULT_SAMPLE_PERIOD,
              max_forward_fill: float = DEFAULT_MAX_FORWARD_FILL) -> PowerSeries:
     """Read a `timestamp,watts` CSV into a gap-free PowerSeries.
 
-    Timestamps must be strictly increasing.  They are snapped to the
-    sample grid anchored at the first timestamp (collisions keep the
-    last value), then missing slots are filled with `fill_gaps`.  An
-    empty file yields an empty series with the declared period.
+    The rows of `read_rows` go through `fill_gaps`, which snaps them to
+    the sample grid and fills the missing slots.  An empty file yields an
+    empty series with the declared period.
     """
     rows = read_rows(path)
-    if not len(rows):
-        return PowerSeries(start_time=0.0, sample_period=sample_period, values=np.empty(0))
-    timestamps, values = rows[:, 0], rows[:, 1]
-
-    # Snap to the grid anchored at the first timestamp.  Slots never
-    # decrease, so keeping the last row of each run of equal slots keeps
-    # the last value when two rows land on the same slot.
-    start = timestamps[0]
-    slots = np.rint((timestamps - start) / sample_period).astype(np.int64)
-    keep = np.append(slots[:-1] != slots[1:], True)
-    return fill_gaps(start + slots[keep] * float(sample_period), values[keep],
-                     sample_period, max_forward_fill)
+    return fill_gaps(rows[:, 0], rows[:, 1], sample_period, max_forward_fill)
 
 
 def read_rows(path, extra_columns: bool = False) -> np.ndarray:
@@ -181,14 +169,20 @@ def _first_bad_line(path, extra_columns: bool) -> str | None:
 
 def write_rows(path, header: tuple[str, ...], series: PowerSeries, *extra_columns):
     """Write a CSV that `read_rows` reads back: the `header` line, then one
-    CRLF row per sample of an integer timestamp, the watts and each extra
-    column, all but the timestamp to six decimals.
+    CRLF row per sample of the timestamp, the watts and each extra column,
+    all but the timestamp to six decimals.  Timestamps are written as
+    integers when the series starts on a whole second (the period is a
+    whole number of seconds, so then every timestamp is one), else as the
+    shortest text that reads back as the same float.
 
     Rows are formatted CSV_WRITE_CHUNK at a time, which bounds the text
     held at once; the bytes are those of one `csv.writer` row per sample.
     """
-    columns = [series.timestamps().astype(np.int64), series.values, *extra_columns]
-    row = "{:d}" + ",{:.6f}" * (len(columns) - 1) + "\r\n"
+    timestamps = series.timestamps()
+    if float(series.start_time).is_integer():
+        timestamps = timestamps.astype(np.int64)
+    columns = [timestamps, series.values, *extra_columns]
+    row = "{}" + ",{:.6f}" * (len(columns) - 1) + "\r\n"
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
         for lo in range(0, len(series), CSV_WRITE_CHUNK):
@@ -198,33 +192,38 @@ def write_rows(path, header: tuple[str, ...], series: PowerSeries, *extra_column
 
 def fill_gaps(timestamps, values, sample_period: int,
               max_forward_fill: float = DEFAULT_MAX_FORWARD_FILL) -> PowerSeries:
-    """Fill missing grid slots between on-grid (timestamp, value) pairs.
+    """Snap (timestamp, value) pairs to the sample grid and fill its gaps.
 
-    A gap is the stretch of missing slots between two consecutive
-    samples.  Gaps of at most `max_forward_fill` seconds repeat the last
-    seen value; longer gaps are read as the meter being off and filled
-    with zeros.  The result covers every slot from the first to the last
-    timestamp.
+    Timestamps must be strictly increasing.  Each goes to the nearest
+    slot of the grid anchored at the first timestamp (a tie to the even
+    slot); when several land on one slot the last is kept.  A gap is the
+    stretch of missing slots between two consecutive samples.  Gaps of at
+    most `max_forward_fill` seconds repeat the last seen value; longer
+    gaps are read as the meter being off and filled with zeros.  The
+    result covers every slot from the first to the last timestamp.
     """
     timestamps = np.asarray(timestamps, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if timestamps.size == 0:
-        return PowerSeries(start_time=0.0, sample_period=sample_period, values=np.empty(0))
     if timestamps.size != values.size:
         raise DataError("timestamps and values must have equal length")
+    if timestamps.size == 0:
+        return PowerSeries(start_time=0.0, sample_period=sample_period, values=np.empty(0))
+    if not (timestamps[1:] > timestamps[:-1]).all():
+        raise DataError("timestamps must be strictly increasing")
 
     start = timestamps[0]
     slots = np.rint((timestamps - start) / sample_period).astype(np.int64)
-    gaps = np.diff(slots)
-    if np.any(gaps <= 0):
-        raise DataError("timestamps must be strictly increasing on the grid")
+    # Slots never decrease, so the last pair of each run of equal slots
+    # is the last pair to land on that slot.
+    last = np.append(slots[:-1] != slots[1:], True)
+    slots, values = slots[last], values[last]
     # Each slot is owned by the last sample at or before it; a sample
     # followed by a gap longer than max_forward_fill hands zeros to the
     # slots it owns (meter assumed off).
     owner = np.zeros(int(slots[-1]) + 1, dtype=np.intp)
     owner[slots] = np.arange(len(slots))
     np.maximum.accumulate(owner, out=owner)
-    filled = (gaps - 1) * sample_period <= max_forward_fill
+    filled = (np.diff(slots) - 1) * sample_period <= max_forward_fill
     carried = values.copy()
     carried[:-1][~filled] = 0.0
     out = carried[owner]
@@ -243,35 +242,17 @@ def extract_activations(series: PowerSeries, params: ActivationParams) -> list[A
     """
     values = series.values
     period = series.sample_period
-    above = values > params.on_power_threshold
-    if not above.any():
+    # Maximal runs of samples above the threshold, as [start, end).
+    above = np.concatenate(([False], values > params.on_power_threshold, [False]))
+    edges = np.diff(above.astype(np.int8))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    if not starts.size:
         return []
-
-    # Maximal runs of consecutive above-threshold samples, as [start, end).
-    edges = np.flatnonzero(np.diff(above.astype(np.int8)))
-    runs = []
-    run_start = 0 if above[0] else None
-    for e in edges:
-        if above[e]:  # falling edge after e
-            runs.append((run_start, int(e) + 1))
-            run_start = None
-        else:  # rising edge: run starts at e+1
-            run_start = int(e) + 1
-    if run_start is not None:
-        runs.append((run_start, len(values)))
-
-    merged = [runs[0]]
-    for start, end in runs[1:]:
-        gap_samples = start - merged[-1][1]
-        if gap_samples * period < params.min_off_duration:
-            merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
-
-    activations = []
-    for start, end in merged:
-        if (end - start) * period < params.min_on_duration:
-            continue
-        chunk = np.minimum(values[start:end], params.max_power)
-        activations.append(Activation(source_offset=start, values=chunk))
-    return activations
+    # A run opens a new activation when the off-stretch before it lasts
+    # at least the minimum off duration, and closes one when the
+    # off-stretch after it does.
+    apart = (starts[1:] - ends[:-1]) * period >= params.min_off_duration
+    starts, ends = starts[np.append(True, apart)], ends[np.append(apart, True)]
+    long_enough = (ends - starts) * period >= params.min_on_duration
+    return [Activation(source_offset=start, values=np.minimum(values[start:end], params.max_power))
+            for start, end in zip(starts[long_enough].tolist(), ends[long_enough].tolist())]

@@ -391,6 +391,63 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert f"{est}: malformed row at line 5: could not convert string to float: 'oops'" in err
 
+    def test_evaluate_off_grid_estimate_exits_2(self, tmp_path, capsys):
+        # One row dropped and one appended: the start and the length still match.
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        main(["disaggregate", "--config", str(path), "--appliance", "kettle",
+              "--baseline", "co"])
+        est = tmp_path / "out" / "estimates" / "kettle_co_house2.csv"
+        rows = est.read_text().splitlines()
+        last = int(rows[-1].split(",")[0])
+        del rows[10]  # the sample at 54 s
+        rows.append(f"{last + 6},0.000000")
+        est.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(path), "--appliance", "kettle"]) == 2
+        assert f"{est}: timestamp 60.0 is off the 6 s grid starting 0.0" in capsys.readouterr().err
+
+    def test_pipeline_on_a_house_with_fractional_timestamps(self, tmp_path):
+        path = world_config(tmp_path)
+        for channel in (tmp_path / "data" / "house_2").iterdir():
+            header, *rows = channel.read_text().splitlines()
+            shifted = [f"{int(t)}.5,{w}" for t, w in (row.split(",") for row in rows)]
+            channel.write_text("\n".join([header, *shifted]) + "\n")
+        run_pipeline(path)
+        estimate = (tmp_path / "out" / "estimates" / "kettle_dae_house2.csv").read_text()
+        assert [row.split(",")[0] for row in estimate.splitlines()[1:3]] == ["0.5", "6.5"]
+
+    @pytest.mark.parametrize("case, code", [
+        ("config-is-a-directory", 1), ("channel-is-a-directory", 2), ("out-dir-is-a-file", 2),
+        ("train-store-is-a-directory", 2), ("estimates-dir-is-a-file", 2),
+    ])
+    def test_os_error_exits_with_its_code(self, tmp_path, capsys, case, code):
+        path = world_config(tmp_path)
+        extract = ["extract", "--config", str(path)]
+        if case in ("train-store-is-a-directory", "estimates-dir-is-a-file"):
+            assert main(extract) == 0
+        argv, culprit = {
+            "config-is-a-directory": (["extract", "--config", str(tmp_path / "data")],
+                                      tmp_path / "data"),
+            "channel-is-a-directory": (extract, tmp_path / "data" / "house_1" / "kettle.csv"),
+            "out-dir-is-a-file": (extract, tmp_path / "out"),
+            "train-store-is-a-directory": (
+                ["train", "--config", str(path), "--appliance", "kettle", "--kind", "dae"],
+                tmp_path / "out" / "activations" / "kettle_house1.json"),
+            "estimates-dir-is-a-file": (
+                ["disaggregate", "--config", str(path), "--appliance", "kettle",
+                 "--baseline", "co"], tmp_path / "out" / "estimates"),
+        }[case]
+        if culprit.is_file():  # a file where a directory is read
+            culprit.unlink()
+            culprit.mkdir()
+        elif not culprit.exists():  # a file where a directory is made
+            culprit.write_text("")
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert str(culprit) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, message", [
         (["disaggregate", "--appliance", "kettle", "--kind", "dae"], "train first"),
         (["evaluate", "--appliance", "kettle", "--algorithm", "dae"], "missing estimate"),
@@ -744,18 +801,24 @@ class TestReproducibility:
 
 
 def reference_write_estimate_csv(path, estimate):
-    """The one-`csv.writer`-call-per-row estimate writer, kept as the oracle."""
+    """The one-`csv.writer`-call-per-row estimate writer, kept as the oracle.
+
+    Timestamps are integers when the series starts on a whole second;
+    otherwise `csv.writer` writes each float as its repr."""
     series = estimate.series
+    timestamps = series.timestamps().tolist()
+    if float(series.start_time).is_integer():
+        timestamps = [int(t) for t in timestamps]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         if estimate.probability is None:
             writer.writerow(["timestamp", "estimated_watts"])
-            for t, w in zip(series.timestamps(), series.values):
-                writer.writerow([int(t), format(float(w), ".6f")])
+            for t, w in zip(timestamps, series.values):
+                writer.writerow([t, format(float(w), ".6f")])
         else:
             writer.writerow(["timestamp", "estimated_watts", "probability"])
-            for t, w, p in zip(series.timestamps(), series.values, estimate.probability):
-                writer.writerow([int(t), format(float(w), ".6f"), format(p, ".6f")])
+            for t, w, p in zip(timestamps, series.values, estimate.probability):
+                writer.writerow([t, format(float(w), ".6f"), format(p, ".6f")])
 
 
 # Values whose sixth decimal rounds (binary halves and near-halves), a
@@ -767,7 +830,7 @@ ROUNDING_VALUES = [0.0, 5e-7, 1.5e-6, 2.5e-7, 0.9999995, 1.2345675, 0.1234565,
 class TestEstimateCsv:
     @pytest.mark.parametrize("length", [0, 1, CSV_WRITE_CHUNK, CSV_WRITE_CHUNK + 1,
                                         2 * CSV_WRITE_CHUNK + 3])
-    @pytest.mark.parametrize("start_time", [1_300_000_000.7, 2.0**31 + 5.5])
+    @pytest.mark.parametrize("start_time", [1_300_000_000.7, 2.0**31 + 5.5, 1_300_000_000.0])
     @pytest.mark.parametrize("with_probability", [False, True], ids=["two-col", "three-col"])
     def test_bytes_match_csv_writer_loop(self, tmp_path, length, start_time,
                                          with_probability):

@@ -32,11 +32,11 @@ class ScriptedRng:
 
 
 def make_spec(width=128, max_power=2400.0, input_std=500.0):
-    return WindowSpec("kettle", width, max_power, input_std)
+    return WindowSpec(width, max_power, input_std)
 
 
 def real_source(aggregate, acts, spec):
-    return RealWindowSource(aggregate, acts, spec.appliance_id, spec.window_width)
+    return RealWindowSource(aggregate, acts, "kettle", spec.window_width)
 
 
 class ScaledDraw(NamedTuple):
@@ -67,7 +67,7 @@ class TestWindowSpec:
     def test_rejects_what_is_not_a_positive_number(self, name, value):
         fields = {"window_width": 128, "max_power": 2400.0, "input_std": 500.0, name: value}
         with pytest.raises(DataError, match=f"{name} must be positive"):
-            WindowSpec("kettle", **fields)
+            WindowSpec(**fields)
 
 
 class TestStandardize:
@@ -499,7 +499,7 @@ class TestTrainingSources:
         houses = [make_world(power=1000.0 + 500 * h) for h in range(house_count)]
         real, synth, spec = training_sources(houses, library, "kettle", 128, 2400.0, 60,
                                              np.random.default_rng(9))
-        assert spec == WindowSpec("kettle", 128, 2400.0, spec.input_std)
+        assert spec == WindowSpec(128, 2400.0, spec.input_std)
         real_sources = [RealWindowSource(agg, acts, "kettle", 128) for agg, acts in houses]
         expected = reference_input_std(real_sources, SyntheticSource(library, "kettle", 128),
                                        60, np.random.default_rng(9))
@@ -572,7 +572,7 @@ def reference_real_window_raw(aggregate, activations, spec, rng, include_prob=0.
         rel, src = max(0, a0 - start), max(0, start - a0)
         raw_target[rel : rel + span] = chosen.values[src : src + span]
         placed = chosen
-    placement = Placement(spec.appliance_id, placed.house, placed.source_offset - start,
+    placement = Placement("kettle", placed.house, placed.source_offset - start,
                           placed.values, is_target=True)
     return aggregate.values[start : start + width], raw_target, (placement,)
 

@@ -64,7 +64,7 @@ def test_slide_windows_counter_reads_a_real_result(counters, rng, monkeypatch):
 
     monkeypatch.setattr(sliding, "slide", traced)
     sliding.disaggregate(net, PowerSeries(0, 6, rng.uniform(0, 100, size=total)),
-                         WindowSpec("kettle", width, 2400.0, 100.0),
+                         WindowSpec(width, 2400.0, 100.0),
                          sliding.DisaggConfig(stride=stride), 1000.0)
     assert len(counted) > 1
     assert sum(counted) == (total + width) // stride + 1  # origins -width, ..., total

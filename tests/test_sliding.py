@@ -44,7 +44,7 @@ class ConstantNetwork:
 
 
 def spec_for(width, max_power=2048.0):
-    return WindowSpec("kettle", width, max_power, input_std=100.0)
+    return WindowSpec(width, max_power, input_std=100.0)
 
 
 def slid_origins(monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,21 @@ class TestFillGaps:
         values = rng.uniform(0, 100, size=20)
         series = fill_gaps(slots * 6, values, sample_period=6)
         assert len(series) == slots[-1] - slots[0] + 1
+
+    def test_two_pairs_in_one_slot_keep_the_last(self):
+        # 5 and 7 both snap to slot 1; 13 snaps to slot 2.
+        series = fill_gaps([0, 5, 7, 13], [10, 20, 30, 40], sample_period=6)
+        assert series.start_time == 0
+        np.testing.assert_array_equal(series.values, [10, 30, 40])
+
+    @pytest.mark.parametrize("timestamps", [[0, 6, 6], [0, 12, 6], [0, 6, float("nan")]])
+    def test_non_increasing_timestamps_rejected(self, timestamps):
+        with pytest.raises(DataError, match="strictly increasing"):
+            fill_gaps(timestamps, [1, 2, 3], sample_period=6)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(DataError, match="equal length"):
+            fill_gaps([0, 6], [1], sample_period=6)
 
 
 def reference_load_csv(path, sample_period=6, max_forward_fill=180.0):
@@ -281,6 +297,25 @@ class TestLoadCsvRejections:
             load_csv(path)
 
 
+def test_load_csv_peak_memory_per_row(tmp_path):
+    # Rows, slots, the kept pairs, the slot owners and the output: at 20M
+    # rows every byte per row is 20 MB.
+    rows = 200_000
+    path = tmp_path / "channel.csv"
+    watts = np.random.default_rng(0).uniform(0, 3000, rows)
+    with open(path, "w") as f:
+        f.write("timestamp,watts\n")
+        f.writelines(f"{1_400_000_000 + 6 * i},{w:.3f}\n" for i, w in enumerate(watts))
+    tracemalloc.start()
+    try:
+        series = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == rows
+    assert peak / rows <= 72, f"load_csv peaked at {peak / rows:.1f} B per row"
+
+
 class TestReadRows:
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "estimate.csv"
@@ -315,6 +350,13 @@ class TestWriteRows:
             reference_write_series_csv(tmp_path / name, series)
             ours = tmp_path / "ours" / f"house_{house}" / name
             assert ours.read_bytes() == (tmp_path / name).read_bytes(), name
+
+    @pytest.mark.parametrize("start_time", [0.5, 1.4e9 + 0.1, 12345.678])
+    def test_fractional_timestamps_read_back_exactly(self, tmp_path, start_time):
+        series = PowerSeries(start_time, 6, np.arange(5.0))
+        path = tmp_path / "channel.csv"
+        write_rows(path, ("timestamp", "watts"), series)
+        assert read_rows(path)[:, 0].tolist() == series.timestamps().tolist()
 
     def test_read_rows_reads_back_six_decimals(self, tmp_path):
         series = PowerSeries(1.4e9, 6, np.array([0.0, 1.23456789, 2500.5]))
