@@ -26,9 +26,10 @@ from .config import ApplianceConfig, ExperimentConfig, load_config
 from .errors import ConfigError, DataError, DimensionError, NumericError, UsageError
 from .nn import NesterovSGD, load_checkpoint, save_checkpoint
 from .synthworld import channel_slug
-from .util import canonical_json, rng_for, sha256_text
+from .util import canonical_json, rng_for
 
 BASELINE_ALGOS = ("co", "fhmm")
+ALGORITHMS = architectures.KINDS + BASELINE_ALGOS
 MANIFEST_KEYS = ("window_width", "seed", "max_power", "input_std")  # checked by inference
 
 
@@ -71,7 +72,7 @@ def make_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score estimates against ground truth")
     common(p)
     p.add_argument("--appliance", required=True)
-    p.add_argument("--algorithm", action="append", default=None,
+    p.add_argument("--algorithm", action="append", default=None, choices=ALGORITHMS,
                    help="algorithms to score (repeatable; default: all found)")
     p.add_argument("--house", type=int, default=None)
 
@@ -137,32 +138,36 @@ def _load_channel(cfg: ExperimentConfig, house: int, channel: str) -> ts.PowerSe
 
 
 def cmd_extract(cfg: ExperimentConfig):
-    """Extract and store activations for every (appliance, house) pair."""
-    store_dir = cfg.out_dir / "activations"
-    store_dir.mkdir(parents=True, exist_ok=True)
-    houses = sorted({h for a in cfg.appliances.values()
-                     for h in a.train_houses + a.test_houses})
-    counts = {}
+    """Extract and store activations for every (appliance, house) pair.
+
+    Every channel is read and extracted before the first store is
+    written, so a run that fails writes no store."""
+    extracted = {}  # (appliance, house) -> (channel start time, activations)
     for name, app in cfg.appliances.items():
         for house in app.train_houses + app.test_houses:
             series = _load_channel(cfg, house, name)
-            acts = ts.extract_activations(series, app.activation_params)
-            payload = {
-                "appliance": name,
-                "house": house,
-                "sample_period": cfg.sample_period,
-                "series_start_time": series.start_time,
-                "activations": [
-                    {"source_offset": a.source_offset, "values": a.values.tolist()}
-                    for a in acts
-                ],
-            }
-            _store_path(cfg, name, house).write_text(canonical_json(payload))
-            counts[(name, house)] = len(acts)
+            extracted[name, house] = (series.start_time,
+                                      ts.extract_activations(series, app.activation_params))
+
+    counts = {pair: len(acts) for pair, (_, acts) in extracted.items()}
+    (cfg.out_dir / "activations").mkdir(parents=True, exist_ok=True)
+    while extracted:  # drops each pair's arrays once its store is written
+        (name, house), (start_time, acts) = extracted.popitem()
+        payload = {
+            "appliance": name,
+            "house": house,
+            "sample_period": cfg.sample_period,
+            "series_start_time": start_time,
+            "activations": [
+                {"source_offset": a.source_offset, "values": a.values.tolist()}
+                for a in acts
+            ],
+        }
+        _store_path(cfg, name, house).write_text(canonical_json(payload))
 
     names = list(cfg.appliances)  # column order = config appliance order
     print("house," + ",".join(channel_slug(n) for n in names))
-    for house in houses:
+    for house in sorted({house for _, house in counts}):
         row = [str(counts.get((n, house), "")) for n in names]
         print(f"{house}," + ",".join(row))
 
@@ -272,15 +277,11 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
         "batch_size": arch.batch_size,
         "learning_rate": arch.learning_rate,
     }
-    manifest_text = canonical_json(manifest)
-    manifest_hash = sha256_text(manifest_text)
-    base = _model_base(cfg, appliance, kind)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    base.with_name(base.name + "_manifest.json").write_text(manifest_text)
-
     network = architectures.build_network(kind, app.window_width,
                                           rng_for(cfg.seed, "init", appliance, kind))
     optimizer = NesterovSGD(network.parameters(), arch.learning_rate)
+    base = _model_base(cfg, appliance, kind)
+    base.parent.mkdir(parents=True, exist_ok=True)
     batches = datagen.prefetch(datagen.batch_stream(
         real, synth, spec, network.output_kind, arch.batch_size,
         rng_for(cfg.seed, "batches", appliance, kind)))
@@ -288,8 +289,7 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
     def on_checkpoint(tag, step):
         suffix = "" if tag == "final" else f"_step{step}" if tag == "interval" else "_abort"
         save_checkpoint(base.with_name(base.name + suffix + ".ckpt"), network.parameters(),
-                        meta={"manifest_sha256": manifest_hash, "appliance": appliance,
-                              "kind": kind, "step": step})
+                        meta={"manifest": manifest, "step": step})
 
     budget = arch.update_budget
     checkpoint_every = max(1, budget // 4) if budget >= 1000 else None
@@ -388,9 +388,9 @@ def cmd_disaggregate(cfg: ExperimentConfig, appliance: str, kind: str | None = N
 
     if baseline:
         estimate, model_dicts = _run_baseline(cfg, appliance, baseline, aggregate)
-        manifest_hash = None
+        manifest = None
     else:
-        estimate, manifest_hash = _run_network(cfg, appliance, kind, aggregate)
+        estimate, manifest = _run_network(cfg, appliance, kind, aggregate)
         model_dicts = None
 
     est_path = _estimate_path(cfg, appliance, algo, house)
@@ -405,7 +405,7 @@ def cmd_disaggregate(cfg: ExperimentConfig, appliance: str, kind: str | None = N
         "disagg_config": {"stride": cfg.disagg.stride,
                           "power_threshold": app.activation_params.on_power_threshold,
                           "probability_threshold": cfg.disagg.probability_threshold},
-        "manifest_sha256": manifest_hash,
+        "manifest": manifest,
         "baseline_models": model_dicts,
         "seed": cfg.seed,
         "config": cfg.raw,
@@ -415,10 +415,17 @@ def cmd_disaggregate(cfg: ExperimentConfig, appliance: str, kind: str | None = N
     print(f"wrote estimate for {appliance}/{algo} house {house} -> {est_path}")
 
 
-def _read_manifest(path: Path) -> dict:
-    """The trained manifest; a DataError unless it is a JSON object with
-    every key inference reads and a non-negative integer width and seed."""
-    manifest = _read_json_object(path, "manifest", MANIFEST_KEYS)
+def _checkpoint_manifest(path: Path, meta: dict) -> dict:
+    """The training manifest in a checkpoint header's meta; a DataError
+    unless it is a JSON object with every key inference reads and a
+    non-negative integer width and seed."""
+    manifest = meta.get("manifest")
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: not a JSON manifest: the checkpoint header's manifest "
+                        "is not a JSON object; retrain")
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise DataError(f"{path}: manifest lacks {', '.join(missing)}")
     for key in ("window_width", "seed"):
         if type(manifest[key]) is not int or manifest[key] < 0:  # bool is an int subclass
             raise DataError(f"{path}: manifest {key} must be a non-negative integer")
@@ -429,27 +436,21 @@ def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
     app = cfg.appliance(appliance)
     base = _model_base(cfg, appliance, kind)
     ckpt_path = base.with_name(base.name + ".ckpt")
-    manifest_path = base.with_name(base.name + "_manifest.json")
-    if not ckpt_path.exists() or not manifest_path.exists():
-        raise DataError(f"missing checkpoint or manifest for {appliance}/{kind}; train first")
-    manifest = _read_manifest(manifest_path)
+    if not ckpt_path.exists():
+        raise DataError(f"missing checkpoint {ckpt_path} for {appliance}/{kind}; train first")
     params, meta = load_checkpoint(ckpt_path)
+    manifest = _checkpoint_manifest(ckpt_path, meta)
     for name, value in params.items():
         if value.dtype != architectures.NETWORK_DTYPE:
             raise DataError(f"{ckpt_path}: tensor {name!r} is {value.dtype}, not "
                             f"{np.dtype(architectures.NETWORK_DTYPE)}; retrain")
-    actual_hash = sha256_text(canonical_json(manifest))
-    if meta.get("manifest_sha256") != actual_hash:
-        raise DataError(
-            f"checkpoint/manifest hash mismatch for {appliance}/{kind}: "
-            f"checkpoint says {meta.get('manifest_sha256')}, manifest is {actual_hash}")
 
     spec = datagen.WindowSpec(manifest["window_width"], manifest["max_power"],
                               manifest["input_std"])
     network = architectures.build_network(kind, manifest["window_width"], params)
     estimate = sliding.disaggregate(network, aggregate, spec, cfg.disagg,
                                     app.activation_params.on_power_threshold)
-    return estimate, actual_hash
+    return estimate, manifest
 
 
 def _run_baseline(cfg: ExperimentConfig, appliance: str, algo: str, aggregate):
@@ -507,7 +508,7 @@ def cmd_evaluate(cfg: ExperimentConfig, appliance: str, algorithms=None,
     _check_alignment("truth", truth, "aggregate", aggregate)
 
     if not algorithms:
-        algorithms = sorted(algo for algo in architectures.KINDS + BASELINE_ALGOS
+        algorithms = sorted(algo for algo in ALGORITHMS
                             if _estimate_path(cfg, appliance, algo, house).exists())
         if not algorithms:
             raise DataError(f"no estimates found for {appliance} house {house}; "

@@ -37,8 +37,8 @@ class WindowSpec:
     input_std: float
 
     def __post_init__(self):
-        # Inference reads these from a manifest file: refuse nulls, strings,
-        # booleans and JSON's Infinity too.
+        # Inference reads these from a checkpoint's manifest: refuse nulls,
+        # strings, booleans and JSON's Infinity too.
         for name in ("window_width", "max_power", "input_std"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -99,7 +99,7 @@ def estimate_input_std(draw, sample_count: int, rng) -> float:
     """Population std of the pooled samples of `sample_count` windows
     drawn by `draw(rng)`.
 
-    The estimate must be recorded in the experiment manifest so that
+    The estimate must be recorded in the checkpoint's manifest so that
     inference standardizes exactly as training did.
     """
     pooled = [np.asarray(draw(rng), dtype=np.float64) for _ in range(sample_count)]

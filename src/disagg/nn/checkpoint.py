@@ -2,7 +2,7 @@
 
 A checkpoint is a single self-describing file: one JSON header line
 (tensor names, shapes, dtypes, byte offsets and sizes, plus free-form
-metadata such as the manifest hash) followed by the concatenated tensor
+metadata such as the training manifest) followed by the concatenated tensor
 bytes.  Each tensor is stored in its own dtype, little-endian float32
 (`<f4`) or float64 (`<f8`), and loads back in that dtype bit for bit:
 nothing is widened or rounded, and neither direction holds a second

@@ -1,4 +1,4 @@
-"""Small shared helpers: seeded RNG derivation, hashing, stable JSON."""
+"""Small shared helpers: seeded RNG derivation, stable JSON."""
 
 import hashlib
 import json
@@ -21,7 +21,3 @@ def rng_for(seed: int, *labels) -> np.random.Generator:
 def canonical_json(obj) -> str:
     """Serialize with sorted keys and fixed separators so bytes are stable."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()

@@ -17,7 +17,7 @@ from disagg.errors import ConfigError
 from disagg.nn import Network, load_checkpoint, save_checkpoint
 from disagg.synthworld import DESK_APPLIANCES, write_world
 from disagg.timeseries import CSV_WRITE_CHUNK, PowerSeries
-from disagg.util import canonical_json, sha256_text
+from disagg.util import canonical_json
 
 
 def world_config(tmp_path, length=700, seed=11, window=24, budget=4, batch=8,
@@ -222,6 +222,16 @@ class TestCliPipeline:
         assert main(["extract", "--config", str(path)]) == 2
         assert "kettle.csv" in capsys.readouterr().err
 
+    def test_failed_extract_writes_no_store(self, tmp_path, capsys):
+        # The last pair's channel fails after five others were extracted.
+        path = world_config(tmp_path)
+        channel = tmp_path / "data" / "house_2" / "fridge.csv"
+        channel.unlink()
+        channel.mkdir()
+        assert main(["extract", "--config", str(path)]) == 2
+        assert str(channel) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_extract_non_utf8_channel_exits_2(self, tmp_path, capsys):
         path = world_config(tmp_path)
         channel = tmp_path / "data" / "house_1" / "kettle.csv"
@@ -241,17 +251,28 @@ class TestCliPipeline:
         for kind in ("lstm", "dae", "rectangles"):
             assert kind in err
 
+    def test_unknown_evaluate_algorithm_usage_error(self, tmp_path, capsys):
+        path = world_config(tmp_path)
+        assert main(["evaluate", "--config", str(path), "--appliance", "kettle",
+                     "--algorithm", "bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and all(algo in err for algo in ("lstm", "dae", "co", "fhmm"))
+
     def test_train_writes_artifacts(self, tmp_path):
         path = world_config(tmp_path)
         main(["extract", "--config", str(path)])
         assert main(["train", "--config", str(path), "--appliance", "kettle",
                      "--kind", "dae"]) == 0
         out = tmp_path / "out" / "models"
-        assert (out / "kettle_dae.ckpt").exists()
-        manifest = json.loads((out / "kettle_dae_manifest.json").read_text())
-        assert manifest["appliance_id"] == "kettle"
+        assert sorted(p.name for p in out.iterdir()) == ["kettle_dae.ckpt",
+                                                         "kettle_dae_loss.csv"]
+        _, meta = load_checkpoint(out / "kettle_dae.ckpt")
+        manifest = meta["manifest"]
+        assert meta == {"manifest": manifest, "step": 4}
+        assert manifest["appliance_id"] == "kettle" and manifest["kind"] == "dae"
         assert manifest["window_width"] == 24
         assert manifest["input_std"] > 0
+        assert manifest["learning_rate"] == 0.01
         with open(out / "kettle_dae_loss.csv") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["step", "loss", "smoothed_loss", "wallclock_s"]
@@ -293,7 +314,34 @@ class TestCliPipeline:
             rows = list(csv.reader(f))
         assert rows[0] == ["step", "loss", "smoothed_loss", "wallclock_s"]
         assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
-        assert (out / "kettle_dae_abort.ckpt").exists()
+        _, meta = load_checkpoint(out / "kettle_dae_abort.ckpt")
+        assert meta["manifest"]["kind"] == "dae"
+
+    def test_failed_retrain_keeps_the_earlier_checkpoint_usable(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # A re-train with another learning rate aborts before its final
+        # checkpoint, so the earlier run's checkpoint stays in place.
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        train = ["train", "--config", str(path), "--appliance", "kettle", "--kind", "dae"]
+        assert main(train) == 0
+        raw = json.loads(path.read_text())
+        raw["architectures"]["dae"]["learning_rate"] = 0.02
+        path.write_text(json.dumps(raw))
+        original = Network.loss_and_gradients
+
+        def non_finite(self, x, target):
+            return float("nan"), original(self, x, target)[1]
+
+        monkeypatch.setattr(Network, "loss_and_gradients", non_finite)
+        capsys.readouterr()
+        assert main(train) == 3
+        assert "non-finite loss at step 1" in capsys.readouterr().err
+        assert main(["disaggregate", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "dae"]) == 0
+        report = json.loads(
+            (tmp_path / "out" / "estimates" / "kettle_dae_house2.json").read_text())
+        assert report["manifest"]["learning_rate"] == 0.01
 
     def test_same_seed_identical_loss_log(self, tmp_path):
         path = world_config(tmp_path)
@@ -317,8 +365,9 @@ class TestCliPipeline:
         assert est.exists()
         report = json.loads(est.with_suffix(".json").read_text())
         assert report["algorithm"] == "dae"
-        manifest = tmp_path / "out" / "models" / "kettle_dae_manifest.json"
-        assert report["manifest_sha256"] == sha256_text(manifest.read_text())
+        _, meta = load_checkpoint(tmp_path / "out" / "models" / "kettle_dae.ckpt")
+        assert report["manifest"] == meta["manifest"]
+        assert report["baseline_models"] is None
 
         assert main(["evaluate", "--config", str(path), "--appliance", "kettle"]) == 0
         payload = json.loads(
@@ -461,66 +510,51 @@ class TestCliPipeline:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_hash_mismatch_refuses_to_run(self, tmp_path, capsys):
+    def _disaggregate_with_manifest(self, tmp_path, capsys, edit):
+        """Exit status and stderr of `disaggregate` after the manifest in the
+        trained checkpoint's header line was replaced by `edit(manifest)`.
+        The header's tensor offsets count from the end of that line, so the
+        tensor bytes stay valid whatever length the new header has."""
         path = world_config(tmp_path)
         main(["extract", "--config", str(path)])
         main(["train", "--config", str(path), "--appliance", "kettle", "--kind", "dae"])
-        manifest_path = tmp_path / "out" / "models" / "kettle_dae_manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["input_std"] += 1.0
-        manifest_path.write_text(json.dumps(manifest))
-        capsys.readouterr()
-        assert main(["disaggregate", "--config", str(path), "--appliance", "kettle",
-                     "--kind", "dae"]) == 2
-        assert "hash mismatch" in capsys.readouterr().err
-
-    def _disaggregate_with_manifest(self, tmp_path, capsys, edit, sign=True):
-        """Exit status and stderr of `disaggregate` after `edit` rewrote the
-        trained manifest's text; with `sign` the checkpoint is re-signed
-        with the new manifest's hash, so only its content can be at fault."""
-        path = world_config(tmp_path)
-        main(["extract", "--config", str(path)])
-        main(["train", "--config", str(path), "--appliance", "kettle", "--kind", "dae"])
-        models = tmp_path / "out" / "models"
-        manifest_path = models / "kettle_dae_manifest.json"
-        text = edit(manifest_path.read_text())
-        manifest_path.write_text(text)
-        if sign:
-            params, meta = load_checkpoint(models / "kettle_dae.ckpt")
-            meta["manifest_sha256"] = sha256_text(canonical_json(json.loads(text)))
-            save_checkpoint(models / "kettle_dae.ckpt", params, meta=meta)
+        ckpt = tmp_path / "out" / "models" / "kettle_dae.ckpt"
+        manifest = edit(load_checkpoint(ckpt)[1]["manifest"])  # `edit` may rewrite `ckpt`
+        header_line, body = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["meta"]["manifest"] = manifest
+        ckpt.write_bytes(canonical_json(header).encode() + body)
         capsys.readouterr()
         code = main(["disaggregate", "--config", str(path), "--appliance", "kettle",
                      "--kind", "dae"])
         return code, capsys.readouterr().err
 
     def test_misshaped_checkpoint_tensor_exits_3_naming_it(self, tmp_path, capsys):
-        def reshape_code_weights(text):
+        def reshape_code_weights(manifest):
             models = tmp_path / "out" / "models"
             params, meta = load_checkpoint(models / "kettle_dae.ckpt")
             params["code/weights"] = np.zeros((3, 3), np.float32)
             save_checkpoint(models / "kettle_dae.ckpt", params, meta=meta)
-            return text
+            return manifest
 
-        code, err = self._disaggregate_with_manifest(tmp_path, capsys, reshape_code_weights,
-                                                     sign=False)
+        code, err = self._disaggregate_with_manifest(tmp_path, capsys, reshape_code_weights)
         assert code == 3 and "code: shape mismatch for 'weights'" in err
 
     def test_checkpoint_value_beyond_float32_exits_2_naming_it(self, tmp_path, capsys):
         # A float64 tensor is refused before the float32 net is built, so
         # 1e300, which has no float32 value, never reaches it.
-        def overflow_code_weights(text):
+        def overflow_code_weights(manifest):
             ckpt = tmp_path / "out" / "models" / "kettle_dae.ckpt"
             params, meta = load_checkpoint(ckpt)
             params["code/weights"] = params["code/weights"].astype(np.float64)
             params["code/weights"][0, 0] = 1e300
             save_checkpoint(ckpt, params, meta=meta)
-            return text
+            return manifest
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, err = self._disaggregate_with_manifest(tmp_path, capsys,
-                                                         overflow_code_weights, sign=False)
+                                                         overflow_code_weights)
         assert code == 2 and "kettle_dae.ckpt: tensor 'code/weights'" in err
 
     def test_inference_draws_no_random_weights(self, tmp_path, capsys, monkeypatch):
@@ -529,28 +563,41 @@ class TestCliPipeline:
         def no_rng(*args):
             raise AssertionError(f"rng_for{args} called")
 
-        def check(text):
+        def check(manifest):
             monkeypatch.setattr(cli, "rng_for", no_rng)
-            return text
+            return manifest
 
-        code, err = self._disaggregate_with_manifest(tmp_path, capsys, check, sign=False)
+        code, err = self._disaggregate_with_manifest(tmp_path, capsys, check)
         assert code == 0, err
 
     def test_truncated_manifest_exits_2(self, tmp_path, capsys):
-        code, err = self._disaggregate_with_manifest(
-            tmp_path, capsys, lambda text: '{"oops', sign=False)
+        code, err = self._disaggregate_with_manifest(tmp_path, capsys, lambda m: '{"oops')
         assert code == 2 and "not a JSON manifest" in err
 
     def test_non_object_manifest_exits_2(self, tmp_path, capsys):
-        code, err = self._disaggregate_with_manifest(tmp_path, capsys, lambda text: "[1, 2]")
+        code, err = self._disaggregate_with_manifest(tmp_path, capsys, lambda m: [1, 2])
         assert code == 2 and "not a JSON object" in err
+
+    def test_checkpoint_without_manifest_exits_2(self, tmp_path, capsys):
+        # The header meta of a checkpoint written while the manifest was a
+        # file of its own.
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        main(["train", "--config", str(path), "--appliance", "kettle", "--kind", "dae"])
+        ckpt = tmp_path / "out" / "models" / "kettle_dae.ckpt"
+        params, _ = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, params, meta={"manifest_sha256": "0" * 64, "step": 4})
+        capsys.readouterr()
+        assert main(["disaggregate", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "dae"]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: not a JSON manifest" in err and "retrain" in err
 
     @pytest.mark.parametrize("key", ["window_width", "seed", "max_power", "input_std"])
     def test_manifest_without_key_exits_2(self, tmp_path, capsys, key):
-        def drop(text):
-            manifest = json.loads(text)
+        def drop(manifest):
             del manifest[key]
-            return canonical_json(manifest)
+            return manifest
 
         code, err = self._disaggregate_with_manifest(tmp_path, capsys, drop)
         assert code == 2 and f"manifest lacks {key}" in err
@@ -564,10 +611,9 @@ class TestCliPipeline:
         ("max_power", True, "max_power must be positive"),
     ])
     def test_manifest_with_bad_value_exits_2(self, tmp_path, capsys, key, value, match):
-        def replace(text):
-            manifest = json.loads(text)
+        def replace(manifest):
             manifest[key] = value
-            return canonical_json(manifest)
+            return manifest
 
         code, err = self._disaggregate_with_manifest(tmp_path, capsys, replace)
         assert code == 2 and match in err

@@ -801,9 +801,9 @@ class TestNetwork:
 
         net = build(rng)
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, net.parameters(), meta={"manifest_sha256": "abc"})
+        save_checkpoint(path, net.parameters(), meta={"manifest": {"seed": 7}, "step": 3})
         loaded, meta = load_checkpoint(path)
-        assert meta["manifest_sha256"] == "abc"
+        assert meta == {"manifest": {"seed": 7}, "step": 3}
         net2 = build(loaded)
         assert net2.parameters().keys() == net.parameters().keys()
         for key, value in net2.parameters().items():
