@@ -205,9 +205,10 @@ def train(network: Network, batches, optimizer: NesterovSGD, update_budget: int,
     SMOOTHING); when it fails to improve by PLATEAU_IMPROVEMENT
     (relative) within PLATEAU_PATIENCE steps, the learning rate is
     halved, down to MIN_LEARNING_RATE.  Each step also goes to
-    `on_log(step, loss, smoothed, wallclock)` as it is recorded.  A
-    non-finite loss or gradient aborts training, checkpointing the last
-    finite state via `on_checkpoint(tag, step)` before re-raising.
+    `on_log(step, loss, smoothed, wallclock)` as it is recorded, and every
+    `checkpoint_every` steps before the last to `on_checkpoint("interval",
+    step)`.  A non-finite loss or gradient aborts training, checkpointing
+    the last finite state via `on_checkpoint(tag, step)` before re-raising.
     """
     result = TrainResult()
     ema = None
@@ -239,7 +240,8 @@ def train(network: Network, batches, optimizer: NesterovSGD, update_budget: int,
                     optimizer.learning_rate = max(optimizer.learning_rate / 2,
                                                   MIN_LEARNING_RATE)
                     since_best = 0
-            if on_checkpoint and checkpoint_every and step % checkpoint_every == 0:
+            if (on_checkpoint and checkpoint_every and step % checkpoint_every == 0
+                    and step < update_budget):
                 on_checkpoint("interval", step)
     except NumericError:
         if on_checkpoint:

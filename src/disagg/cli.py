@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import platform
 import sys
@@ -25,8 +26,7 @@ from . import timeseries as ts
 from .config import ApplianceConfig, ExperimentConfig, load_config
 from .errors import ConfigError, DataError, DimensionError, NumericError, UsageError
 from .nn import NesterovSGD, load_checkpoint, save_checkpoint
-from .synthworld import channel_slug
-from .util import canonical_json, rng_for
+from .util import canonical_json, channel_slug, rng_for
 
 BASELINE_ALGOS = ("co", "fhmm")
 ALGORITHMS = architectures.KINDS + BASELINE_ALGOS
@@ -187,15 +187,17 @@ def _read_json_object(path: Path, what: str, keys) -> dict:
     return payload
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number that is finite as a float (NaN fails the comparison)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _is_stored_activation(entry) -> bool:
     if not isinstance(entry, dict):
         return False
     offset, values = entry.get("source_offset"), entry.get("values")
     return (type(offset) is int and offset >= 0  # bool is an int subclass
-            and isinstance(values, list)
-            # A number that is finite as a float (NaN fails the comparison).
-            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
-                    for v in values))
+            and isinstance(values, list) and all(map(_is_finite_number, values)))
 
 
 def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
@@ -203,7 +205,11 @@ def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
     path = _store_path(cfg, appliance, house)
     if not path.exists():
         raise DataError(f"missing activation store {path}; run `disagg extract` first")
-    payload = _read_json_object(path, "activation store", ("activations", "series_start_time"))
+    payload = _read_json_object(path, "activation store",
+                                ("activations", "series_start_time", "sample_period"))
+    if payload["sample_period"] != cfg.sample_period:
+        raise DataError(f"{path}: extracted at {payload['sample_period']!r} s, but the config's "
+                        f"sample_period is {cfg.sample_period} s; run `disagg extract` again")
     if not isinstance(payload["activations"], list) or not all(
             map(_is_stored_activation, payload["activations"])):
         raise DataError(f"{path}: every activation needs a source_offset and values "
@@ -265,17 +271,13 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
         "toolkit_version": __version__,
         "appliance_id": appliance,
         "kind": kind,
-        "window_width": app.window_width,
-        "max_power": app.activation_params.max_power,
-        "input_std": spec.input_std,
+        **dataclasses.asdict(spec),
+        **dataclasses.asdict(arch),
         "seed": cfg.seed,
         "profile": cfg.profile,
         "sample_period": cfg.sample_period,
         "train_houses": list(app.train_houses),
         "test_houses": list(app.test_houses),
-        "update_budget": arch.update_budget,
-        "batch_size": arch.batch_size,
-        "learning_rate": arch.learning_rate,
     }
     network = architectures.build_network(kind, app.window_width,
                                           rng_for(cfg.seed, "init", appliance, kind))
@@ -333,10 +335,8 @@ def cmd_synth_preview(cfg: ExperimentConfig, appliance: str, count: int):
         raw_input, raw_target, placements = synth.sample(rng)
         with_target += any(p.is_target for p in placements)
         windows.append({
-            "input": [round(float(v), 6)
-                      for v in datagen.standardize_input(raw_input, spec.input_std)],
-            "target": [round(float(v), 6)
-                       for v in datagen.scale_target(raw_target, spec.max_power)],
+            "input": [round(float(v), 6) for v in spec.standardize(raw_input)],
+            "target": [round(float(v), 6) for v in spec.scale_target(raw_target)],
             "placements": [
                 {"appliance": p.appliance, "offset": p.offset, "length": len(p.values),
                  "is_target": p.is_target} for p in placements
@@ -541,13 +541,13 @@ def cmd_evaluate(cfg: ExperimentConfig, appliance: str, algorithms=None,
 
 def _read_evaluation(path: Path) -> dict:
     """An evaluation file; a DataError unless it is a JSON object with an
-    appliance, a house and every metric of each algorithm as a number."""
+    appliance, a house and every metric of each algorithm as a finite number."""
     payload = _read_json_object(path, "evaluation file", ("appliance", "house", "algorithms"))
     if not isinstance(payload["algorithms"], dict) or not all(
-            isinstance(scores, dict) and all(type(scores.get(name)) in (int, float)
+            isinstance(scores, dict) and all(_is_finite_number(scores.get(name))
                                              for name in metrics.MetricsReport.METRIC_NAMES)
             for scores in payload["algorithms"].values()):
-        raise DataError(f"{path}: every algorithm needs each metric as a number")
+        raise DataError(f"{path}: every algorithm needs each metric as a number, and a finite one")
     return payload
 
 

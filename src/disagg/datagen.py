@@ -7,8 +7,8 @@ randomly placed appliance activations.  Training draws from both in a
 stacks: each input row is mean-centred on its own mean and divided by
 one dataset-level standard deviation estimate (never each window's own
 std, which would destroy the power scale); targets are divided by the
-appliance's maximum power so they live in [0, 1].  Inference scales its
-windows with the same functions.
+appliance's maximum power so they live in [0, 1].  Both rules, and their
+inverse for inference, are methods of `WindowSpec`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ PREFETCH_DEPTH = 2  # batches a producer thread may prepare ahead of training
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Window geometry and scaling constants for one target appliance."""
+    """Window geometry and the scaling between watts and network units for one appliance."""
 
     window_width: int
     max_power: float
@@ -44,6 +44,30 @@ class WindowSpec:
             if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
                     and math.isfinite(value) and value > 0):
                 raise DataError(f"{name} must be positive and finite, got {value!r}")
+
+    def standardize(self, windows) -> np.ndarray:
+        """Centre each window (the last axis) on its own mean, divide by the input std."""
+        windows = np.asarray(windows, dtype=np.float64)
+        return (windows - windows.mean(axis=-1, keepdims=True)) / self.input_std
+
+    def scale_target(self, watts) -> np.ndarray:
+        """Map watts into [0, 1] by the appliance's maximum power, clipping above."""
+        return np.clip(np.asarray(watts, dtype=np.float64) / self.max_power, 0.0, 1.0)
+
+    def to_watts(self, scaled):
+        """Scaled network outputs back in watts."""
+        return scaled * self.max_power
+
+    def decode_rectangle(self, triple: RectangleTriple, window_origin: int):
+        """The fractional triple of the window starting at `window_origin` as
+        absolute samples and watts, (start, end, watts); None when the rounded
+        span is empty (a degenerate triple counts as no prediction)."""
+        start, end, height = triple
+        start = window_origin + int(np.floor(start * self.window_width + 0.5))
+        end = window_origin + int(np.floor(end * self.window_width + 0.5))
+        if end <= start:
+            return None
+        return start, end, self.to_watts(height)
 
 
 class RectangleTriple(NamedTuple):
@@ -77,22 +101,6 @@ class Placement:
         if hi > lo:
             out[lo:hi] = self.values[lo - self.offset : hi - self.offset]
         return out
-
-
-def standardize_input(window, input_std: float) -> np.ndarray:
-    """Centre each window (the last axis) on its own mean, divide by the
-    dataset std."""
-    if input_std <= 0:
-        raise DataError("input_std must be positive")
-    window = np.asarray(window, dtype=np.float64)
-    return (window - window.mean(axis=-1, keepdims=True)) / input_std
-
-
-def scale_target(window, max_power: float) -> np.ndarray:
-    """Map watts into [0, 1] by the appliance's maximum power, clipping above."""
-    if max_power <= 0:
-        raise DataError("max_power must be positive")
-    return np.clip(np.asarray(window, dtype=np.float64) / max_power, 0.0, 1.0)
 
 
 def estimate_input_std(draw, sample_count: int, rng) -> float:
@@ -369,12 +377,12 @@ def stack_pairs(raws, spec: WindowSpec, output_kind: str) -> Batch:
     scaled alone.
     """
     inputs, targets, _ = zip(*raws)
-    targets = scale_target(np.stack(targets), spec.max_power)
+    targets = spec.scale_target(np.stack(targets))
     if output_kind == "triple":
         targets = np.array([encode_rectangle(row) for row in targets])
     elif output_kind != "sequence":
         raise DataError(f"unknown output kind {output_kind!r}")
-    return Batch(inputs=standardize_input(np.stack(inputs), spec.input_std), targets=targets)
+    return Batch(inputs=spec.standardize(np.stack(inputs)), targets=targets)
 
 
 def batch_stream(source_real, source_synth, spec: WindowSpec, output_kind: str,

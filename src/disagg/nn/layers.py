@@ -31,6 +31,7 @@ with respect to each tensor, accumulated over batch and time.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 
 import numpy as np
@@ -505,14 +506,15 @@ def _in_parallel(first, second):
     The worker is one thread for the whole process, started on first use,
     so programs that never call this start no thread.  Concurrent callers
     share it and their `second` calls queue up.  An exception of either is
-    raised here only once both have returned.
+    raised here only once both have returned.  `second` runs in a copy of
+    the caller's context, so the caller's `np.errstate` holds for it too.
     """
     global _worker
     with _worker_lock:
         if _worker is None:
             from concurrent.futures import ThreadPoolExecutor
             _worker = ThreadPoolExecutor(1, thread_name_prefix="disagg-bidirectional")
-    future = _worker.submit(second)
+    future = _worker.submit(contextvars.copy_context().run, second)
     try:
         result = first()
     finally:

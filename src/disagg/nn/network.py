@@ -11,9 +11,9 @@ def _check_finite(arr, layer_name, stage):
     # One reduction pass: the sum is finite only if every element is (large
     # nets make a full isfinite scan per op noticeably expensive).  A sum of
     # finite elements can still overflow, float32 ones most easily, so only
-    # the element scan can say that one is not finite.
-    with np.errstate(over="ignore"):
-        total = np.sum(arr)
+    # the element scan can say that one is not finite.  Both passes run under
+    # np.errstate, so a diverging net is reported here alone, not as a warning.
+    total = np.sum(arr)
     if not np.isfinite(total) and not np.isfinite(arr).all():
         raise NumericError(f"non-finite values after {stage} of layer {layer_name!r}")
 
@@ -51,32 +51,34 @@ class Network:
     def forward(self, x):
         """Pure forward pass; safe to call concurrently on frozen params."""
         y = np.asarray(x, dtype=self.dtype)
-        for layer in self.layers:
-            y = layer.forward(y)
-            _check_finite(y, layer.name, "forward")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for layer in self.layers:
+                y = layer.forward(y)
+                _check_finite(y, layer.name, "forward")
         return y
 
     def loss_and_gradients(self, x, target):
         """MSE loss (mean over batch and elements) and parameter gradients."""
         y = np.asarray(x, dtype=self.dtype)
         caches = []
-        for layer in self.layers:
-            y, cache = layer.forward_cached(y)
-            _check_finite(y, layer.name, "forward")
-            caches.append(cache)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for layer in self.layers:
+                y, cache = layer.forward_cached(y)
+                _check_finite(y, layer.name, "forward")
+                caches.append(cache)
 
-        target = self.align_target(np.asarray(target, dtype=self.dtype), y.shape)
-        diff = y - target
-        loss = float(np.mean(diff * diff))
-        grad = (2.0 / diff.size) * diff
+            target = self.align_target(np.asarray(target, dtype=self.dtype), y.shape)
+            diff = y - target
+            loss = float(np.mean(diff * diff))
+            grad = (2.0 / diff.size) * diff
 
-        grads = {}
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            grad, layer_grads = layer.backward(grad, cache)
-            _check_finite(grad, layer.name, "backward")
-            for key, g in layer_grads.items():
-                _check_finite(g, layer.name, "backward")
-                grads[f"{layer.name}/{key}"] = g
+            grads = {}
+            for layer, cache in zip(reversed(self.layers), reversed(caches)):
+                grad, layer_grads = layer.backward(grad, cache)
+                _check_finite(grad, layer.name, "backward")
+                for key, g in layer_grads.items():
+                    _check_finite(g, layer.name, "backward")
+                    grads[f"{layer.name}/{key}"] = g
         return loss, grads
 
     def align_target(self, target, output_shape):

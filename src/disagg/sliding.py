@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import RectangleTriple, WindowSpec, standardize_input
+from .datagen import WindowSpec
 from .errors import ConfigError
 from .timeseries import PowerSeries
 
@@ -81,9 +81,9 @@ def slide(network, aggregate: PowerSeries, spec: WindowSpec,
     if last > first:
         segment[first - lo : last - lo] = aggregate.values[first:last]
     windows = np.lib.stride_tricks.sliding_window_view(segment, width)[origins - lo]
-    outputs = network.forward(standardize_input(windows, spec.input_std))
+    outputs = network.forward(spec.standardize(windows))
     if network.output_kind == "sequence":
-        outputs = outputs * spec.max_power
+        outputs = spec.to_watts(outputs)
     return WindowOutputs(origins=origins, outputs=outputs)
 
 
@@ -118,21 +118,6 @@ def combine_mean(window_outputs: WindowOutputs, sums: MeanSums) -> None:
         sums.counts[lo:hi] += 1
 
 
-def decode_rectangle(triple: RectangleTriple, window_origin: int, window_width: int,
-                     max_power: float):
-    """Map a fractional triple to absolute samples: (start, end, watts).
-
-    Returns None when the rounded span is empty (a degenerate triple
-    counts as no prediction).
-    """
-    start, end, height = triple
-    start = window_origin + int(np.floor(start * window_width + 0.5))
-    end = window_origin + int(np.floor(end * window_width + 0.5))
-    if end <= start:
-        return None
-    return start, end, height * max_power
-
-
 class RectangleSums:
     """Running per-timestep counts of covering windows and of their
     rectangles, and the sum of those rectangles' heights in watts.
@@ -143,10 +128,9 @@ class RectangleSums:
     `probability_threshold` and their mean height `power_threshold`.
     """
 
-    def __init__(self, total_length: int, window_width: int, max_power: float,
-                 power_threshold: float, probability_threshold: float):
-        self.window_width = window_width
-        self.max_power = max_power
+    def __init__(self, total_length: int, spec: WindowSpec, power_threshold: float,
+                 probability_threshold: float):
+        self.spec = spec
         self.power_threshold = power_threshold
         self.probability_threshold = probability_threshold
         self.window_count = np.zeros(total_length)
@@ -172,7 +156,7 @@ def combine_rectangles(window_outputs: WindowOutputs, sums: RectangleSums) -> No
     window by window, so every timestep receives its additions in window
     order."""
     total = len(sums.window_count)
-    width = sums.window_width
+    width = sums.spec.window_width
     for origin, row in zip(window_outputs.origins, window_outputs.outputs):
         origin = int(origin)
         lo, hi = max(0, origin), min(total, origin + width)
@@ -180,9 +164,9 @@ def combine_rectangles(window_outputs: WindowOutputs, sums: RectangleSums) -> No
             sums.window_count[lo:hi] += 1
         start, end, height = row
         # A triple only counts as a rectangle above the power threshold.
-        if not (height * sums.max_power > sums.power_threshold and end > start):
+        if not (sums.spec.to_watts(height) > sums.power_threshold and end > start):
             continue
-        decoded = decode_rectangle(row, origin, width, sums.max_power)
+        decoded = sums.spec.decode_rectangle(row, origin)
         if decoded is None:
             continue
         r_lo, r_hi, watts = decoded
@@ -209,8 +193,7 @@ def disaggregate(network, aggregate: PowerSeries, spec: WindowSpec,
     total = len(aggregate)
     origins = np.arange(-width, total + 1, config.stride)
     if network.output_kind == "triple":
-        sums = RectangleSums(total, width, spec.max_power, power_threshold,
-                             config.probability_threshold)
+        sums = RectangleSums(total, spec, power_threshold, config.probability_threshold)
         combine = combine_rectangles
     else:
         sums = MeanSums(total, network.output_offset)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .timeseries import DEFAULT_SAMPLE_PERIOD, Activation, PowerSeries, write_rows
+from .util import channel_slug
 
 START_TIME = 0.0      # seconds; every simulated series starts here
 VAMPIRE_WATTS = 35.0  # always-on load in every aggregate
@@ -95,10 +96,6 @@ def make_household(appliances, length: int, rng):
     total = total + VAMPIRE_WATTS + np.abs(rng.normal(scale=NOISE_STD, size=length))
     aggregate = PowerSeries(START_TIME, DEFAULT_SAMPLE_PERIOD, total)
     return aggregate, channels
-
-
-def channel_slug(name: str) -> str:
-    return name.replace(" ", "_")
 
 
 def write_world(data_dir, houses, length: int, seed: int, appliances=DESK_APPLIANCES):

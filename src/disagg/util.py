@@ -1,4 +1,4 @@
-"""Small shared helpers: seeded RNG derivation, stable JSON."""
+"""Small shared helpers: seeded RNG derivation, stable JSON, file names."""
 
 import hashlib
 import json
@@ -21,3 +21,7 @@ def rng_for(seed: int, *labels) -> np.random.Generator:
 def canonical_json(obj) -> str:
     """Serialize with sorted keys and fixed separators so bytes are stable."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def channel_slug(name: str) -> str:
+    return name.replace(" ", "_")

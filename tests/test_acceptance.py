@@ -18,7 +18,7 @@ from desk_experiment import run_desk_experiment
 from disagg import architectures, baselines, datagen, metrics, sliding
 from disagg.datagen import RectangleTriple, WindowSpec, encode_rectangle
 from disagg.nn import LSTM, Bidirectional, Conv1D, Dense
-from disagg.sliding import DisaggConfig, decode_rectangle
+from disagg.sliding import DisaggConfig
 from disagg.timeseries import ActivationParams, PowerSeries, extract_activations, fill_gaps
 
 from test_baselines import (brute_force_best_path, co_oracle, make_model,
@@ -182,13 +182,14 @@ class TestCriterion5RectanglePipeline:
         rng = np.random.default_rng(3)
         ok = True
         for width in (32, 100, 128, 512):
+            spec = WindowSpec(width, 1.0, 1.0)
             for _ in range(200):
                 start = int(rng.integers(0, width - 1))
                 end = int(rng.integers(start + 1, width + 1))
                 target = np.zeros(width)
                 target[start:end] = rng.uniform(0.2, 1.0)
                 triple = encode_rectangle(target)
-                decoded = decode_rectangle(triple, 0, width, 1.0)
+                decoded = spec.decode_rectangle(triple, 0)
                 ok &= decoded is not None and decoded[0] == start and decoded[1] == end
         assert report("5 (round trip)", ok, "start/end exact on the index lattice")
 

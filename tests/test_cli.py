@@ -14,6 +14,7 @@ from disagg import cli, sliding
 from disagg.cli import _write_estimate_csv, main
 from disagg.config import load_config, parse_config
 from disagg.errors import ConfigError
+from disagg.metrics import MetricsReport
 from disagg.nn import Network, load_checkpoint, save_checkpoint
 from disagg.synthworld import DESK_APPLIANCES, write_world
 from disagg.timeseries import CSV_WRITE_CHUNK, PowerSeries
@@ -317,6 +318,36 @@ class TestCliPipeline:
         _, meta = load_checkpoint(out / "kettle_dae_abort.ckpt")
         assert meta["manifest"]["kind"] == "dae"
 
+    @pytest.mark.parametrize("kind", ["dae", "lstm"])
+    def test_diverging_train_exits_3_without_numpy_warnings(self, tmp_path, capsys, kind):
+        # Overflow in a matmul must not surface as a RuntimeWarning (an error
+        # under `-W error`, as here): the finite checks give the verdict.
+        # The LSTM also runs half of each bidirectional layer on a worker thread.
+        path = world_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["architectures"][kind]["learning_rate"] = 1e30
+        path.write_text(json.dumps(raw))
+        main(["extract", "--config", str(path)])
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--appliance", "kettle",
+                     "--kind", kind]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite values after")
+        assert "Warning" not in err
+
+    def test_interval_checkpoints_stop_before_the_final_step(self, tmp_path):
+        path = world_config(tmp_path, budget=1000)
+        main(["extract", "--config", str(path)])
+        assert main(["train", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "dae"]) == 0
+        out = tmp_path / "out" / "models"
+        _, final_meta = load_checkpoint(out / "kettle_dae.ckpt")
+        assert final_meta["step"] == 1000
+        for step in (250, 500, 750):
+            _, meta = load_checkpoint(out / f"kettle_dae_step{step}.ckpt")
+            assert meta == {"manifest": final_meta["manifest"], "step": step}
+        assert not (out / "kettle_dae_step1000.ckpt").exists()
+
     def test_failed_retrain_keeps_the_earlier_checkpoint_usable(self, tmp_path, capsys,
                                                                 monkeypatch):
         # A re-train with another learning rate aborts before its final
@@ -387,7 +418,13 @@ class TestCliPipeline:
         ('{"appliance": "kettle", "house": 2}', "lacks algorithms"),
         ('{"appliance": "kettle", "house": 2, "algorithms": {"co": {"f1": 1.0}}}',
          "each metric as a number"),
-    ], ids=["truncated", "no-algorithms", "missing-metric"])
+        (json.dumps({"appliance": "kettle", "house": 2, "algorithms": {
+            "co": dict.fromkeys(MetricsReport.METRIC_NAMES, 0.5) | {"f1": float("nan")}}}),
+         "each metric as a number, and a finite one"),
+        (json.dumps({"appliance": "kettle", "house": 2, "algorithms": {
+            "dae": dict.fromkeys(MetricsReport.METRIC_NAMES, 0.5) | {"recall": float("inf")}}}),
+         "each metric as a number, and a finite one"),
+    ], ids=["truncated", "no-algorithms", "missing-metric", "nan-metric", "infinite-metric"])
     def test_report_malformed_evaluation_exits_2(self, tmp_path, capsys, text, message):
         path = world_config(tmp_path)
         evaluation = tmp_path / "out" / "evaluation" / "metrics_kettle_house2.json"
@@ -692,6 +729,23 @@ class TestCliPipeline:
 
         code, err, store = self._train_with_store(tmp_path, capsys, edit)
         assert code == 2 and "every activation needs a source_offset and values" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--appliance", "kettle", "--kind", "dae"],
+        ["disaggregate", "--appliance", "kettle", "--baseline", "co"],
+    ], ids=["train", "baseline"])
+    def test_store_of_another_sample_period_exits_2(self, tmp_path, capsys, argv):
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        raw = json.loads(path.read_text())
+        raw["sample_period"] = 30
+        path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        store = tmp_path / "out" / "activations" / "kettle_house1.json"
+        assert str(store) in err and "extracted at 6 s" in err
+        assert "sample_period is 30 s" in err and "run `disagg extract` again" in err
 
     def test_lstm_disaggregate_leaves_no_foreground_thread(self, tmp_path):
         # Bidirectional layers run a worker thread; it must not keep the

@@ -8,7 +8,7 @@ import pytest
 from disagg.datagen import (PREFETCH_DEPTH, Batch, MultiSource, Placement, RealWindowSource,
                             RectangleTriple, SyntheticSource, WindowIndex, WindowSpec,
                             batch_stream, encode_rectangle, estimate_input_std, prefetch,
-                            scale_target, stack_pairs, standardize_input, training_sources)
+                            stack_pairs, training_sources)
 from disagg.errors import DataError
 from disagg.synthworld import DESK_APPLIANCES, make_activation
 from disagg.synthworld import make_library as synth_library
@@ -48,8 +48,7 @@ class ScaledDraw(NamedTuple):
 def scaled(raw, spec):
     """One raw draw scaled alone, as `stack_pairs` scales each row."""
     raw_input, raw_target, placements = raw
-    return ScaledDraw(standardize_input(raw_input, spec.input_std),
-                      scale_target(raw_target, spec.max_power), placements)
+    return ScaledDraw(spec.standardize(raw_input), spec.scale_target(raw_target), placements)
 
 
 def real_pair(aggregate, acts, spec, rng):
@@ -72,38 +71,41 @@ class TestWindowSpec:
 
 class TestStandardize:
     def test_constant_window_centres_to_zero(self):
-        np.testing.assert_array_equal(standardize_input([500.0, 500, 500], 123.0), [0, 0, 0])
+        np.testing.assert_array_equal(make_spec(input_std=123.0).standardize([500.0, 500, 500]),
+                                      [0, 0, 0])
 
     def test_two_point_window(self):
-        np.testing.assert_allclose(standardize_input([0.0, 100.0], 50.0), [-1.0, 1.0])
+        np.testing.assert_allclose(make_spec(input_std=50.0).standardize([0.0, 100.0]),
+                                   [-1.0, 1.0])
 
     def test_mean_is_zero(self, rng):
+        spec = make_spec(input_std=200.0)
         for _ in range(50):
             window = rng.uniform(0, 3000, size=int(rng.integers(2, 400)))
-            assert abs(standardize_input(window, 200.0).mean()) < 1e-9
-
-    def test_rejects_nonpositive_std(self):
-        with pytest.raises(DataError):
-            standardize_input([1.0, 2.0], 0.0)
+            assert abs(spec.standardize(window).mean()) < 1e-9
 
     def test_rows_bitwise_equal_to_each_window_alone(self, rng):
         # `sliding.slide` standardizes a stack of windows in one call.
+        spec = make_spec(input_std=321.5)
         for width in (1, 2, 7, 128, 1536):
             rows = rng.uniform(0, 3000, size=(9, width))
-            stacked = standardize_input(rows, 321.5)
+            stacked = spec.standardize(rows)
             for row, got in zip(rows, stacked):
-                assert got.tobytes() == standardize_input(row, 321.5).tobytes()
+                assert got.tobytes() == spec.standardize(row).tobytes()
+
+
+KETTLE_SPEC = make_spec(max_power=3100.0)
 
 
 class TestScaleTarget:
     def test_kettle_scaling(self):
-        np.testing.assert_allclose(scale_target([0.0, 3100.0], 3100.0), [0.0, 1.0])
+        np.testing.assert_allclose(KETTLE_SPEC.scale_target([0.0, 3100.0]), [0.0, 1.0])
 
     def test_zeros(self):
-        np.testing.assert_array_equal(scale_target(np.zeros(4), 3100.0), np.zeros(4))
+        np.testing.assert_array_equal(KETTLE_SPEC.scale_target(np.zeros(4)), np.zeros(4))
 
     def test_clip_above_max(self):
-        np.testing.assert_array_equal(scale_target([4000.0], 3100.0), [1.0])
+        np.testing.assert_array_equal(KETTLE_SPEC.scale_target([4000.0]), [1.0])
 
 
 def drawn_from(windows):
@@ -636,9 +638,8 @@ class TestWindowIndexOracle:
                 batch = stack_pairs([raw], spec, output_kind)
                 raw_input, raw_target, placements = reference_real_window_raw(
                     aggregate, acts, spec, ref_rng)
-                np.testing.assert_array_equal(
-                    batch.inputs[0], standardize_input(raw_input, spec.input_std))
-                target = scale_target(raw_target, spec.max_power)
+                np.testing.assert_array_equal(batch.inputs[0], spec.standardize(raw_input))
+                target = spec.scale_target(raw_target)
                 if output_kind == "triple":
                     target = encode_rectangle(target)
                 np.testing.assert_array_equal(batch.targets[0], target)

@@ -26,3 +26,20 @@ def test_runtime_imports_are_stdlib_or_numpy():
                for name in absolute_imports(ast.parse(path.read_text(), str(path)))
                if name not in sys.stdlib_module_names and name != "numpy"]
     assert not foreign
+
+
+def test_no_module_imports_the_desk_simulator():
+    # `synthworld` writes simulated houses for the tests and the benchmark;
+    # the commands and the library never need it.
+    importers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.rpartition(".")[2] == "synthworld" for name in names):
+                importers.append(path.relative_to(PACKAGE).as_posix())
+    assert not importers

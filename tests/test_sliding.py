@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import traced_peak
 from disagg import architectures, sliding
-from disagg.datagen import RectangleTriple, WindowSpec, standardize_input
+from disagg.datagen import RectangleTriple, WindowSpec
 from disagg.errors import ConfigError
 from disagg.sliding import (SLIDE_BATCH, DisaggConfig, MeanSums, RectangleSums, WindowOutputs,
-                            combine_mean, combine_rectangles, decode_rectangle, disaggregate)
+                            combine_mean, combine_rectangles, disaggregate)
 from disagg.timeseries import PowerSeries
 
 
@@ -198,17 +198,18 @@ class TestCombineMean:
 
 class TestDecodeRectangle:
     def test_worked_example(self):
-        decoded = decode_rectangle(RectangleTriple(0.1, 0.9, 0.5), 0, 100, 3100.0)
+        decoded = WindowSpec(100, 3100.0, 1.0).decode_rectangle(RectangleTriple(0.1, 0.9, 0.5), 0)
         assert decoded == (10, 90, 1550.0)
 
     def test_zero_triple_is_no_rectangle(self):
-        assert decode_rectangle(RectangleTriple(0, 0, 0), 0, 100, 3100.0) is None
+        assert WindowSpec(100, 3100.0, 1.0).decode_rectangle(RectangleTriple(0, 0, 0), 0) is None
 
     def test_degenerate_span_discarded(self):
-        assert decode_rectangle(RectangleTriple(0.5, 0.5, 0.9), 0, 100, 3100.0) is None
+        spec = WindowSpec(100, 3100.0, 1.0)
+        assert spec.decode_rectangle(RectangleTriple(0.5, 0.5, 0.9), 0) is None
 
     def test_origin_shift(self):
-        decoded = decode_rectangle(RectangleTriple(0.25, 0.5, 1.0), 40, 16, 2000.0)
+        decoded = WindowSpec(16, 2000.0, 1.0).decode_rectangle(RectangleTriple(0.25, 0.5, 1.0), 40)
         assert decoded == (44, 48, 2000.0)
 
 
@@ -220,7 +221,7 @@ def rect_outputs(triples, origins):
 def rectangle_estimate(blocks, width, total, config, power_threshold, max_power=2400.0):
     """(values, probability) of combine_rectangles over `blocks` (one
     WindowOutputs or a list of them), fed in order."""
-    sums = RectangleSums(total, width, max_power, power_threshold,
+    sums = RectangleSums(total, WindowSpec(width, max_power, 1.0), power_threshold,
                          config.probability_threshold)
     for block in [blocks] if isinstance(blocks, WindowOutputs) else blocks:
         combine_rectangles(block, sums)
@@ -434,8 +435,7 @@ def whole_series_outputs(network, aggregate, spec, stride):
     width = spec.window_width
     padded = np.concatenate([np.zeros(width), aggregate.values, np.zeros(width)])
     starts = np.arange(0, len(padded) - width + 1, stride)
-    windows = standardize_input(np.stack([padded[s : s + width] for s in starts]),
-                                spec.input_std)
+    windows = spec.standardize(np.stack([padded[s : s + width] for s in starts]))
     outputs = np.concatenate([network.forward(windows[lo : lo + SLIDE_BATCH])
                               for lo in range(0, len(windows), SLIDE_BATCH)])
     if network.output_kind == "sequence":

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disagg.errors import DataError
-from disagg.synthworld import DESK_APPLIANCES, channel_slug, make_household, write_world
+from disagg.synthworld import DESK_APPLIANCES, make_household, write_world
 from disagg.timeseries import (CSV_WRITE_CHUNK, ActivationParams, PowerSeries,
                                extract_activations, fill_gaps, load_csv, read_rows,
                                write_rows)
+from disagg.util import channel_slug
 
 KETTLE = ActivationParams(max_power=3100, on_power_threshold=2000,
                           min_on_duration=12, min_off_duration=0)
