@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, architectures, baselines, datagen, metrics, sliding
+from . import __version__, architectures, baselines, blas, datagen, metrics, sliding
 from . import timeseries as ts
 from .config import ApplianceConfig, ExperimentConfig, load_config
 from .errors import ConfigError, DataError, DimensionError, NumericError, UsageError
@@ -153,23 +153,30 @@ def cmd_extract(cfg: ExperimentConfig):
     (cfg.out_dir / "activations").mkdir(parents=True, exist_ok=True)
     while extracted:  # drops each pair's arrays once its store is written
         (name, house), (start_time, acts) = extracted.popitem()
-        payload = {
+        _write_store(_store_path(cfg, name, house), acts, {
             "appliance": name,
             "house": house,
             "sample_period": cfg.sample_period,
             "series_start_time": start_time,
-            "activations": [
-                {"source_offset": a.source_offset, "values": a.values.tolist()}
-                for a in acts
-            ],
-        }
-        _store_path(cfg, name, house).write_text(canonical_json(payload))
+        })
 
     names = list(cfg.appliances)  # column order = config appliance order
     print("house," + ",".join(channel_slug(n) for n in names))
     for house in sorted({house for _, house in counts}):
         row = [str(counts.get((n, house), "")) for n in names]
         print(f"{house}," + ",".join(row))
+
+
+def _write_store(path: Path, acts, fields: dict):
+    """Write `canonical_json` of the store {"activations": [...], **fields}
+    one activation at a time, so that no list or string of the whole
+    store is built.  Every key of `fields` sorts after "activations"."""
+    with open(path, "w") as f:
+        f.write('{"activations":[')
+        for i, a in enumerate(acts):
+            entry = {"source_offset": a.source_offset, "values": a.values.tolist()}
+            f.write("," * (i > 0) + canonical_json(entry)[:-1])  # without its newline
+        f.write("]," + canonical_json(fields)[1:])
 
 
 def _read_json_object(path: Path, what: str, keys) -> dict:
@@ -278,6 +285,9 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
         "sample_period": cfg.sample_period,
         "train_houses": list(app.train_houses),
         "test_houses": list(app.test_houses),
+        # The BLAS thread count sets the GEMMs' summation order, so the
+        # parameters' bits are reproducible only at the same count.
+        "blas_threads": blas.threads(),
     }
     network = architectures.build_network(kind, app.window_width,
                                           rng_for(cfg.seed, "init", appliance, kind))
@@ -365,7 +375,7 @@ def _write_estimate_csv(path, estimate: sliding.EstimateSeries):
 
 def _runtime_info() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "toolkit": __version__}
+            "toolkit": __version__, "blas_threads": blas.threads()}
 
 
 def _test_house(app: ApplianceConfig, house: int | None) -> int:

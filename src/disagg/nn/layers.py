@@ -12,11 +12,17 @@ rather than stored on the layer, so frozen networks can run forward
 from multiple threads.  `forward` keeps no cache: the LSTM then stores
 only its hidden states, not every step's cell state and gates.
 
-`Bidirectional` runs its reverse half on one worker thread, shared by
-the process and started on first use, while the calling thread runs
-the forward half; NumPy releases the GIL inside its loops and BLAS
-calls, so with one BLAS thread the two halves use two CPUs.  Results
-are bitwise the same as running the halves one after the other.
+Two lanes run two independent pieces of work at once: the caller runs
+one and a worker thread, shared by the process and started on first
+use, runs the other.  NumPy releases the GIL inside its loops and BLAS
+calls, so with one BLAS thread the two lanes use two CPUs.  Each piece
+keeps its operands and its order of operations, so results are bitwise
+the same as running the pieces one after the other.  `Bidirectional`
+always runs its reverse half in the second lane.  A training update
+uses the lanes through `in_lanes` only where they pay: `Dense.backward`
+computes its weight gradient and its input gradient in the two lanes,
+and `optim` splits the clip and the Nesterov step, when the work
+reaches LANE_MIN_WORK elements and BLAS runs one thread.
 
 A trainable layer is built from `init`: a numpy Generator it draws its
 fresh weights from (always in float64, then rounded to `dtype`, so a
@@ -36,10 +42,17 @@ import threading
 
 import numpy as np
 
+from .. import blas
 from ..errors import DimensionError
 
 ACTIVATIONS = ("linear", "relu", "tanh")
 SMALL_UNIFORM_SCALE = 0.08  # initial range of LSTM recurrent and peephole weights
+# Elements of work (a Dense weight matrix; all gradients of a clip or a
+# step) below which `in_lanes` runs its pieces in sequence.  At 2**18 the
+# lanes slowed the width-128 dAE's `train`, competing with the batch
+# producer for two CPUs; at 2**22 only the width-128 rectangles net and
+# wider nets use them.
+LANE_MIN_WORK = 1 << 22
 
 
 def glorot_uniform(fan_in, fan_out):
@@ -159,12 +172,10 @@ class Dense:
         dz = _activation_grad(self.activation, z, y, dy)
         flat_x = x.reshape(-1, self.input_dim)
         flat_dz = dz.reshape(-1, self.output_dim)
-        grads = {
-            "weights": flat_x.T @ flat_dz,
-            "bias": flat_dz.sum(axis=0),
-        }
-        dx = dz @ self.params["weights"].T
-        return dx, grads
+        weights = self.params["weights"]
+        grad_weights, dx = in_lanes(weights.size, lambda: flat_x.T @ flat_dz,
+                                    lambda: dz @ weights.T)
+        return dx, {"weights": grad_weights, "bias": flat_dz.sum(axis=0)}
 
 
 class Conv1D:
@@ -497,6 +508,7 @@ def _concat_features(a, b):
 
 _worker = None  # one-thread executor, created by the first `_in_parallel`
 _worker_lock = threading.Lock()
+_on_worker = threading.local()  # `.flag` is set on the worker thread alone
 
 
 def _in_parallel(first, second):
@@ -508,18 +520,35 @@ def _in_parallel(first, second):
     share it and their `second` calls queue up.  An exception of either is
     raised here only once both have returned.  `second` runs in a copy of
     the caller's context, so the caller's `np.errstate` holds for it too.
+    Called on the worker itself, it runs both in turn, since the worker
+    would otherwise wait on its own queue.
     """
     global _worker
+    if getattr(_on_worker, "flag", False):
+        return first(), second()
     with _worker_lock:
         if _worker is None:
             from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="disagg-bidirectional")
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="disagg-lane",
+                                         initializer=setattr,
+                                         initargs=(_on_worker, "flag", True))
     future = _worker.submit(contextvars.copy_context().run, second)
     try:
         result = first()
     finally:
         future.exception()  # waits for `second`
     return result, future.result()
+
+
+def in_lanes(work, first, second):
+    """(first(), second()): in two lanes when `work` (a count of elements)
+    reaches LANE_MIN_WORK and NumPy's BLAS runs one thread, else one
+    after the other.  With more BLAS threads the GEMMs of both lanes
+    would wait for the same threads, and below LANE_MIN_WORK the lanes
+    cost more than they save."""
+    if work >= LANE_MIN_WORK and blas.threads() == 1:
+        return _in_parallel(first, second)
+    return first(), second()
 
 
 class Flatten:

@@ -7,7 +7,12 @@ five on one block of `STEP_BLOCK` elements at a time, so a block's
 parameters, velocity and gradients stay in L2 between operations and
 each array makes one pass.  Every element still sees the same
 operations in the same order, so the result is bitwise that of the
-unblocked update, and the only scratch is one block.
+unblocked update, and the only scratch is one block per lane.
+
+Both the clip and the step run in the two training lanes of
+`layers.in_lanes`: one lane takes the first half of the STEP_BLOCK
+blocks of all the arrays, in order, and the other lane the rest.  Each
+element is computed alone, so the split changes no bit.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DimensionError
+from .layers import in_lanes
 
 GRADIENT_CLIP_BOUND = 10.0
 MOMENTUM = 0.9
@@ -24,15 +30,47 @@ MOMENTUM = 0.9
 STEP_BLOCK = 1 << 15
 
 
+def _run_in_lanes(sizes, run):
+    """`run(ranges)` in each of the two lanes (`in_lanes`), over arrays of
+    `sizes` elements: `ranges` lists (array index, lo, hi) flat element
+    ranges, and the two lists cover every array once, in order.  The
+    first holds the first half (rounded up) of all the arrays' STEP_BLOCK
+    blocks, so it cuts at most one array, on a block boundary."""
+    blocks = [-(-size // STEP_BLOCK) for size in sizes]
+    left = (sum(blocks) + 1) // 2  # blocks still due to the first lane
+    first, second = [], []
+    for i, (size, count) in enumerate(zip(sizes, blocks)):
+        cut = min(size, left * STEP_BLOCK)
+        left -= min(left, count)
+        if cut:
+            first.append((i, 0, cut))
+        if cut < size:
+            second.append((i, cut, size))
+    in_lanes(sum(sizes), lambda: run(first), lambda: run(second))
+
+
 def clip_gradients(grads: dict) -> dict:
     """Clamp every gradient element into [-GRADIENT_CLIP_BOUND,
     GRADIENT_CLIP_BOUND] (idempotent).
 
     Clips in place (each backward pass hands over fresh arrays, and the
-    largest nets carry tens of millions of gradients per step).
+    largest nets carry tens of millions of gradients per step).  A
+    gradient that is not C-contiguous (Conv1D's einsum result, which is
+    small) has no flat view and is clipped whole before the lanes start.
     """
+    flats = []
     for g in grads.values():
-        np.clip(g, -GRADIENT_CLIP_BOUND, GRADIENT_CLIP_BOUND, out=g)
+        if g.flags.c_contiguous:
+            flats.append(g.reshape(-1))
+        else:
+            np.clip(g, -GRADIENT_CLIP_BOUND, GRADIENT_CLIP_BOUND, out=g)
+
+    def clip(ranges):
+        for i, lo, hi in ranges:
+            block = flats[i][lo:hi]
+            np.clip(block, -GRADIENT_CLIP_BOUND, GRADIENT_CLIP_BOUND, out=block)
+
+    _run_in_lanes([flat.size for flat in flats], clip)
     return grads
 
 
@@ -61,18 +99,24 @@ class NesterovSGD:
     def step(self, grads: dict):
         lr = self.learning_rate
         mu = MOMENTUM
-        for key, p in self.params.items():
-            p = p.reshape(-1)
-            scratch = np.empty(min(p.size, STEP_BLOCK), p.dtype)
-            v = self.velocity[key].reshape(-1)
-            # A non-contiguous gradient (Conv1D's einsum result) is copied
-            # so its flat view lines up with the parameter's.
-            g = np.ascontiguousarray(grads[key]).reshape(-1)
-            for lo in range(0, p.size, STEP_BLOCK):
-                hi = lo + STEP_BLOCK
-                gb, vb, pb = g[lo:hi], v[lo:hi], p[lo:hi]
-                gb *= lr  # gradients are per-step scratch; scale once, reuse twice
-                vb *= mu
-                vb -= gb
-                pb -= gb
-                pb += np.multiply(vb, mu, out=scratch[: pb.size])
+        keys = list(self.params)
+        params = [self.params[key].reshape(-1) for key in keys]
+        velocity = [self.velocity[key].reshape(-1) for key in keys]
+        # A non-contiguous gradient (Conv1D's einsum result) is copied so
+        # its flat view lines up with the parameter's.
+        grads = [np.ascontiguousarray(grads[key]).reshape(-1) for key in keys]
+
+        def update(ranges):
+            for i, lo, hi in ranges:
+                p, v, g = params[i], velocity[i], grads[i]
+                scratch = np.empty(min(hi - lo, STEP_BLOCK), p.dtype)
+                for start in range(lo, hi, STEP_BLOCK):
+                    end = min(start + STEP_BLOCK, hi)
+                    gb, vb, pb = g[start:end], v[start:end], p[start:end]
+                    gb *= lr  # gradients are per-step scratch; scale once, reuse twice
+                    vb *= mu
+                    vb -= gb
+                    pb -= gb
+                    pb += np.multiply(vb, mu, out=scratch[: pb.size])
+
+        _run_in_lanes([p.size for p in params], update)

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disagg import cli, sliding
+from conftest import traced_peak
+from disagg import blas, cli, sliding
+from disagg import timeseries as ts
 from disagg.cli import _write_estimate_csv, main
 from disagg.config import load_config, parse_config
 from disagg.errors import ConfigError
@@ -217,6 +219,38 @@ class TestCliPipeline:
         out = capsys.readouterr().out.splitlines()
         assert out[1].split(",")[1] == "0"
 
+    def test_extract_store_bytes_match_canonical_json(self, tmp_path):
+        # The store is written one activation at a time; its bytes are those
+        # of `canonical_json` of the whole store, also with no activation.
+        path = world_config(tmp_path)
+        (tmp_path / "data" / "house_2" / "kettle.csv").write_text("timestamp,watts\n")
+        assert main(["extract", "--config", str(path)]) == 0
+        cfg = load_config(path)
+        for name, app in cfg.appliances.items():
+            for house in (1, 2):
+                series = cli._load_channel(cfg, house, name)
+                acts = ts.extract_activations(series, app.activation_params)
+                payload = {"appliance": name, "house": house,
+                           "sample_period": cfg.sample_period,
+                           "series_start_time": series.start_time,
+                           "activations": [{"source_offset": a.source_offset,
+                                            "values": a.values.tolist()} for a in acts]}
+                stored = cli._store_path(cfg, name, house).read_text()
+                assert stored == canonical_json(payload), (name, house)
+                assert (name, house) == ("kettle", 2) or payload["activations"]
+
+    def test_store_write_holds_one_activation_at_a_time(self, tmp_path):
+        values = np.random.default_rng(4).uniform(0, 3000, size=2_000)
+        acts = [ts.Activation(offset, values) for offset in range(200)]
+        store = tmp_path / "store.json"
+        fields = {"appliance": "kettle", "house": 1, "sample_period": 6,
+                  "series_start_time": 0.0}
+        peak = traced_peak(lambda: cli._write_store(store, acts, fields))
+        # The whole store's text is 7.4 MB, and its values as Python floats
+        # take 12.8 MB; one activation's take 64 kB.
+        assert store.stat().st_size > 7_000_000
+        assert peak < store.stat().st_size / 10
+
     def test_extract_missing_channel_exits_2(self, tmp_path, capsys):
         path = world_config(tmp_path)
         (tmp_path / "data" / "house_1" / "kettle.csv").unlink()
@@ -274,6 +308,7 @@ class TestCliPipeline:
         assert manifest["window_width"] == 24
         assert manifest["input_std"] > 0
         assert manifest["learning_rate"] == 0.01
+        assert manifest["blas_threads"] == blas.threads()
         with open(out / "kettle_dae_loss.csv") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["step", "loss", "smoothed_loss", "wallclock_s"]
@@ -399,6 +434,7 @@ class TestCliPipeline:
         _, meta = load_checkpoint(tmp_path / "out" / "models" / "kettle_dae.ckpt")
         assert report["manifest"] == meta["manifest"]
         assert report["baseline_models"] is None
+        assert report["runtime"]["blas_threads"] == blas.threads()
 
         assert main(["evaluate", "--config", str(path), "--appliance", "kettle"]) == 0
         payload = json.loads(

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,13 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import check_network_gradients, numeric_gradient, relative_error, traced_peak
-from disagg.architectures import build_lstm, build_network
+from disagg import architectures, blas
+from disagg.architectures import build_lstm, build_network, build_rectangles
 from disagg.errors import DataError, DimensionError, NumericError
 from disagg.nn import (LSTM, MOMENTUM, Bidirectional, Conv1D, Dense, Flatten, NesterovSGD,
-                       Network, Reshape, clip_gradients, load_checkpoint,
+                       Network, Reshape, clip_gradients, layers, load_checkpoint,
                        save_checkpoint)
-from disagg.nn.layers import _in_parallel, _sigmoid_into
-from disagg.nn.optim import STEP_BLOCK
+from disagg.nn.layers import _in_parallel, _sigmoid_into, in_lanes
+from disagg.nn.optim import GRADIENT_CLIP_BOUND, STEP_BLOCK
 
 
 def check_layer_gradients(layer, x, rng, tol=1e-4):
@@ -746,6 +751,221 @@ class TestBlockedNesterovStep:
     def test_non_contiguous_parameter_rejected(self, param):
         with pytest.raises(DimensionError, match="not C-contiguous"):
             NesterovSGD({"w": param}, learning_rate=0.1)
+
+
+def sequential_dense_backward(layer, dy, cache):
+    """`Dense.backward` as it ran before the training lanes, one GEMM after
+    the other, kept as the oracle for the lanes."""
+    x, z, y = cache
+    dz = layers._activation_grad(layer.activation, z, y, dy)
+    flat_x = x.reshape(-1, layer.input_dim)
+    flat_dz = dz.reshape(-1, layer.output_dim)
+    grads = {"weights": flat_x.T @ flat_dz, "bias": flat_dz.sum(axis=0)}
+    dx = dz @ layer.params["weights"].T
+    return dx, grads
+
+
+def sequential_clip(grads):
+    """`clip_gradients` as it ran before the training lanes."""
+    for g in grads.values():
+        np.clip(g, -GRADIENT_CLIP_BOUND, GRADIENT_CLIP_BOUND, out=g)
+    return grads
+
+
+def sequential_step(params, velocity, grads, lr, mu):
+    """`NesterovSGD.step` as it ran before the training lanes: each
+    parameter's STEP_BLOCK blocks in turn, on one thread."""
+    for key, p in params.items():
+        p = p.reshape(-1)
+        scratch = np.empty(min(p.size, STEP_BLOCK), p.dtype)
+        v = velocity[key].reshape(-1)
+        g = np.ascontiguousarray(grads[key]).reshape(-1)
+        for lo in range(0, p.size, STEP_BLOCK):
+            hi = lo + STEP_BLOCK
+            gb, vb, pb = g[lo:hi], v[lo:hi], p[lo:hi]
+            gb *= lr
+            vb *= mu
+            vb -= gb
+            pb -= gb
+            pb += np.multiply(vb, mu, out=scratch[: pb.size])
+
+
+@pytest.fixture
+def lane_jobs(monkeypatch):
+    """The jobs handed to the lane worker while the test runs, counted."""
+    _in_parallel(lambda: None, lambda: None)  # starts the worker
+    jobs = []
+    submit = layers._worker.submit
+
+    def counting_submit(*args, **kwargs):
+        jobs.append(args)
+        return submit(*args, **kwargs)
+
+    monkeypatch.setattr(layers._worker, "submit", counting_submit)
+    return jobs
+
+
+@pytest.fixture
+def lanes_on(monkeypatch, lane_jobs):
+    """Every `in_lanes` call runs two lanes, whatever the size of its work
+    and the BLAS thread count; the jobs of the second lane, counted."""
+    monkeypatch.setattr(layers, "LANE_MIN_WORK", 0)
+    monkeypatch.setattr(blas, "threads", lambda: 1)
+    return lane_jobs
+
+
+def conv_gradient_set(rng, dtype=np.float64):
+    """Gradients of every STEP_BLOCK edge size, plus a Conv1D weight
+    gradient as its backward pass hands it over (not C-contiguous)."""
+    grads = {f"g{n}": rng.normal(scale=20, size=n).astype(dtype) for n in BLOCK_EDGE_SIZES}
+    grads["wide"] = rng.normal(scale=20, size=(5, STEP_BLOCK + 3)).astype(dtype)
+    conv = Conv1D("conv", 3, 4, filter_size=3, init=rng, dtype=dtype)
+    y, cache = conv.forward_cached(rng.normal(size=(2, 9, 3)).astype(dtype))
+    grads["conv"] = 40 * conv.backward(np.ones_like(y), cache)[1]["weights"]
+    assert not grads["conv"].flags.c_contiguous
+    return grads
+
+
+class TestTrainingLanes:
+    """With the lanes forced on, every result is bitwise that of the
+    sequential code; the gate keeps them off where they do not pay."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 7), (2, 4, 7)], ids=["flat", "sequence"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_dense_backward_bitwise(self, lanes_on, dtype, shape, activation, rng):
+        layer = Dense("d", 7, 5, activation, init=rng, dtype=dtype)
+        y, cache = layer.forward_cached(rng.normal(size=shape).astype(dtype))
+        dy = rng.normal(size=y.shape).astype(dtype)
+        dx, grads = layer.backward(dy, cache)
+        want_dx, want_grads = sequential_dense_backward(layer, dy, cache)
+        assert lanes_on
+        assert_bitwise(dx, want_dx, dtype)
+        for key in want_grads:
+            assert_bitwise(grads[key], want_grads[key], dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_clip_bitwise(self, lanes_on, dtype, rng):
+        grads = conv_gradient_set(rng, dtype)
+        expected = sequential_clip({k: g.copy() for k, g in grads.items()})
+        clipped = clip_gradients(grads)
+        assert clipped is grads and lanes_on
+        for key, g in expected.items():
+            assert_bitwise(clipped[key], g, dtype)
+            assert np.abs(g).max() == GRADIENT_CLIP_BOUND  # every array had values clipped
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_bitwise_over_consecutive_steps(self, lanes_on, dtype):
+        rng = np.random.default_rng(8)
+        shapes = {k: g.shape for k, g in conv_gradient_set(rng).items()}
+        params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        if dtype == np.float64:  # +-1e300 overflows float32
+            params = {k: with_specials(p, rng) for k, p in params.items()}
+        expected = {k: v.copy() for k, v in params.items()}
+        velocity = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+        opt = NesterovSGD(params, learning_rate=0.1)
+        for _ in range(4):
+            grads = conv_gradient_set(rng, dtype)
+            sequential_step(expected, velocity, {k: g.copy() for k, g in grads.items()},
+                            opt.learning_rate, MOMENTUM)
+            opt.step(grads)
+            for key in shapes:
+                assert_bitwise(params[key], expected[key], dtype)
+                assert_bitwise(opt.velocity[key], velocity[key], dtype)
+            opt.learning_rate /= 2
+        assert len(lanes_on) == 4
+
+    def _train_rectangles(self, updates=6):
+        net = build_rectangles(24, np.random.default_rng(2), conv_filters=4,
+                               dense_units=(48, 32), dtype=np.float32)
+        rng = np.random.default_rng(3)
+        batches = iter([SimpleNamespace(inputs=rng.normal(size=(8, 24)),
+                                        targets=rng.uniform(size=(8, 3)))
+                        for _ in range(updates)])
+        architectures.train(net, batches, NesterovSGD(net.parameters(), 0.05), updates)
+        return net.parameters()
+
+    def test_rectangles_train_with_lanes_on_and_off_bitwise(self, monkeypatch, lane_jobs):
+        off = self._train_rectangles()
+        assert not lane_jobs
+        monkeypatch.setattr(layers, "LANE_MIN_WORK", 0)
+        monkeypatch.setattr(blas, "threads", lambda: 1)
+        on = self._train_rectangles()
+        # Per update: three Dense backward passes, the clip and the step.
+        assert len(lane_jobs) == 6 * 5
+        assert sorted(on) == sorted(off)
+        for key, value in off.items():
+            assert_bitwise(on[key], value, np.float32)
+
+    @pytest.mark.parametrize("threads, min_work", [(2, 0), (None, 0), (1, None)],
+                             ids=["two-blas-threads", "unknown-blas-threads", "small-work"])
+    def test_gate_sends_no_job_to_the_worker(self, monkeypatch, lane_jobs, threads,
+                                             min_work, rng):
+        monkeypatch.setattr(blas, "threads", lambda: threads)
+        if min_work is not None:
+            monkeypatch.setattr(layers, "LANE_MIN_WORK", min_work)
+        layer = Dense("d", 40, 30, "relu", init=rng)
+        y, cache = layer.forward_cached(rng.normal(size=(4, 40)))
+        _, grads = layer.backward(np.ones_like(y), cache)
+        NesterovSGD(layer.params, 0.1).step(clip_gradients(grads))
+        assert in_lanes(layers.LANE_MIN_WORK - 1, lambda: 1, lambda: 2) == (1, 2)
+        assert not lane_jobs
+
+    def test_gate_is_met_at_the_threshold(self, monkeypatch, lane_jobs):
+        monkeypatch.setattr(blas, "threads", lambda: 1)
+        assert in_lanes(layers.LANE_MIN_WORK, lambda: 1, lambda: 2) == (1, 2)
+        assert len(lane_jobs) == 1
+
+    def test_lane_call_on_the_worker_runs_inline(self):
+        # In a child process, so that a worker waiting on itself fails the
+        # test by the timeout instead of hanging the run.
+        code = """if True:
+            from disagg import blas
+            from disagg.nn import layers
+            blas.threads = lambda: 1
+            layers.LANE_MIN_WORK = 0
+
+            def nested():
+                return layers.in_lanes(1, lambda: "a", lambda: "b"), \
+                    layers._in_parallel(lambda: "c", lambda: "d")
+
+            print(layers._in_parallel(lambda: "outer", nested))
+        """
+        child = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "('outer', (('a', 'b'), ('c', 'd')))"
+
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_exception_in_either_lane_raised_in_caller(self, lanes_on, failing):
+        def lane(name):
+            if name == failing:
+                raise ValueError(f"{name} lane failed")
+            return name
+
+        with pytest.raises(ValueError, match=f"{failing} lane failed"):
+            in_lanes(1, lambda: lane("first"), lambda: lane("second"))
+        assert len(lanes_on) == 1
+        assert in_lanes(1, lambda: 1, lambda: 2) == (1, 2)  # the worker survives
+
+
+def child_env(**extra):
+    """The environment of a child Python that imports this checkout's `disagg`."""
+    src = str(Path(layers.__file__).parents[2])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class TestBlasThreads:
+    def test_reads_one_under_openblas_num_threads_1(self):
+        if blas.threads() is None:
+            pytest.skip("NumPy bundles no OpenBLAS whose thread count can be read")
+        child = subprocess.run(
+            [sys.executable, "-c", "from disagg import blas; print(blas.threads())"],
+            env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+            timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "1"
 
 
 class TestNetwork:
