@@ -199,12 +199,24 @@ def _is_finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _is_stored_activation(entry) -> bool:
+def _stored_activation(entry, house: int) -> ts.Activation | None:
+    """The activation of one store entry, or None unless its source_offset
+    is a non-negative integer and its values a list of finite numbers."""
     if not isinstance(entry, dict):
-        return False
+        return None
     offset, values = entry.get("source_offset"), entry.get("values")
-    return (type(offset) is int and offset >= 0  # bool is an int subclass
-            and isinstance(values, list) and all(map(_is_finite_number, values)))
+    if not (type(offset) is int and offset >= 0  # bool is an int subclass
+            and isinstance(values, list) and set(map(type, values)) <= {int, float}):
+        return None
+    try:
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    # An int just above the largest float converts to it, so the values
+    # at that magnitude (and NaN) are checked one by one.
+    if not ((np.abs(array) < sys.float_info.max).all() or all(map(_is_finite_number, values))):
+        return None
+    return ts.Activation(source_offset=offset, values=array, house=house)
 
 
 def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
@@ -217,12 +229,12 @@ def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
     if payload["sample_period"] != cfg.sample_period:
         raise DataError(f"{path}: extracted at {payload['sample_period']!r} s, but the config's "
                         f"sample_period is {cfg.sample_period} s; run `disagg extract` again")
-    if not isinstance(payload["activations"], list) or not all(
-            map(_is_stored_activation, payload["activations"])):
+    acts = None
+    if isinstance(payload["activations"], list):
+        acts = [_stored_activation(entry, house) for entry in payload["activations"]]
+    if acts is None or None in acts:
         raise DataError(f"{path}: every activation needs a source_offset and values "
                         "(a non-negative integer and a list of finite numbers)")
-    acts = [ts.Activation(source_offset=a["source_offset"], values=a["values"], house=house)
-            for a in payload["activations"]]
     return acts, payload["series_start_time"]
 
 

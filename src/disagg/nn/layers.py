@@ -18,7 +18,8 @@ use, runs the other.  NumPy releases the GIL inside its loops and BLAS
 calls, so with one BLAS thread the two lanes use two CPUs.  Each piece
 keeps its operands and its order of operations, so results are bitwise
 the same as running the pieces one after the other.  `Bidirectional`
-always runs its reverse half in the second lane.  A training update
+runs its reverse half in the second lane in inference, and in training
+when BLAS runs one thread.  A training update
 uses the lanes through `in_lanes` only where they pay: `Dense.backward`
 computes its weight gradient and its input gradient in the two lanes,
 and `optim` splits the clip and the Nesterov step, when the work
@@ -121,14 +122,16 @@ def _activation_grad(kind, z, y, dy):
 
 def _sigmoid_into(z, out, e, mask):
     """out = 1/(1+exp(-z)) where z >= 0 and exp(z)/(1+exp(z)) below, the
-    form that cannot overflow.  `e` (float) and `mask` (bool) are scratch
-    of z's shape; `out` may be `z`."""
+    form that cannot overflow.  `e` and `mask` are float scratch of z's
+    shape and dtype; `out` may be `z`."""
     np.abs(z, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)  # exp(-z) where z >= 0, exp(z) below
-    np.greater_equal(z, 0, out=mask)
+    np.greater_equal(z, 0, out=mask)  # 1.0 where z >= 0, else 0.0
     np.add(1.0, e, out=out)
-    np.copyto(e, 1.0, where=mask)
+    # The numerator: 1 where z >= 0, else e.  As e = exp(-|z|) lies in
+    # [0, 1] (or is NaN, which maximum keeps), max(e, mask) is exactly that.
+    np.maximum(e, mask, out=e)
     np.divide(e, out, out=out)
 
 
@@ -338,7 +341,7 @@ class LSTM:
         pre = np.empty((4 * n, batch), dtype)
         step_gates = np.empty((4 * n, batch), dtype)
         e = np.empty((2 * n, batch), dtype)  # sigmoid scratch
-        mask = np.empty((2 * n, batch), dtype=bool)
+        mask = np.empty((2 * n, batch), dtype)
         tmp = np.empty((n, batch), dtype)
         h_prev = np.zeros((n, batch), dtype)
         c_prev = np.zeros((n, batch), dtype)
@@ -450,8 +453,10 @@ class LSTM:
 
 class Bidirectional:
     """Runs one LSTM forwards and one backwards in time, concatenating
-    their per-timestep outputs (feature width doubles).  The backwards
-    half runs on the worker thread of `_in_parallel`."""
+    their per-timestep outputs (feature width doubles).  In `forward` the
+    backwards half runs on the worker thread of `_in_parallel`; in
+    `forward_cached` and `backward`, the training passes, only when BLAS
+    runs one thread (see `_training_halves`)."""
 
     def __init__(self, name, layer_fwd: LSTM, layer_bwd: LSTM):
         if layer_fwd.hidden_size != layer_bwd.hidden_size:
@@ -480,7 +485,7 @@ class Bidirectional:
         return _concat_features(y_f, y_b_rev[:, ::-1])
 
     def forward_cached(self, x):
-        (y_f, cache_f), (y_b_rev, cache_b) = _in_parallel(
+        (y_f, cache_f), (y_b_rev, cache_b) = _training_halves(
             lambda: self.fwd.forward_cached(x),
             lambda: self.bwd.forward_cached(x[:, ::-1]))
         return _concat_features(y_f, y_b_rev[:, ::-1]), (cache_f, cache_b)
@@ -488,12 +493,22 @@ class Bidirectional:
     def backward(self, dy, cache):
         cache_f, cache_b = cache
         n = self.hidden_size
-        (dx_f, grads_f), (dx_b, grads_b) = _in_parallel(
+        (dx_f, grads_f), (dx_b, grads_b) = _training_halves(
             lambda: self.fwd.backward(dy[:, :, :n], cache_f),
             lambda: self.bwd.backward(dy[:, ::-1, n:], cache_b))
         grads = {f"fwd.{k}": v for k, v in grads_f.items()}
         grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
         return dx_f + dx_b[:, ::-1], grads
+
+
+def _training_halves(first, second):
+    """(first(), second()): in two lanes when NumPy's BLAS runs one thread,
+    else one after the other.  With more BLAS threads the GEMMs of both
+    halves wait for the same threads, and LSTM training runs slower than
+    with the halves in turn; inference gains from the lanes either way."""
+    if blas.threads() == 1:
+        return _in_parallel(first, second)
+    return first(), second()
 
 
 def _concat_features(a, b):

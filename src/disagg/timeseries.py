@@ -175,19 +175,121 @@ def write_rows(path, header: tuple[str, ...], series: PowerSeries, *extra_column
     whole number of seconds, so then every timestamp is one), else as the
     shortest text that reads back as the same float.
 
-    Rows are formatted CSV_WRITE_CHUNK at a time, which bounds the text
+    Rows are formatted CSV_WRITE_CHUNK at a time, which bounds the memory
     held at once; the bytes are those of one `csv.writer` row per sample.
+    A chunk is built as an array of digits (`_chunk_bytes`) unless one of
+    its values is written some other way, in which case each of its rows
+    is formatted with `str.format`.
     """
-    timestamps = series.timestamps()
-    if float(series.start_time).is_integer():
-        timestamps = timestamps.astype(np.int64)
-    columns = [timestamps, series.values, *extra_columns]
-    row = "{}" + ",{:.6f}" * (len(columns) - 1) + "\r\n"
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
+    whole_seconds = float(series.start_time).is_integer()
+    row = "{}" + ",{:.6f}" * (1 + len(extra_columns)) + "\r\n"
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\r\n").encode())
         for lo in range(0, len(series), CSV_WRITE_CHUNK):
-            chunk = (column[lo : lo + CSV_WRITE_CHUNK].tolist() for column in columns)
-            f.write("".join(map(row.format, *chunk)))
+            hi = min(lo + CSV_WRITE_CHUNK, len(series))
+            # series.timestamps()[lo:hi], element for element.
+            timestamps = series.start_time + np.arange(lo, hi) * float(series.sample_period)
+            if whole_seconds:
+                timestamps = timestamps.astype(np.int64)
+            chunk = [timestamps, *(column[lo:hi] for column in (series.values, *extra_columns))]
+            text = _chunk_bytes(chunk)
+            if text is None:
+                text = "".join(map(row.format, *(c.tolist() for c in chunk))).encode()
+            f.write(text)
+
+
+def _chunk_bytes(columns) -> bytes | None:
+    """The CSV rows of one chunk, timestamps first, as `write_rows` writes
+    them, or None when a value needs `str.format`.
+
+    Integer timestamps that are not negative are written as their digits.
+    Each other column is written as round(x * 10**6) units, split into a
+    whole part and a six-digit fraction; `_micro_units` returns None for a
+    value it cannot prove exact.  The rows are laid out in a byte block
+    with every whole part as wide as the chunk's widest, and the leading
+    zeros are dropped when the block is flattened.
+    """
+    timestamps = columns[0]
+    if timestamps.dtype != np.int64 or timestamps.min() < 0:
+        return None
+    fields = [(timestamps, [])]  # (whole part, triples of the fraction)
+    for column in columns[1:]:
+        units = _micro_units(column)
+        if units is None:
+            return None
+        whole = units // 10**6
+        fields.append((whole, _triples(units - whole * 10**6, 2)))
+
+    digit_counts = [len(str(int(whole.max()))) for whole, _ in fields]
+    widths = [3 * -(-count // 3) for count in digit_counts]
+    row_width = sum(widths) + 7 * (len(fields) - 1) + len(fields) + 1
+    chars = np.empty((len(timestamps), row_width), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    at = 0
+    for (whole, fraction), count, width in zip(fields, digit_counts, widths):
+        if at:
+            chars[:, at] = ord(",")
+            at += 1
+        _put_triples(chars, at, _triples(whole, width // 3))
+        at += width
+        # The digit for 10**k is kept where the value reaches 10**k; each
+        # value reaches 10**k for every k below the minimum's digit count.
+        keep[:, at - width : at - count] = False
+        for k in range(len(str(int(whole.min()))), count):
+            keep[:, at - 1 - k] = whole >= 10**k
+        if fraction:
+            chars[:, at] = ord(".")
+            _put_triples(chars, at + 1, fraction)
+            at += 7
+    chars[:, at:] = (ord("\r"), ord("\n"))
+    return chars[keep].tobytes()
+
+
+def _triples(values: np.ndarray, count: int) -> list[np.ndarray]:
+    """The last `count` base-1000 digits of non-negative int64 `values`,
+    most significant first."""
+    triples = []
+    for _ in range(count):
+        high = values // 1000
+        triples.append(values - high * 1000)
+        values = high
+    return triples[::-1]
+
+
+# The ASCII digits of 0..999, zero-padded to three and each followed by
+# a NUL byte, as four-byte words.
+_DIGIT_WORDS = np.frombuffer(b"".join(b"%03d\0" % i for i in range(1000)), dtype="<u4")
+
+
+def _put_triples(chars: np.ndarray, at: int, triples: list[np.ndarray]):
+    """Write the digits of `triples` into each row of the uint8 block
+    `chars` from column `at`.  Each triple is stored as a four-byte word,
+    so the column after the last digit is clobbered: it must be written
+    afterwards."""
+    for i, triple in enumerate(triples):
+        chars[:, at + 3 * i : at + 3 * i + 4].view("<u4")[:, 0] = _DIGIT_WORDS[triple]
+
+
+def _micro_units(column) -> np.ndarray | None:
+    """round(x * 10**6) of each value as `format(x, ".6f")` rounds it, as
+    int64, or None when the column holds a value that is negative (-0.0
+    included), not finite, or too large for these units to be exact.
+
+    `{:.6f}` rounds the exact binary value half to even.  `rint` of the
+    float product can round the other way only when the product lies
+    within half an ulp of a half-integer; the values within 8 ulps of one
+    are rounded by `format` itself.
+    """
+    x = np.asarray(column, dtype=np.float64)
+    if np.signbit(x).any() or not (x < 4.5e9).all():  # then x * 10**6 < 2**52
+        return None
+    scaled = x * 1e6
+    rounded = np.rint(scaled)
+    # scaled - rounded is exact, and scaled * 2**-49 is at least 8 ulps of scaled.
+    near_half = np.flatnonzero(np.abs(np.abs(scaled - rounded) - 0.5) <= scaled * 2.0**-49)
+    units = rounded.astype(np.int64)
+    units[near_half] = [int(format(v, ".6f").replace(".", "")) for v in x[near_half].tolist()]
+    return units
 
 
 def fill_gaps(timestamps, values, sample_period: int,

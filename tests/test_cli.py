@@ -739,6 +739,7 @@ class TestCliPipeline:
         ("kettle", "values", "12"),
         ("kettle", "values", [1.0, True]),
         ("kettle", "values", [1.0, None]),
+        ("kettle", "values", [1.0, [2.0]]),
         ("kettle", "source_offset", "5"),
         ("kettle", "source_offset", -1),
         ("kettle", "source_offset", 5.0),
@@ -755,8 +756,10 @@ class TestCliPipeline:
         assert code == 2 and "every activation needs a source_offset and values" in err
         assert str(store) in err
 
-    @pytest.mark.parametrize("number", ["NaN", "Infinity", "1e999", "1" + "0" * 400],
-                             ids=["nan", "infinity", "float-overflow", "int-overflow"])
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400,
+                                        str(int(sys.float_info.max) + 1)],
+                             ids=["nan", "infinity", "minus-infinity", "float-overflow",
+                                  "int-overflow", "int-above-float-max"])
     def test_store_value_not_a_finite_float_exits_2(self, tmp_path, capsys, number):
         def edit(text):
             payload = json.loads(text)

@@ -473,7 +473,15 @@ class TestLSTMReference:
         layer = random_lstm(6, 2, 6, special_bias=True)
         check_against_reference(layer, rng.normal(size=(3, 8, 2)), rng)
 
-    def test_bidirectional_bitwise_equal_to_sequential_reference(self, rng):
+    def test_bidirectional_bitwise_equal_to_sequential_reference(self, one_blas_thread, rng):
+        self._check_bidirectional(rng)
+
+    def test_bidirectional_halves_in_turn_bitwise_equal_to_reference(self, monkeypatch, rng):
+        monkeypatch.setattr(blas, "threads", lambda: 2)
+        self._check_bidirectional(rng)
+
+    @staticmethod
+    def _check_bidirectional(rng):
         layer = Bidirectional("b", random_lstm(7, 3, 5, truncate=4),
                               random_lstm(8, 3, 5, truncate=4))
         x = rng.normal(size=(2, 9, 3))
@@ -489,12 +497,25 @@ class TestLSTMReference:
             assert_bitwise(grads[key], expected_grads[key])
 
 
-def sigmoid_in_place(z):
-    e = np.empty(z.shape)
-    mask = np.empty(z.shape, dtype=bool)
+def sigmoid_in_place(z, sigmoid_into=_sigmoid_into):
+    e = np.empty_like(z)
+    mask = np.empty_like(z)
     out = z.copy()
-    _sigmoid_into(out, out, e, mask)
+    sigmoid_into(out, out, e, mask)
     return out
+
+
+def masked_copy_sigmoid_into(z, out, e, mask):
+    """The sigmoid with a boolean mask and a masked copy, kept as the
+    reference for the float-mask form (`mask` is not used)."""
+    mask = np.empty(z.shape, dtype=bool)
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(z, 0, out=mask)
+    np.add(1.0, e, out=out)
+    np.copyto(e, 1.0, where=mask)
+    np.divide(e, out, out=out)
 
 
 @settings(max_examples=300, deadline=None)
@@ -504,6 +525,46 @@ def sigmoid_in_place(z):
 @example(np.array([-745.2, -745.1, 709.8, 36.8, -36.8, 1e-17, -1e-17]))
 def test_sigmoid_in_place_equals_reference(z):
     assert_bitwise(sigmoid_in_place(z), reference_sigmoid(z))
+
+
+# Zeros of both signs, the tiniest |z|, |z| where exp(-|z|) underflows in
+# float32 (> 104) and in float64 (> 745), and NaN.
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-45, -1e-45, 1e-30, -1e-30, 88.0, -88.0,
+                 104.0, -104.0, 110.0, -110.0, 745.2, -745.2, 800.0, -800.0, np.inf, -np.inf,
+                 np.nan, -np.nan]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sigmoid_in_place_bitwise_equal_to_masked_copy(dtype, data):
+    z = data.draw(hnp.arrays(dtype, hnp.array_shapes(max_dims=2, max_side=40),
+                             elements=st.floats(width=np.dtype(dtype).itemsize * 8)
+                             | st.sampled_from(SIGMOID_EDGES).map(dtype)))
+    assert_bitwise(sigmoid_in_place(z), sigmoid_in_place(z, masked_copy_sigmoid_into), dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_net_bitwise_equal_with_masked_copy_sigmoid(monkeypatch, dtype):
+    net = build_lstm(16, np.random.default_rng(4), conv_filters=3, lstm_units=(5, 6),
+                     dense_units=4, dtype=dtype)
+    rng = np.random.default_rng(5)
+    # Large inputs drive some gates to exactly 0 and 1.
+    x = (rng.normal(size=(3, 16)) * np.array([[1.0], [30.0], [300.0]])).astype(dtype)
+    target = rng.normal(size=(3, 16)).astype(dtype)
+
+    def run():
+        loss, grads = net.loss_and_gradients(x, target)
+        return net.forward(x), loss, grads
+
+    y, loss, grads = run()
+    monkeypatch.setattr(layers, "_sigmoid_into", masked_copy_sigmoid_into)
+    want_y, want_loss, want_grads = run()
+    assert_bitwise(y, want_y, dtype)
+    assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+    assert grads.keys() == want_grads.keys()
+    for key in grads:
+        assert_bitwise(grads[key], want_grads[key], dtype)
 
 
 class TestBidirectional:
@@ -542,13 +603,34 @@ class TestBidirectional:
         check_layer_gradients(layer, rng.normal(size=(2, 6, 3)), rng)
 
 
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """`blas.threads()` reads 1, so the training passes of a Bidirectional
+    layer run their halves in two lanes as well."""
+    monkeypatch.setattr(blas, "threads", lambda: 1)
+
+
 class TestBidirectionalThreads:
     """The reverse half runs on a worker thread while the caller runs the
-    forward half.  Errors there surface in the caller; an exception that
-    escaped the worker would instead trip the project's
+    forward half: always in `forward`, and in the training passes under
+    one BLAS thread.  Errors there surface in the caller; an exception
+    that escaped the worker would instead trip the project's
     PytestUnhandledThreadExceptionWarning error filter."""
 
-    def test_reverse_half_error_raised_in_caller(self, rng):
+    @pytest.mark.parametrize("threads, training_jobs", [(1, 2), (2, 0), (None, 0)],
+                             ids=["one-blas-thread", "two-blas-threads", "unknown"])
+    def test_training_halves_in_lanes_only_under_one_blas_thread(
+            self, monkeypatch, lane_jobs, threads, training_jobs, rng):
+        monkeypatch.setattr(blas, "threads", lambda: threads)
+        layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 4, init=rng))
+        x = rng.normal(size=(2, 5, 2))
+        y, cache = layer.forward_cached(x)
+        layer.backward(np.ones_like(y), cache)
+        assert len(lane_jobs) == training_jobs
+        layer.forward(x)
+        assert len(lane_jobs) == training_jobs + 1
+
+    def test_reverse_half_error_raised_in_caller(self, one_blas_thread, rng):
         layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("reverse", 3, 4, init=rng))
         x = rng.normal(size=(1, 5, 2))
         with pytest.raises(DimensionError, match="reverse"):
@@ -559,7 +641,7 @@ class TestBidirectionalThreads:
         good = Bidirectional("g", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 4, init=rng))
         assert good.forward(x).shape == (1, 5, 8)
 
-    def test_reverse_half_backward_error_raised_in_caller(self, rng):
+    def test_reverse_half_backward_error_raised_in_caller(self, one_blas_thread, rng):
         layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 4, init=rng))
         y, (cache_f, cache_b) = layer.forward_cached(rng.normal(size=(1, 5, 2)))
         x_b, h_b, c_b, gates_b = cache_b
@@ -569,7 +651,7 @@ class TestBidirectionalThreads:
 
     @pytest.mark.parametrize("half", [0, 1])
     @pytest.mark.parametrize("part", ["x", "h", "c", "gates"])
-    def test_cache_cut_on_time_axis_raises_in_caller(self, half, part, rng):
+    def test_cache_cut_on_time_axis_raises_in_caller(self, half, part, one_blas_thread, rng):
         # x is (batch, time, input); h, c and the gates are time-major.
         layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 4, init=rng))
         y, caches = layer.forward_cached(rng.normal(size=(2, 5, 2)))

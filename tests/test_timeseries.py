@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from disagg.errors import DataError
 from disagg.synthworld import DESK_APPLIANCES, make_household, write_world
 from disagg.timeseries import (CSV_WRITE_CHUNK, ActivationParams, PowerSeries,
@@ -330,13 +331,107 @@ class TestReadRows:
             read_rows(path, extra_columns=True)
 
 
-def reference_write_series_csv(path, series):
-    """The one-`csv.writer`-call-per-row channel writer, kept as the oracle."""
+def reference_write_rows(path, header, series, *extra_columns):
+    """The one-`csv.writer`-call-per-row writer, kept as the oracle.
+
+    Timestamps are integers when the series starts on a whole second;
+    otherwise `csv.writer` writes each float as its repr."""
+    timestamps = series.timestamps().tolist()
+    if float(series.start_time).is_integer():
+        timestamps = [int(t) for t in timestamps]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["timestamp", "watts"])
-        for t, w in zip(series.timestamps(), series.values):
-            writer.writerow([int(t), format(float(w), ".6f")])
+        writer.writerow(header)
+        for t, *values in zip(timestamps, series.values.tolist(),
+                              *(column.tolist() for column in extra_columns)):
+            writer.writerow([t, *(format(v, ".6f") for v in values)])
+
+
+def assert_rows_match_oracle(tmp_path, series, *extra_columns):
+    header = ("timestamp", "watts", *(f"extra{i}" for i in range(len(extra_columns))))
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    write_rows(ours, header, series, *extra_columns)
+    reference_write_rows(reference, header, series, *extra_columns)
+    assert ours.read_bytes() == reference.read_bytes()
+
+
+def near_half(k: int, ulps: int) -> float:
+    """A value `ulps` ulps from (k + 0.5) / 10**6, whose sixth decimal
+    `rint(x * 1e6)` and `format(x, ".6f")` can round apart."""
+    x = (k + 0.5) / 1e6
+    return float(x + ulps * np.spacing(x))
+
+
+# Values a PowerSeries holds: zeros (-0.0 included), binary halves
+# (0.0078125 = 2**-7), decimal near-halves, the 4.5e9 edge of the array
+# path and beyond it.
+SERIES_VALUES = st.one_of(
+    st.floats(0, 5000), st.floats(0, 1e12),
+    st.sampled_from([0.0, -0.0, 0.0078125, 2.5e-7, 5e-7, 1.5e-6, 4.5e9,
+                     np.nextafter(4.5e9, 0), 1e300, 5e-324]),
+    st.builds(near_half, st.integers(0, 10**10), st.integers(-3, 3)))
+# Extra columns hold anything: negative, NaN, infinite, huge.
+EXTRA_VALUES = st.one_of(SERIES_VALUES, st.floats())
+
+
+@st.composite
+def csv_tables(draw):
+    length = draw(st.sampled_from([0, 1, 5, CSV_WRITE_CHUNK - 1, CSV_WRITE_CHUNK,
+                                   CSV_WRITE_CHUNK + 1, 2 * CSV_WRITE_CHUNK + 3]))
+    start = draw(st.sampled_from([0, 1_300_000_000, -600, 0.5, 1.4e9 + 0.1, 2.0**31 + 5.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = [np.where(rng.random(length) < 0.5, 0.0, rng.uniform(0, 3000, length))
+               for _ in range(1 + draw(st.integers(0, 2)))]
+    for column, values in zip(columns, [SERIES_VALUES] + [EXTRA_VALUES] * (len(columns) - 1)):
+        positions = st.integers(0, max(length - 1, 0))
+        for i, value in draw(st.lists(st.tuples(positions, values), max_size=6 if length else 0)):
+            column[i] = value
+    return PowerSeries(start, 6, columns[0]), columns[1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_tables())
+def test_write_rows_matches_csv_writer(tmp_path_factory, table):
+    series, extra_columns = table
+    assert_rows_match_oracle(tmp_path_factory.mktemp("rows"), series, *extra_columns)
+
+
+# One case for each way a value leaves the array path: the whole chunk
+# is formatted by str.format, or a near-half value by format().
+FALLBACK_CASES = {
+    "fractional start": (0.5, [1.0, 2.0], []),
+    "negative timestamps": (-12, [1.0, 2.0, 3.0], []),
+    "negative zero": (0, [0.0, -0.0, 1.5], []),
+    "negative extra": (0, [1.0, 2.0], [0.5, -0.25]),
+    "nan and infinity": (0, [1.0, 2.0, 3.0], [np.nan, np.inf, -np.inf]),
+    "too large": (0, [4.5e9, 1e300], []),
+    "near halves": (0, [999999.9999995, 2697.8671375, 1.2345675, 0.0078125], []),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACK_CASES.values(), ids=FALLBACK_CASES.keys())
+@pytest.mark.parametrize("chunk", [0, 1], ids=["first-chunk", "second-chunk"])
+def test_write_rows_fallbacks_match_csv_writer(tmp_path, case, chunk):
+    start, values, extra = case
+    # In the second chunk, the first stays on the array path.
+    pad = chunk * CSV_WRITE_CHUNK
+    values = np.concatenate([np.full(pad, 7.25), values])
+    extra = [np.concatenate([np.full(pad, 0.5), extra])] if extra else []
+    assert_rows_match_oracle(tmp_path, PowerSeries(start, 6, values), *extra)
+
+
+def test_write_rows_peak_memory_per_chunk(tmp_path):
+    # No array as long as the series may be held: at 20M rows each byte
+    # per row is 20 MB.
+    rows = 25 * CSV_WRITE_CHUNK + 7
+    rng = np.random.default_rng(0)
+    series = PowerSeries(1_300_000_000, 6, rng.uniform(0, 3000, rows))
+    probability = rng.uniform(0, 1, rows)
+    peak = traced_peak(lambda: write_rows(tmp_path / "estimate.csv",
+                                          ("timestamp", "estimated_watts", "probability"),
+                                          series, probability))
+    assert peak / CSV_WRITE_CHUNK <= 320, \
+        f"write_rows peaked at {peak / CSV_WRITE_CHUNK:.0f} B per chunk row"
 
 
 class TestWriteRows:
@@ -348,7 +443,7 @@ class TestWriteRows:
         aggregate, channels = make_household(DESK_APPLIANCES, length, rng)
         for name, series in {"aggregate": aggregate, **channels}.items():
             name = f"{channel_slug(name)}.csv"
-            reference_write_series_csv(tmp_path / name, series)
+            reference_write_rows(tmp_path / name, ("timestamp", "watts"), series)
             ours = tmp_path / "ours" / f"house_{house}" / name
             assert ours.read_bytes() == (tmp_path / name).read_bytes(), name
 
