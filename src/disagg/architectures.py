@@ -24,8 +24,8 @@ and run, builds in NETWORK_DTYPE.
 Layer widths default to the full-scale values; tests pass smaller ones
 for gradient checking.  Update budgets and batch sizes default to the
 full-scale training recipe and may be overridden for desk-scale runs;
-the rest of the recipe (clipping, loss smoothing, the plateau rule) is
-fixed.
+the rest of the recipe (clipping, loss smoothing, the plateau rule, the
+interval checkpoints) is fixed.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .nn import (LSTM, Bidirectional, Conv1D, Dense, Flatten, NesterovSGD, Network,
-                 Reshape, clip_gradients)
+from .nn import (LSTM, Bidirectional, Conv1D, Dense, NesterovSGD, Network, Reshape,
+                 clip_gradients)
 
 KINDS = ("lstm", "dae", "rectangles")
 
@@ -53,14 +53,15 @@ BATCH_SIZES = {"lstm": 16, "dae": 64, "rectangles": 64}
 NETWORK_DTYPE = np.float32
 
 DEFAULT_LEARNING_RATE = 0.01
-BPTT_TRUNCATE = 500
 
-# The training recipe: loss smoothing, and the plateau rule that halves
-# the learning rate.
+# The training recipe: loss smoothing, the plateau rule that halves the
+# learning rate, and the interval checkpoints (see `train`).
 SMOOTHING = 0.05
 PLATEAU_PATIENCE = 500
 PLATEAU_IMPROVEMENT = 0.01
 MIN_LEARNING_RATE = 1e-5
+CHECKPOINT_MIN_BUDGET = 1000
+CHECKPOINT_INTERVALS = 4
 
 
 def build_network(kind: str, window_width: int, init) -> Network:
@@ -99,8 +100,8 @@ def _network(layers, init, **outputs) -> Network:
 def _bidirectional(name, input_dim, units, init, dtype) -> Bidirectional:
     """A bidirectional LSTM layer; a checkpoint names its halves' tensors
     `{name}/fwd.{param}` and `{name}/bwd.{param}`."""
-    fwd, bwd = (LSTM(f"{name}/{half}", input_dim, units, truncate=BPTT_TRUNCATE,
-                     init=_part(init, f"{name}/{half}."), dtype=dtype)
+    fwd, bwd = (LSTM(f"{name}/{half}", input_dim, units, init=_part(init, f"{name}/{half}."),
+                     dtype=dtype)
                 for half in ("fwd", "bwd"))
     return Bidirectional(name, fwd, bwd)
 
@@ -147,7 +148,7 @@ def build_dae(window_width: int, init=None, conv_filters: int = 8,
         Reshape("to_channels", (window_width, 1)),
         Conv1D("encoder_conv", 1, conv_filters, filter_size=4, stride=1, border="valid",
                activation="linear", init=_part(init, "encoder_conv/"), dtype=dtype),
-        Flatten("flatten"),
+        Reshape("flatten", (hidden,)),
         Dense("encoder_dense", hidden, hidden, activation="relu",
               init=_part(init, "encoder_dense/"), dtype=dtype),
         Dense("code", hidden, code_units, activation="relu", init=_part(init, "code/"),
@@ -169,15 +170,15 @@ def build_rectangles(window_width: int, init=None, conv_filters: int = 16,
     if window_width <= 8:
         raise ConfigError("window_width must exceed 8 for the rectangles net")
     init = np.random.default_rng(0) if init is None else init
+    width = (window_width - 6) * conv_filters
     layers = [
         Reshape("to_channels", (window_width, 1)),
         Conv1D("conv1", 1, conv_filters, filter_size=4, stride=1, border="valid",
                activation="linear", init=_part(init, "conv1/"), dtype=dtype),
         Conv1D("conv2", conv_filters, conv_filters, filter_size=4, stride=1, border="valid",
                activation="linear", init=_part(init, "conv2/"), dtype=dtype),
-        Flatten("flatten"),
+        Reshape("flatten", (width,)),
     ]
-    width = (window_width - 6) * conv_filters
     for idx, units in enumerate(dense_units, start=1):
         layers.append(Dense(f"dense{idx}", width, units, activation="relu",
                             init=_part(init, f"dense{idx}/"), dtype=dtype))
@@ -197,7 +198,7 @@ class TrainResult:
 
 
 def train(network: Network, batches, optimizer: NesterovSGD, update_budget: int, *,
-          on_log=None, on_checkpoint=None, checkpoint_every: int | None = None) -> TrainResult:
+          on_log=None, on_checkpoint=None) -> TrainResult:
     """Run exactly `update_budget` Nesterov-SGD steps, gradients clipped at
     GRADIENT_CLIP_BOUND.
 
@@ -205,11 +206,14 @@ def train(network: Network, batches, optimizer: NesterovSGD, update_budget: int,
     SMOOTHING); when it fails to improve by PLATEAU_IMPROVEMENT
     (relative) within PLATEAU_PATIENCE steps, the learning rate is
     halved, down to MIN_LEARNING_RATE.  Each step also goes to
-    `on_log(step, loss, smoothed, wallclock)` as it is recorded, and every
-    `checkpoint_every` steps before the last to `on_checkpoint("interval",
-    step)`.  A non-finite loss or gradient aborts training, checkpointing
-    the last finite state via `on_checkpoint(tag, step)` before re-raising.
+    `on_log(step, loss, smoothed, wallclock)` as it is recorded.  A budget
+    of at least CHECKPOINT_MIN_BUDGET goes to `on_checkpoint("interval",
+    step)` every budget // CHECKPOINT_INTERVALS steps before the last.  A
+    non-finite loss or gradient aborts training, checkpointing the last
+    finite state via `on_checkpoint(tag, step)` before re-raising.
     """
+    every = (update_budget // CHECKPOINT_INTERVALS
+             if update_budget >= CHECKPOINT_MIN_BUDGET else 0)
     result = TrainResult()
     ema = None
     best_ema = np.inf
@@ -240,8 +244,7 @@ def train(network: Network, batches, optimizer: NesterovSGD, update_budget: int,
                     optimizer.learning_rate = max(optimizer.learning_rate / 2,
                                                   MIN_LEARNING_RATE)
                     since_best = 0
-            if (on_checkpoint and checkpoint_every and step % checkpoint_every == 0
-                    and step < update_budget):
+            if on_checkpoint and every and step % every == 0 and step < update_budget:
                 on_checkpoint("interval", step)
     except NumericError:
         if on_checkpoint:

@@ -157,6 +157,14 @@ def _joint_assignments(models):
     return combos, totals
 
 
+def _per_appliance(aggregate: PowerSeries, models, combos, path):
+    """{appliance_id: EstimateSeries} on the aggregate's grid, from the
+    joint-state `path`: one row index of `combos` per sample."""
+    return {m.appliance_id: EstimateSeries(series=PowerSeries(
+                aggregate.start_time, aggregate.sample_period, m.state_powers[combos[path, i]]))
+            for i, m in enumerate(models)}
+
+
 def co_disaggregate(aggregate: PowerSeries, models):
     """Per-timestep exhaustive fit of summed state powers to the aggregate.
 
@@ -180,13 +188,7 @@ def co_disaggregate(aggregate: PowerSeries, models):
     for lo in range(0, len(y), rows):
         residual = y[lo : lo + rows, None] - totals[None, :]
         best[lo : lo + rows] = np.argmin(np.abs(residual, out=residual), axis=1)
-
-    out = {}
-    for i, m in enumerate(models):
-        watts = m.state_powers[combos[best, i]]
-        out[m.appliance_id] = EstimateSeries(series=PowerSeries(
-            aggregate.start_time, aggregate.sample_period, watts))
-    return out
+    return _per_appliance(aggregate, models, combos, best)
 
 
 def fhmm_disaggregate(aggregate: PowerSeries, models):
@@ -230,13 +232,8 @@ def fhmm_disaggregate(aggregate: PowerSeries, models):
             np.subtract(log_norm, block, out=block)
             yield from block
 
-    path = _viterbi(log_init, log_trans, emission_rows())
-    out = {}
-    for i, m in enumerate(models):
-        watts = m.state_powers[combos[path, i]]
-        out[m.appliance_id] = EstimateSeries(series=PowerSeries(
-            aggregate.start_time, aggregate.sample_period, watts))
-    return out
+    return _per_appliance(aggregate, models, combos,
+                          _viterbi(log_init, log_trans, emission_rows()))
 
 
 def _viterbi(log_init, log_trans, emission):

@@ -1,7 +1,8 @@
 """Command-line pipeline: extract, synth-preview, train, disaggregate,
 evaluate, report.
 
-Every command is a pure function of (config, seed): artifacts are
+Every command is a pure function of the config file: the seed and the
+profile are set there and no option overrides them.  Artifacts are
 written with stable formatting and derived RNG streams, so re-running a
 command reproduces its outputs byte for byte.  The one exception is the
 training loss log's wallclock column, which records real elapsed time.
@@ -45,8 +46,6 @@ def make_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--profile", choices=("paper", "desk"), default=None)
 
     p = sub.add_parser("extract", help="extract appliance activations from channel CSVs")
     common(p)
@@ -102,8 +101,7 @@ def run(argv=None) -> int:
     args = make_parser().parse_args(argv)
     if not args.command:
         raise UsageError("no command given (try --help)")
-    cfg = load_config(args.config, seed_override=args.seed,
-                      profile_override=args.profile)
+    cfg = load_config(args.config)
     if args.command == "extract":
         cmd_extract(cfg)
     elif args.command == "synth-preview":
@@ -316,7 +314,6 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
                         meta={"manifest": manifest, "step": step})
 
     budget = arch.update_budget
-    checkpoint_every = max(1, budget // 4) if budget >= 1000 else None
     # Rows are written as they are logged, so an aborted run keeps its log.
     with open(base.with_name(base.name + "_loss.csv"), "w", newline="") as f:
         writer = csv.writer(f)
@@ -329,7 +326,7 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
         try:
             result = architectures.train(
                 network, batches, optimizer, budget, on_checkpoint=on_checkpoint,
-                checkpoint_every=checkpoint_every, on_log=log_row)
+                on_log=log_row)
         finally:
             batches.close()
     final_loss = result.smoothed[-1] if result.smoothed else float("nan")
@@ -429,7 +426,6 @@ def cmd_disaggregate(cfg: ExperimentConfig, appliance: str, kind: str | None = N
                           "probability_threshold": cfg.disagg.probability_threshold},
         "manifest": manifest,
         "baseline_models": model_dicts,
-        "seed": cfg.seed,
         "config": cfg.raw,
         "runtime": _runtime_info(),
     }

@@ -1,6 +1,7 @@
 """Experiment configuration: a versioned JSON schema with fail-fast
 validation (unknown keys are errors) so every run is reproducible from
-the config and seed alone.
+the config file alone: the seed and the profile are set there and
+nowhere else.
 """
 
 from __future__ import annotations
@@ -94,8 +95,7 @@ def _take(mapping: dict, context: str, known: dict):
     return {k: mapping.get(k, default) for k, default in known.items()}
 
 
-def load_config(path, *, seed_override: int | None = None,
-                profile_override: str | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -103,12 +103,10 @@ def load_config(path, *, seed_override: int | None = None,
         raise ConfigError(f"{path}: cannot read config: {exc.strerror}") from None
     except ValueError as exc:  # also a file that is not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return parse_config(raw, base_dir=path.parent, seed_override=seed_override,
-                        profile_override=profile_override)
+    return parse_config(raw, base_dir=path.parent)
 
 
-def parse_config(raw: dict, base_dir=Path("."), *, seed_override: int | None = None,
-                 profile_override: str | None = None) -> ExperimentConfig:
+def parse_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
     top = _take(raw, "config", {
         "version": None, "seed": None, "profile": "paper", "paths": {},
         "sample_period": DEFAULT_SAMPLE_PERIOD, "max_forward_fill": DEFAULT_MAX_FORWARD_FILL,
@@ -117,11 +115,10 @@ def parse_config(raw: dict, base_dir=Path("."), *, seed_override: int | None = N
     })
     if top["version"] != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}, got {top['version']}")
-    seed = seed_override if seed_override is not None else top["seed"]
-    if seed is None:
+    if top["seed"] is None:
         raise ConfigError("config must set a seed (reproducibility is mandatory)")
-    seed = _checked("seed", seed, int)
-    profile = profile_override or top["profile"]
+    seed = _checked("seed", top["seed"], int)
+    profile = top["profile"]
     if profile not in ("paper", "desk"):
         raise ConfigError(f"profile must be 'paper' or 'desk', got {profile!r}")
 

@@ -48,6 +48,7 @@ from ..errors import DimensionError
 
 ACTIVATIONS = ("linear", "relu", "tanh")
 SMALL_UNIFORM_SCALE = 0.08  # initial range of LSTM recurrent and peephole weights
+BPTT_TRUNCATE = 500  # LSTM steps a gradient flows back through, by default
 # Elements of work (a Dense weight matrix; all gradients of a clip or a
 # step) below which `in_lanes` runs its pieces in sequence.  At 2**18 the
 # lanes slowed the width-128 dAE's `train`, competing with the batch
@@ -274,7 +275,7 @@ class LSTM:
     that many steps counted from the sequence end.
     """
 
-    def __init__(self, name, input_dim, hidden_size, truncate=500, init=None,
+    def __init__(self, name, input_dim, hidden_size, truncate=BPTT_TRUNCATE, init=None,
                  dtype=np.float64):
         self.name = name
         self.input_dim = input_dim
@@ -564,26 +565,6 @@ def in_lanes(work, first, second):
     if work >= LANE_MIN_WORK and blas.threads() == 1:
         return _in_parallel(first, second)
     return first(), second()
-
-
-class Flatten:
-    """(batch, time, channels) -> (batch, time*channels)."""
-
-    def __init__(self, name):
-        self.name = name
-        self.params = {}
-
-    def describe(self):
-        return {"type": "flatten"}
-
-    def forward(self, x):
-        return self.forward_cached(x)[0]
-
-    def forward_cached(self, x):
-        return x.reshape(x.shape[0], -1), x.shape
-
-    def backward(self, dy, cache):
-        return dy.reshape(cache), {}
 
 
 class Reshape:

@@ -95,10 +95,17 @@ def load_csv(path, sample_period: int = DEFAULT_SAMPLE_PERIOD,
 
     The rows of `read_rows` go through `fill_gaps`, which snaps them to
     the sample grid and fills the missing slots.  An empty file yields an
-    empty series with the declared period.
+    empty series with the declared period.  A grid too large to allocate
+    (a stray far timestamp) is a DataError naming the file.
     """
     rows = read_rows(path)
-    return fill_gaps(rows[:, 0], rows[:, 1], sample_period, max_forward_fill)
+    try:
+        return fill_gaps(rows[:, 0], rows[:, 1], sample_period, max_forward_fill)
+    except MemoryError:
+        first, last = float(rows[0, 0]), float(rows[-1, 0])
+        slots = round((last - first) / sample_period) + 1
+        raise DataError(f"{path}: timestamps {first} to {last} need a grid of {slots} "
+                        f"slots of {sample_period} s, which cannot be allocated") from None
 
 
 def read_rows(path, extra_columns: bool = False) -> np.ndarray:
@@ -172,8 +179,9 @@ def write_rows(path, header: tuple[str, ...], series: PowerSeries, *extra_column
     CRLF row per sample of the timestamp, the watts and each extra column,
     all but the timestamp to six decimals.  Timestamps are written as
     integers when the series starts on a whole second (the period is a
-    whole number of seconds, so then every timestamp is one), else as the
-    shortest text that reads back as the same float.
+    whole number of seconds, so then every timestamp is one) and every
+    timestamp lies within int64, else as the shortest text that reads
+    back as the same float.
 
     Rows are formatted CSV_WRITE_CHUNK at a time, which bounds the memory
     held at once; the bytes are those of one `csv.writer` row per sample.
@@ -181,7 +189,9 @@ def write_rows(path, header: tuple[str, ...], series: PowerSeries, *extra_column
     its values is written some other way, in which case each of its rows
     is formatted with `str.format`.
     """
-    whole_seconds = float(series.start_time).is_integer()
+    last = series.start_time + max(len(series) - 1, 0) * float(series.sample_period)
+    whole_seconds = (float(series.start_time).is_integer()
+                     and max(abs(series.start_time), abs(last)) < 2.0**63)
     row = "{}" + ",{:.6f}" * (1 + len(extra_columns)) + "\r\n"
     with open(path, "wb") as f:
         f.write((",".join(header) + "\r\n").encode())

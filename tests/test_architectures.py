@@ -65,7 +65,7 @@ class TestDaeStack:
         net = build_dae(128)
         desc = net.describe()
         kinds = [d["type"] for d in desc]
-        assert kinds == ["reshape", "conv1d", "flatten", "dense", "dense", "dense",
+        assert kinds == ["reshape", "conv1d", "reshape", "dense", "dense", "dense",
                          "reshape", "conv1d", "reshape"]
         assert desc[1]["filters"] == 8 and desc[1]["border"] == "valid"
         assert [d["units"] for d in desc[3:6]] == [1000, 128, 1000]
@@ -99,7 +99,7 @@ class TestRectanglesStack:
         net = build_rectangles(128)
         desc = net.describe()
         kinds = [d["type"] for d in desc]
-        assert kinds == ["reshape", "conv1d", "conv1d", "flatten",
+        assert kinds == ["reshape", "conv1d", "conv1d", "reshape",
                          "dense", "dense", "dense", "dense", "dense"]
         assert desc[1]["filters"] == 16 and desc[2]["filters"] == 16
         assert [d["units"] for d in desc[4:]] == [4096, 3072, 2048, 512, 3]
@@ -330,6 +330,15 @@ class TestTraining:
             train(net, repeat_batch(batch), opt, 100,
                   on_checkpoint=lambda tag, step: tags.append(tag))
         assert tags == ["abort"]
+
+    def test_interval_checkpoints_follow_the_recipe(self, rng):
+        net = Network([Dense("d", 2, 2, activation="linear", init=rng)])
+        batch = Batch(inputs=rng.normal(size=(2, 2)), targets=rng.normal(size=(2, 2)))
+        calls = []
+        train(net, repeat_batch(batch), NesterovSGD(net.parameters(), 0.01), 1000,
+              on_checkpoint=lambda tag, step: calls.append((tag, step)))
+        assert calls == [("interval", 250), ("interval", 500), ("interval", 750),
+                         ("final", 1000)]
 
     def test_plateau_halves_learning_rate(self, rng):
         net, batch = self._toy_net_and_batch("dae", rng)

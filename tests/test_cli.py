@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -14,13 +16,24 @@ from conftest import traced_peak
 from disagg import blas, cli, sliding
 from disagg import timeseries as ts
 from disagg.cli import _write_estimate_csv, main
-from disagg.config import load_config, parse_config
+from disagg.config import ExperimentConfig, load_config, parse_config
 from disagg.errors import ConfigError
 from disagg.metrics import MetricsReport
 from disagg.nn import Network, load_checkpoint, save_checkpoint
 from disagg.synthworld import DESK_APPLIANCES, write_world
 from disagg.timeseries import CSV_WRITE_CHUNK, PowerSeries
 from disagg.util import canonical_json
+
+
+# Each command, with the arguments it requires besides --config.
+COMMAND_ARGS = {
+    "extract": [],
+    "synth-preview": ["--appliance", "kettle"],
+    "train": ["--appliance", "kettle", "--kind", "dae"],
+    "disaggregate": ["--appliance", "kettle", "--kind", "dae"],
+    "evaluate": ["--appliance", "kettle"],
+    "report": [],
+}
 
 
 def world_config(tmp_path, length=700, seed=11, window=24, budget=4, batch=8,
@@ -153,10 +166,13 @@ class TestConfig:
 
     def test_desk_profile_scales_budget_and_window(self, tmp_path):
         path = world_config(tmp_path)
-        cfg = load_config(path, profile_override="desk")
+        paper = load_config(path)
+        raw = json.loads(path.read_text())
+        raw["profile"] = "desk"
+        path.write_text(json.dumps(raw))
+        cfg = load_config(path)
         assert cfg.architectures["dae"].update_budget == 1  # ceil(4 / 100)
         assert cfg.appliance("kettle").window_width == 16  # floor to the minimum
-        paper = load_config(path)
         assert paper.architectures["dae"].update_budget == 4
         assert paper.appliance("kettle").window_width == 24
 
@@ -186,11 +202,35 @@ class TestConfig:
         # Stride 96 fits the paper width 128, not the desk width 32.
         path = world_config(tmp_path, window=128, stride=96)
         assert main(["extract", "--config", str(path)]) == 0
+        raw = json.loads(path.read_text())
+        raw["profile"] = "desk"
+        path.write_text(json.dumps(raw))
         capsys.readouterr()
-        assert main(["train", "--config", str(path), "--profile", "desk",
-                     "--appliance", "kettle", "--kind", "dae"]) == 1
+        assert main(["train", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "dae"]) == 1
         assert "disagg.stride 96 exceeds appliance 'kettle'" in capsys.readouterr().err
         assert not list((tmp_path / "out").rglob("*.ckpt"))
+
+    def test_no_option_names_a_config_field(self):
+        # Every run setting comes from the config file: no option may
+        # override one of its fields.
+        fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        parser = cli.make_parser()
+        (subparsers,) = [action for action in parser._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        assert sorted(subparsers.choices) == sorted(COMMAND_ARGS)
+        for name, subparser in [("disagg", parser), *subparsers.choices.items()]:
+            dests = {action.dest for action in subparser._actions}
+            assert not dests & fields, name
+
+    @pytest.mark.parametrize("command", COMMAND_ARGS)
+    @pytest.mark.parametrize("option", [["--seed", "1"], ["--profile", "desk"]],
+                             ids=["seed", "profile"])
+    def test_seed_and_profile_options_are_usage_errors(self, tmp_path, capsys, command,
+                                                       option):
+        path = world_config(tmp_path)
+        assert main([command, "--config", str(path), *COMMAND_ARGS[command], *option]) == 1
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
     def test_readme_config_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -275,6 +315,15 @@ class TestCliPipeline:
         channel.write_bytes(bytes(data))
         assert main(["extract", "--config", str(path)]) == 2
         assert f"{channel}: unreadable CSV" in capsys.readouterr().err
+
+    def test_extract_stray_far_timestamp_exits_2(self, tmp_path, capsys):
+        # A millisecond stamp among seconds: its 6 s grid cannot be allocated.
+        path = world_config(tmp_path)
+        channel = tmp_path / "data" / "house_1" / "kettle.csv"
+        channel.write_text("0,10\n6,20\n6000000000000,30\n")
+        assert main(["extract", "--config", str(path)]) == 2
+        assert (f"data error: {channel}: timestamps 0.0 to 6000000000000.0 need a grid of "
+                "1000000000001 slots of 6 s") in capsys.readouterr().err
 
     def test_unknown_kind_usage_error(self, tmp_path, capsys):
         path = world_config(tmp_path)

@@ -17,7 +17,7 @@ from conftest import check_network_gradients, numeric_gradient, relative_error, 
 from disagg import architectures, blas
 from disagg.architectures import build_lstm, build_network, build_rectangles
 from disagg.errors import DataError, DimensionError, NumericError
-from disagg.nn import (LSTM, MOMENTUM, Bidirectional, Conv1D, Dense, Flatten, NesterovSGD,
+from disagg.nn import (LSTM, MOMENTUM, Bidirectional, Conv1D, Dense, NesterovSGD,
                        Network, Reshape, clip_gradients, layers, load_checkpoint,
                        save_checkpoint)
 from disagg.nn.layers import _in_parallel, _sigmoid_into, in_lanes
@@ -815,7 +815,7 @@ class TestBlockedNesterovStep:
     def test_updates_the_network_parameter_arrays(self, rng):
         net = Network([Reshape("to_channels", (6, 1)),
                        Conv1D("conv", 1, 2, filter_size=3, border="same", init=rng),
-                       Flatten("flat"),
+                       Reshape("flat", (12,)),
                        Dense("out", 12, 6, "linear", init=rng)])
         expected = {k: v.copy() for k, v in net.parameters().items()}
         velocity = {k: np.zeros_like(v) for k, v in expected.items()}
@@ -1055,7 +1055,7 @@ class TestNetwork:
         return Network([
             Reshape("to_channels", (6, 1)),
             Conv1D("conv", 1, 2, filter_size=3, border="same", init=rng),
-            Flatten("flat"),
+            Reshape("flat", (12,)),
             Dense("out", 12, 6, "linear", init=rng),
         ])
 

@@ -334,10 +334,11 @@ class TestReadRows:
 def reference_write_rows(path, header, series, *extra_columns):
     """The one-`csv.writer`-call-per-row writer, kept as the oracle.
 
-    Timestamps are integers when the series starts on a whole second;
-    otherwise `csv.writer` writes each float as its repr."""
+    Timestamps are integers when the series starts on a whole second and
+    every one lies within int64; otherwise `csv.writer` writes each float
+    as its repr."""
     timestamps = series.timestamps().tolist()
-    if float(series.start_time).is_integer():
+    if float(series.start_time).is_integer() and all(abs(t) < 2**63 for t in timestamps):
         timestamps = [int(t) for t in timestamps]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -401,6 +402,7 @@ def test_write_rows_matches_csv_writer(tmp_path_factory, table):
 FALLBACK_CASES = {
     "fractional start": (0.5, [1.0, 2.0], []),
     "negative timestamps": (-12, [1.0, 2.0, 3.0], []),
+    "beyond int64": (1e19, [1.0, 2.0, 3.0], []),
     "negative zero": (0, [0.0, -0.0, 1.5], []),
     "negative extra": (0, [1.0, 2.0], [0.5, -0.25]),
     "nan and infinity": (0, [1.0, 2.0, 3.0], [np.nan, np.inf, -np.inf]),
@@ -450,6 +452,17 @@ class TestWriteRows:
     @pytest.mark.parametrize("start_time", [0.5, 1.4e9 + 0.1, 12345.678])
     def test_fractional_timestamps_read_back_exactly(self, tmp_path, start_time):
         series = PowerSeries(start_time, 6, np.arange(5.0))
+        path = tmp_path / "channel.csv"
+        write_rows(path, ("timestamp", "watts"), series)
+        assert read_rows(path)[:, 0].tolist() == series.timestamps().tolist()
+
+    # Whole seconds beyond int64 (the last series ends at 2**63 exactly),
+    # and the largest that lie within it.
+    @pytest.mark.parametrize("start_time, period", [
+        (1e19, 4096), (-1e19, 4096), (2.0**63 - 2048, 1024), (2.0**63 - 4096, 1024)],
+        ids=["1e19", "-1e19", "ends-at-2**63", "ends-below-2**63"])
+    def test_timestamps_beyond_int64_read_back_exactly(self, tmp_path, start_time, period):
+        series = PowerSeries(start_time, period, np.arange(3.0))
         path = tmp_path / "channel.csv"
         write_rows(path, ("timestamp", "watts"), series)
         assert read_rows(path)[:, 0].tolist() == series.timestamps().tolist()
