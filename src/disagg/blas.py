@@ -5,8 +5,7 @@ which exports `scipy_openblas_get_num_threads64_`.  `threads` reads it
 through `ctypes`, so the count is the one NumPy's GEMMs run with: the
 machine's CPU count by default, 1 under `OPENBLAS_NUM_THREADS=1`.  The
 count changes the summation order of threaded GEMMs, so training records
-it, and the training lanes of `disagg.nn.layers` run only under one
-thread.  Standard library only; the library is looked up on the first
+it, and the gated lanes of `disagg.nn.layers` run only under one thread.  Standard library only; the library is looked up on the first
 call.
 """
 

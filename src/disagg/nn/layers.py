@@ -18,12 +18,14 @@ use, runs the other.  NumPy releases the GIL inside its loops and BLAS
 calls, so with one BLAS thread the two lanes use two CPUs.  Each piece
 keeps its operands and its order of operations, so results are bitwise
 the same as running the pieces one after the other.  `Bidirectional`
-runs its reverse half in the second lane in inference, and in training
-when BLAS runs one thread.  A training update
-uses the lanes through `in_lanes` only where they pay: `Dense.backward`
-computes its weight gradient and its input gradient in the two lanes,
-and `optim` splits the clip and the Nesterov step, when the work
-reaches LANE_MIN_WORK elements and BLAS runs one thread.
+runs its reverse half in the second lane in inference whatever the
+BLAS thread count.  Every other use goes through the one gate,
+`in_lanes`, which opens only where the lanes pay: when BLAS runs one
+thread and the work of a lane reaches LANE_MIN_WORK.  Its users are
+the training passes of `Bidirectional`, `Dense.backward` (weight
+gradient and input gradient), `optim` (half the blocks of the clip and
+of the Nesterov step each) and `sliding.disaggregate` (two blocks of
+windows through the network).
 
 A trainable layer is built from `init`: a numpy Generator it draws its
 fresh weights from (always in float64, then rounded to `dtype`, so a
@@ -49,11 +51,13 @@ from ..errors import DimensionError
 ACTIVATIONS = ("linear", "relu", "tanh")
 SMALL_UNIFORM_SCALE = 0.08  # initial range of LSTM recurrent and peephole weights
 BPTT_TRUNCATE = 500  # LSTM steps a gradient flows back through, by default
-# Elements of work (a Dense weight matrix; all gradients of a clip or a
-# step) below which `in_lanes` runs its pieces in sequence.  At 2**18 the
-# lanes slowed the width-128 dAE's `train`, competing with the batch
-# producer for two CPUs; at 2**22 only the width-128 rectangles net and
-# wider nets use them.
+# Work below which `in_lanes` runs its pieces in sequence: elements of a
+# Dense weight matrix or of all gradients of a clip or a step; parameters
+# times windows, or times batch and time steps, of a forward pass.  At
+# 2**18 the lanes slowed the width-128 dAE's `train`, competing with the
+# batch producer for two CPUs; at 2**22 only the width-128 rectangles net
+# and wider nets use them in an update, while the forward passes of every
+# paper-width net meet it.
 LANE_MIN_WORK = 1 << 22
 
 
@@ -456,8 +460,10 @@ class Bidirectional:
     """Runs one LSTM forwards and one backwards in time, concatenating
     their per-timestep outputs (feature width doubles).  In `forward` the
     backwards half runs on the worker thread of `_in_parallel`; in
-    `forward_cached` and `backward`, the training passes, only when BLAS
-    runs one thread (see `_training_halves`)."""
+    `forward_cached` and `backward`, the training passes, only where the
+    gate `in_lanes` opens: with more BLAS threads LSTM training runs
+    slower in the lanes than with the halves in turn, while inference
+    gains either way."""
 
     def __init__(self, name, layer_fwd: LSTM, layer_bwd: LSTM):
         if layer_fwd.hidden_size != layer_bwd.hidden_size:
@@ -485,31 +491,26 @@ class Bidirectional:
                                     lambda: self.bwd.forward(x[:, ::-1]))
         return _concat_features(y_f, y_b_rev[:, ::-1])
 
+    def _half_work(self, x):
+        """The work of one half on `x`, (batch, time, ...): parameters of
+        a half times batch times time steps."""
+        return x.shape[0] * x.shape[1] * sum(v.size for v in self.fwd.params.values())
+
     def forward_cached(self, x):
-        (y_f, cache_f), (y_b_rev, cache_b) = _training_halves(
-            lambda: self.fwd.forward_cached(x),
+        (y_f, cache_f), (y_b_rev, cache_b) = in_lanes(
+            self._half_work(x), lambda: self.fwd.forward_cached(x),
             lambda: self.bwd.forward_cached(x[:, ::-1]))
         return _concat_features(y_f, y_b_rev[:, ::-1]), (cache_f, cache_b)
 
     def backward(self, dy, cache):
         cache_f, cache_b = cache
         n = self.hidden_size
-        (dx_f, grads_f), (dx_b, grads_b) = _training_halves(
-            lambda: self.fwd.backward(dy[:, :, :n], cache_f),
+        (dx_f, grads_f), (dx_b, grads_b) = in_lanes(
+            self._half_work(dy), lambda: self.fwd.backward(dy[:, :, :n], cache_f),
             lambda: self.bwd.backward(dy[:, ::-1, n:], cache_b))
         grads = {f"fwd.{k}": v for k, v in grads_f.items()}
         grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
         return dx_f + dx_b[:, ::-1], grads
-
-
-def _training_halves(first, second):
-    """(first(), second()): in two lanes when NumPy's BLAS runs one thread,
-    else one after the other.  With more BLAS threads the GEMMs of both
-    halves wait for the same threads, and LSTM training runs slower than
-    with the halves in turn; inference gains from the lanes either way."""
-    if blas.threads() == 1:
-        return _in_parallel(first, second)
-    return first(), second()
 
 
 def _concat_features(a, b):
@@ -557,11 +558,11 @@ def _in_parallel(first, second):
 
 
 def in_lanes(work, first, second):
-    """(first(), second()): in two lanes when `work` (a count of elements)
-    reaches LANE_MIN_WORK and NumPy's BLAS runs one thread, else one
-    after the other.  With more BLAS threads the GEMMs of both lanes
-    would wait for the same threads, and below LANE_MIN_WORK the lanes
-    cost more than they save."""
+    """(first(), second()): in two lanes when `work`, measured as
+    LANE_MIN_WORK says, reaches LANE_MIN_WORK and NumPy's BLAS runs one
+    thread, else one after the other.  With more BLAS threads the GEMMs
+    of both lanes would wait for the same threads, and below
+    LANE_MIN_WORK the lanes cost more than they save."""
     if work >= LANE_MIN_WORK and blas.threads() == 1:
         return _in_parallel(first, second)
     return first(), second()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DimensionError, NumericError
+from .layers import Bidirectional
 
 
 def _check_finite(arr, layer_name, stage):
@@ -45,6 +46,14 @@ class Network:
         self.dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
         self.output_kind = output_kind
         self.output_offset = output_offset
+
+    @property
+    def runs_own_lanes(self) -> bool:
+        """Whether `forward` runs in the two lanes of its own: a
+        Bidirectional layer runs its halves there.  Two passes of such a
+        network gain nothing in the lanes, since the worker runs a nested
+        pass's halves one after the other."""
+        return any(isinstance(layer, Bidirectional) for layer in self.layers)
 
     # -- forward / backward -------------------------------------------------
 

@@ -10,6 +10,13 @@ predicted rectangles and thresholding the resulting probability
 (rectangle outputs).  The windows run through the network one block of
 SLIDE_BATCH at a time and each block's outputs go straight into running
 per-timestep sums, so memory does not grow with the number of windows.
+
+Where the gate `nn.layers.in_lanes` opens (one BLAS thread, a block's
+windows times the network's parameters reaching LANE_MIN_WORK), two
+consecutive blocks run through the network at once, one in each lane,
+unless the network runs lanes of its own (`runs_own_lanes`).  Each block
+is the same `slide` call either way and the blocks are combined in
+window order, so the estimates keep their bits.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import numpy as np
 
 from .datagen import WindowSpec
 from .errors import ConfigError
+from .nn.layers import in_lanes
 from .timeseries import PowerSeries
 
 SLIDE_BATCH = 64  # windows per network call
@@ -185,7 +193,9 @@ def disaggregate(network, aggregate: PowerSeries, spec: WindowSpec,
     the appliance's on-power threshold in watts.
 
     Each block goes straight into the running sums, so memory holds the
-    sums (a few arrays of the series' length) and one block of windows.
+    sums (a few arrays of the series' length) and one block of windows,
+    or two where a pair of blocks runs in the lanes.  A network that does
+    not state `runs_own_lanes` runs its blocks one after the other.
     """
     width = spec.window_width
     if config.stride > width:
@@ -198,8 +208,18 @@ def disaggregate(network, aggregate: PowerSeries, spec: WindowSpec,
     else:
         sums = MeanSums(total, network.output_offset)
         combine = combine_mean
-    for lo in range(0, len(origins), SLIDE_BATCH):
-        combine(slide(network, aggregate, spec, origins[lo : lo + SLIDE_BATCH]), sums)
+    step = SLIDE_BATCH if getattr(network, "runs_own_lanes", True) else 2 * SLIDE_BATCH
+    for lo in range(0, len(origins), step):
+        first = origins[lo : lo + SLIDE_BATCH]
+        second = origins[lo + SLIDE_BATCH : lo + step]
+        if len(second):
+            blocks = in_lanes(len(first) * network.parameter_count(),
+                              lambda: slide(network, aggregate, spec, first),
+                              lambda: slide(network, aggregate, spec, second))
+        else:
+            blocks = (slide(network, aggregate, spec, first),)
+        for block in blocks:
+            combine(block, sums)
     values, probability = sums.estimate()
     return EstimateSeries(series=PowerSeries(start_time=aggregate.start_time,
                                              sample_period=aggregate.sample_period,

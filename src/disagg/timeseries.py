@@ -22,6 +22,9 @@ from .errors import DataError
 DEFAULT_SAMPLE_PERIOD = 6
 DEFAULT_MAX_FORWARD_FILL = 180.0
 CSV_WRITE_CHUNK = 4096  # rows formatted per write
+# Slots beyond which a grid is refused unallocated: the byte offsets of
+# its arrays of 8-byte elements would not fit an index (intp).
+MAX_SLOTS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -96,11 +99,13 @@ def load_csv(path, sample_period: int = DEFAULT_SAMPLE_PERIOD,
     The rows of `read_rows` go through `fill_gaps`, which snaps them to
     the sample grid and fills the missing slots.  An empty file yields an
     empty series with the declared period.  A grid too large to allocate
-    (a stray far timestamp) is a DataError naming the file.
+    or to index (a stray far timestamp) is a DataError naming the file.
     """
     rows = read_rows(path)
     try:
         return fill_gaps(rows[:, 0], rows[:, 1], sample_period, max_forward_fill)
+    except DataError as exc:  # the grid's span: read_rows checked the rest
+        raise DataError(f"{path}: {exc}") from None
     except MemoryError:
         first, last = float(rows[0, 0]), float(rows[-1, 0])
         slots = round((last - first) / sample_period) + 1
@@ -312,7 +317,8 @@ def fill_gaps(timestamps, values, sample_period: int,
     stretch of missing slots between two consecutive samples.  Gaps of at
     most `max_forward_fill` seconds repeat the last seen value; longer
     gaps are read as the meter being off and filled with zeros.  The
-    result covers every slot from the first to the last timestamp.
+    result covers every slot from the first to the last timestamp; a span
+    of more than MAX_SLOTS slots is a DataError.
     """
     timestamps = np.asarray(timestamps, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -324,6 +330,10 @@ def fill_gaps(timestamps, values, sample_period: int,
         raise DataError("timestamps must be strictly increasing")
 
     start = timestamps[0]
+    span = np.rint((timestamps[-1] - start) / sample_period)
+    if not span < MAX_SLOTS:
+        raise DataError(f"timestamps {start} to {timestamps[-1]} need a grid of {span + 1:.4g} "
+                        f"slots of {sample_period} s, more than an index holds")
     slots = np.rint((timestamps - start) / sample_period).astype(np.int64)
     # Slots never decrease, so the last pair of each run of equal slots
     # is the last pair to land on that slot.

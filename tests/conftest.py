@@ -5,6 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from disagg import blas
+from disagg.nn import layers
+
 EPS = 1e-5
 GRAD_TOL = 1e-4
 
@@ -73,3 +76,27 @@ def check_network_gradients(network, x, target, tol=GRAD_TOL):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def lane_jobs(monkeypatch):
+    """The jobs handed to the lane worker while the test runs, counted."""
+    layers._in_parallel(lambda: None, lambda: None)  # starts the worker
+    jobs = []
+    submit = layers._worker.submit
+
+    def counting_submit(*args, **kwargs):
+        jobs.append(args)
+        return submit(*args, **kwargs)
+
+    monkeypatch.setattr(layers._worker, "submit", counting_submit)
+    return jobs
+
+
+@pytest.fixture
+def lanes_on(monkeypatch, lane_jobs):
+    """Every `in_lanes` call runs two lanes, whatever the size of its work
+    and the BLAS thread count; the jobs of the second lane, counted."""
+    monkeypatch.setattr(layers, "LANE_MIN_WORK", 0)
+    monkeypatch.setattr(blas, "threads", lambda: 1)
+    return lane_jobs

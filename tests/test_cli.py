@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from disagg import blas, cli, sliding
+from disagg import architectures, blas, cli, sliding
 from disagg import timeseries as ts
 from disagg.cli import _write_estimate_csv, main
 from disagg.config import ExperimentConfig, load_config, parse_config
 from disagg.errors import ConfigError
 from disagg.metrics import MetricsReport
-from disagg.nn import Network, load_checkpoint, save_checkpoint
+from disagg.nn import Network, layers, load_checkpoint, save_checkpoint
 from disagg.synthworld import DESK_APPLIANCES, write_world
 from disagg.timeseries import CSV_WRITE_CHUNK, PowerSeries
 from disagg.util import canonical_json
@@ -34,6 +34,13 @@ COMMAND_ARGS = {
     "evaluate": ["--appliance", "kettle"],
     "report": [],
 }
+
+
+def cli_env():
+    """The environment of a child Python that imports this checkout's `disagg`."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def world_config(tmp_path, length=700, seed=11, window=24, budget=4, batch=8,
@@ -324,6 +331,22 @@ class TestCliPipeline:
         assert main(["extract", "--config", str(path)]) == 2
         assert (f"data error: {channel}: timestamps 0.0 to 6000000000000.0 need a grid of "
                 "1000000000001 slots of 6 s") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["default", "W-error"])
+    def test_extract_timestamp_beyond_an_index_exits_2(self, tmp_path, warnings_as_errors):
+        # The span of 1e300 s has more 6 s slots than an index can hold:
+        # refused before any cast, so no cast warning and no traceback.
+        path = world_config(tmp_path)
+        channel = tmp_path / "data" / "house_1" / "kettle.csv"
+        channel.write_text("0,10\n1e300,20\n")
+        flags = ["-W", "error"] if warnings_as_errors else []
+        child = subprocess.run(
+            [sys.executable, *flags, "-m", "disagg.cli", "extract", "--config", str(path)],
+            env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert child.returncode == 2, child.stderr
+        assert child.stderr == (f"data error: {channel}: timestamps 0.0 to 1e+300 need a grid "
+                                "of 1.667e+299 slots of 6 s, more than an index holds\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_kind_usage_error(self, tmp_path, capsys):
         path = world_config(tmp_path)
@@ -843,14 +866,55 @@ class TestCliPipeline:
         main(["extract", "--config", str(path)])
         assert main(["train", "--config", str(path), "--appliance", "kettle",
                      "--kind", "lstm"]) == 0
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         child = subprocess.run(
             [sys.executable, "-m", "disagg.cli", "disaggregate", "--config", str(path),
              "--appliance", "kettle", "--kind", "lstm"],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=cli_env(), capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
+
+    def test_non_finite_second_block_of_a_pair_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                       lane_jobs):
+        # The net's output is non-finite in the second of the two blocks of
+        # the test house's aggregate alone, its partial block.  With that
+        # block on the lane worker the command fails as it does in turn.
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        assert main(["train", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "dae"]) == 0
+        aggregate = tmp_path / "data" / "house_2" / "aggregate.csv"
+        lines = aggregate.read_text().splitlines(keepends=True)
+        width, stride = 24, 6
+        total = 99 * stride - width  # 100 windows: a block of 64 and one of 36
+        aggregate.write_text("".join(lines[: 1 + total]))
+        build_network = architectures.build_network
+
+        class PartialBlockPoison:
+            name, params = "poison", {}
+
+            def forward(self, x):
+                return x if len(x) == sliding.SLIDE_BATCH else x * np.nan
+
+        def poisoned(*args):
+            net = build_network(*args)
+            return Network(net.layers + [PartialBlockPoison()], net.output_kind,
+                           net.output_offset)
+
+        monkeypatch.setattr(architectures, "build_network", poisoned)
+        argv = ["disaggregate", "--config", str(path), "--appliance", "kettle", "--kind", "dae"]
+        estimate = tmp_path / "out" / "estimates" / "kettle_dae_house2.csv"
+        capsys.readouterr()
+        monkeypatch.setattr(blas, "threads", lambda: 2)
+        assert main(argv) == 3
+        in_turn = capsys.readouterr().err
+        assert not lane_jobs
+        monkeypatch.setattr(blas, "threads", lambda: 1)
+        monkeypatch.setattr(layers, "LANE_MIN_WORK", 0)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert len(lane_jobs) == 1
+        assert err == in_turn == ("numeric failure: non-finite values after forward of layer "
+                                  "'poison'\n")
+        assert not estimate.exists() and not estimate.with_suffix(".json").exists()
 
     def test_zero_length_aggregate_empty_estimate(self, tmp_path):
         path = world_config(tmp_path)

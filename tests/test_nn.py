@@ -605,23 +605,27 @@ class TestBidirectional:
 
 @pytest.fixture
 def one_blas_thread(monkeypatch):
-    """`blas.threads()` reads 1, so the training passes of a Bidirectional
-    layer run their halves in two lanes as well."""
+    """`blas.threads()` reads 1 and the lane gate takes any work, so the
+    training passes of even a tiny Bidirectional layer run their halves
+    in two lanes as well."""
     monkeypatch.setattr(blas, "threads", lambda: 1)
+    monkeypatch.setattr(layers, "LANE_MIN_WORK", 0)
 
 
 class TestBidirectionalThreads:
     """The reverse half runs on a worker thread while the caller runs the
-    forward half: always in `forward`, and in the training passes under
-    one BLAS thread.  Errors there surface in the caller; an exception
-    that escaped the worker would instead trip the project's
-    PytestUnhandledThreadExceptionWarning error filter."""
+    forward half: always in `forward`, and in the training passes where
+    the lane gate opens (one BLAS thread, work of LANE_MIN_WORK).  Errors
+    there surface in the caller; an exception that escaped the worker
+    would instead trip the project's PytestUnhandledThreadExceptionWarning
+    error filter."""
 
     @pytest.mark.parametrize("threads, training_jobs", [(1, 2), (2, 0), (None, 0)],
                              ids=["one-blas-thread", "two-blas-threads", "unknown"])
     def test_training_halves_in_lanes_only_under_one_blas_thread(
             self, monkeypatch, lane_jobs, threads, training_jobs, rng):
         monkeypatch.setattr(blas, "threads", lambda: threads)
+        monkeypatch.setattr(layers, "LANE_MIN_WORK", 0)  # a tiny layer meets the gate
         layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("w", 2, 4, init=rng))
         x = rng.normal(size=(2, 5, 2))
         y, cache = layer.forward_cached(x)
@@ -629,6 +633,19 @@ class TestBidirectionalThreads:
         assert len(lane_jobs) == training_jobs
         layer.forward(x)
         assert len(lane_jobs) == training_jobs + 1
+
+    @pytest.mark.parametrize("units, training_jobs", [(4, 0), (64, 2)],
+                             ids=["below-the-gate", "at-the-gate"])
+    def test_training_halves_meet_the_size_gate(self, monkeypatch, lane_jobs, units,
+                                                training_jobs, rng):
+        # A half's work is its parameters times batch times time steps:
+        # 124 * 256 for 4 units, 17,344 * 256 (over 2**22) for 64.
+        monkeypatch.setattr(blas, "threads", lambda: 1)
+        layer = Bidirectional("b", LSTM("f", 2, units, init=rng),
+                              LSTM("w", 2, units, init=rng))
+        y, cache = layer.forward_cached(rng.normal(size=(16, 16, 2)))
+        layer.backward(np.ones_like(y), cache)
+        assert len(lane_jobs) == training_jobs
 
     def test_reverse_half_error_raised_in_caller(self, one_blas_thread, rng):
         layer = Bidirectional("b", LSTM("f", 2, 4, init=rng), LSTM("reverse", 3, 4, init=rng))
@@ -870,30 +887,6 @@ def sequential_step(params, velocity, grads, lr, mu):
             vb -= gb
             pb -= gb
             pb += np.multiply(vb, mu, out=scratch[: pb.size])
-
-
-@pytest.fixture
-def lane_jobs(monkeypatch):
-    """The jobs handed to the lane worker while the test runs, counted."""
-    _in_parallel(lambda: None, lambda: None)  # starts the worker
-    jobs = []
-    submit = layers._worker.submit
-
-    def counting_submit(*args, **kwargs):
-        jobs.append(args)
-        return submit(*args, **kwargs)
-
-    monkeypatch.setattr(layers._worker, "submit", counting_submit)
-    return jobs
-
-
-@pytest.fixture
-def lanes_on(monkeypatch, lane_jobs):
-    """Every `in_lanes` call runs two lanes, whatever the size of its work
-    and the BLAS thread count; the jobs of the second lane, counted."""
-    monkeypatch.setattr(layers, "LANE_MIN_WORK", 0)
-    monkeypatch.setattr(blas, "threads", lambda: 1)
-    return lane_jobs
 
 
 def conv_gradient_set(rng, dtype=np.float64):

@@ -1,12 +1,15 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from disagg import architectures, sliding
+from disagg import architectures, blas, sliding
 from disagg.datagen import RectangleTriple, WindowSpec
 from disagg.errors import ConfigError
+from disagg.nn import layers
 from disagg.sliding import (SLIDE_BATCH, DisaggConfig, MeanSums, RectangleSums, WindowOutputs,
                             combine_mean, combine_rectangles, disaggregate)
 from disagg.timeseries import PowerSeries
@@ -43,23 +46,47 @@ class ConstantNetwork:
         return np.full((len(x), self.width), self.value)
 
 
+class LaneConstantNetwork(ConstantNetwork):
+    """A ConstantNetwork that states it runs no lanes of its own, so its
+    blocks may run in pairs where the lane gate opens."""
+
+    runs_own_lanes = False
+
+    def parameter_count(self):
+        return 1
+
+
 def spec_for(width, max_power=2048.0):
     return WindowSpec(width, max_power, input_std=100.0)
 
 
 def slid_origins(monkeypatch):
-    """The origins of each block `sliding.slide` runs from now on, one
-    array per call, in call order."""
+    """The origins of each block `disaggregate` slides from now on, one
+    array per block in the order the blocks reach the running sums,
+    whichever lane slid them."""
     blocks = []
+    for name in ("combine_mean", "combine_rectangles"):
+        def recording(window_outputs, sums, combine=getattr(sliding, name)):
+            blocks.append(window_outputs.origins)
+            combine(window_outputs, sums)
+
+        monkeypatch.setattr(sliding, name, recording)
+    return blocks
+
+
+def worker_slides(monkeypatch):
+    """The `sliding.slide` calls run from now on on the lane worker, one
+    entry each: the block-pair jobs."""
+    calls = []
     slide = sliding.slide
 
     def recording(*args):
-        outputs = slide(*args)
-        blocks.append(outputs.origins)
-        return outputs
+        if threading.current_thread().name.startswith("disagg-lane"):
+            calls.append(args[3])
+        return slide(*args)
 
     monkeypatch.setattr(sliding, "slide", recording)
-    return blocks
+    return calls
 
 
 class TestSlide:
@@ -107,15 +134,23 @@ class TestSlide:
         np.testing.assert_array_equal(counts, np.full(total, width // stride))
 
     def test_blocks_of_slide_batch_windows_in_order(self, monkeypatch):
+        self._blocks_in_order(monkeypatch, ConstantNetwork)
+
+    def test_blocks_in_order_with_the_lanes_on(self, monkeypatch, lanes_on):
+        blocks = self._blocks_in_order(monkeypatch, LaneConstantNetwork)
+        assert len(lanes_on) == len(blocks) // 2 > 0
+
+    def _blocks_in_order(self, monkeypatch, network):
         width, stride, total = 8, 2, 500
         aggregate = PowerSeries(0, 6, np.zeros(total))
         blocks = slid_origins(monkeypatch)
-        disaggregate(ConstantNetwork(1.0, width, 2048.0), aggregate, spec_for(width),
+        disaggregate(network(1.0, width, 2048.0), aggregate, spec_for(width),
                      DisaggConfig(stride=stride), 100.0)
         assert [len(b) for b in blocks[:-1]] == [SLIDE_BATCH] * (len(blocks) - 1)
         assert 0 < len(blocks[-1]) <= SLIDE_BATCH
         np.testing.assert_array_equal(np.concatenate(blocks),
                                       np.arange(-width, total + 1, stride))
+        return blocks
 
     def test_standardization_matches_training(self):
         width = 8
@@ -484,6 +519,97 @@ def test_disaggregate_memory_is_bounded_by_a_block_not_the_windows():
         DisaggConfig(stride=stride), 100.0))
     assert stack_bytes > 50e6
     assert peak < stack_bytes / 4
+
+
+def test_disaggregate_memory_is_bounded_with_the_lanes_on(lanes_on):
+    # The same run with two blocks in the lanes at once: they fit inside
+    # the same quarter of the window stack.
+    width, stride, total = 512, 16, 200_000
+    aggregate = PowerSeries(0, 6, np.ones(total))
+    stack_bytes = 8 * width * ((total + width) // stride + 1)
+    peak = traced_peak(lambda: disaggregate(
+        LaneConstantNetwork(100.0, width, 2048.0), aggregate, spec_for(width),
+        DisaggConfig(stride=stride), 100.0))
+    blocks = -(-((total + width) // stride + 1) // SLIDE_BATCH)
+    assert len(lanes_on) == blocks // 2
+    assert peak < stack_bytes / 4
+
+
+def small_net(kind, width=16):
+    """A float32 `kind` network of the CLI's stack at `width`."""
+    return architectures.build_network(kind, width, np.random.default_rng(7))
+
+
+def lanes_estimate(network, width, windows, stride=3):
+    """(estimate values, probability) of `disaggregate` over an aggregate
+    that gives exactly `windows` windows at `stride`."""
+    total = (windows - 1) * stride - width
+    aggregate = PowerSeries(0, 6, np.random.default_rng(9).uniform(0, 3000, size=total))
+    estimate = disaggregate(network, aggregate, spec_for(width, max_power=2400.0),
+                            DisaggConfig(stride=stride, probability_threshold=0.3), 300.0)
+    assert len(estimate.series) == total
+    return estimate.series.values, estimate.probability
+
+
+@pytest.mark.parametrize("kind", ["dae", "rectangles"])
+@pytest.mark.parametrize("windows, blocks", [(40, 1), (128, 2), (150, 3), (256, 4)],
+                         ids=["1-partial", "2", "3-partial", "4"])
+def test_block_pairs_in_the_lanes_bitwise(monkeypatch, lane_jobs, kind, windows, blocks):
+    width = 16
+    network = small_net(kind, width)
+    assert network.dtype == np.float32 and not network.runs_own_lanes
+    monkeypatch.setattr(blas, "threads", lambda: 2)
+    off_values, off_probability = lanes_estimate(network, width, windows)
+    assert not lane_jobs
+    monkeypatch.setattr(blas, "threads", lambda: 1)
+    monkeypatch.setattr(layers, "LANE_MIN_WORK", 0)
+    slid = worker_slides(monkeypatch)
+    on_values, on_probability = lanes_estimate(network, width, windows)
+    assert -(-windows // SLIDE_BATCH) == blocks
+    assert len(slid) == len(lane_jobs) == blocks // 2
+    np.testing.assert_array_equal(on_values, off_values)
+    if kind == "dae":
+        assert on_probability is None and off_probability is None
+    else:
+        np.testing.assert_array_equal(on_probability, off_probability)
+
+
+class TestBlockPairGate:
+    """Block pairs go to the lane worker only where the one lane gate
+    opens and the network runs no lanes of its own."""
+
+    def test_paper_width_net_meets_the_gate(self, monkeypatch, lane_jobs):
+        monkeypatch.setattr(blas, "threads", lambda: 1)
+        slid = worker_slides(monkeypatch)
+        network = small_net("dae", 128)
+        assert SLIDE_BATCH * network.parameter_count() >= layers.LANE_MIN_WORK
+        lanes_estimate(network, 128, 256, stride=16)
+        assert len(slid) == 2
+
+    @pytest.mark.parametrize("threads", [2, None], ids=["two-blas-threads", "unknown"])
+    def test_no_pair_jobs_without_one_blas_thread(self, monkeypatch, lane_jobs, threads):
+        monkeypatch.setattr(blas, "threads", lambda: threads)
+        monkeypatch.setattr(layers, "LANE_MIN_WORK", 0)
+        slid = worker_slides(monkeypatch)
+        lanes_estimate(small_net("rectangles"), 16, 256)
+        assert not slid and not lane_jobs
+
+    def test_no_pair_jobs_for_a_net_with_lanes_of_its_own(self, monkeypatch, lanes_on):
+        slid = worker_slides(monkeypatch)
+        network = architectures.build_lstm(16, np.random.default_rng(3), conv_filters=4,
+                                           lstm_units=(6, 8), dense_units=5)
+        assert network.runs_own_lanes
+        lanes_estimate(network, 16, 256)
+        assert not slid
+        assert lanes_on  # the Bidirectional layers' own reverse halves
+
+    def test_no_pair_jobs_below_the_work_gate(self, monkeypatch, lane_jobs):
+        monkeypatch.setattr(blas, "threads", lambda: 1)
+        slid = worker_slides(monkeypatch)
+        network = small_net("dae")
+        assert SLIDE_BATCH * network.parameter_count() < layers.LANE_MIN_WORK
+        lanes_estimate(network, 16, 256)
+        assert not slid and not lane_jobs
 
 
 def test_lstm_block_memory_at_paper_width():

@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,13 @@ class TestFillGaps:
     def test_unequal_lengths_rejected(self):
         with pytest.raises(DataError, match="equal length"):
             fill_gaps([0, 6], [1], sample_period=6)
+
+    @pytest.mark.parametrize("last", [1e300, 6.0 * 2**60], ids=["far", "at-the-limit"])
+    def test_span_beyond_an_index_rejected_before_any_cast(self, last):
+        # A cast warning would fail this test: RuntimeWarnings are errors here.
+        with pytest.raises(DataError, match=re.escape(f"timestamps 0.0 to {last} need a grid")
+                           + r" of .* slots of 6 s, more than an index holds"):
+            fill_gaps([0, last], [1, 2], sample_period=6)
 
 
 def reference_load_csv(path, sample_period=6, max_forward_fill=180.0):
