@@ -27,11 +27,11 @@ from . import timeseries as ts
 from .config import ApplianceConfig, ExperimentConfig, load_config
 from .errors import ConfigError, DataError, DimensionError, NumericError, UsageError
 from .nn import NesterovSGD, load_checkpoint, save_checkpoint
-from .util import canonical_json, channel_slug, rng_for
+from .util import canonical_json, channel_slug, is_number, rng_for
 
 BASELINE_ALGOS = ("co", "fhmm")
 ALGORITHMS = architectures.KINDS + BASELINE_ALGOS
-MANIFEST_KEYS = ("window_width", "seed", "max_power", "input_std")  # checked by inference
+MANIFEST_KEYS = ("window_width", "max_power", "input_std")  # read by inference
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 def make_parser() -> _Parser:
     parser = _Parser(prog="disagg", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", required=True, help="experiment config JSON")
@@ -63,9 +63,9 @@ def make_parser() -> _Parser:
     p = sub.add_parser("disaggregate", help="estimate appliance power from an aggregate")
     common(p)
     p.add_argument("--appliance", required=True)
-    p.add_argument("--kind", choices=architectures.KINDS, default=None,
-                   help="trained architecture to use")
-    p.add_argument("--baseline", choices=BASELINE_ALGOS, default=None)
+    algo = p.add_mutually_exclusive_group(required=True)
+    algo.add_argument("--kind", choices=architectures.KINDS, help="trained architecture to use")
+    algo.add_argument("--baseline", choices=BASELINE_ALGOS)
     p.add_argument("--house", type=int, default=None, help="test house (default: first)")
 
     p = sub.add_parser("evaluate", help="score estimates against ground truth")
@@ -99,8 +99,6 @@ def main(argv=None) -> int:
 
 def run(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    if not args.command:
-        raise UsageError("no command given (try --help)")
     cfg = load_config(args.config)
     if args.command == "extract":
         cmd_extract(cfg)
@@ -192,27 +190,21 @@ def _read_json_object(path: Path, what: str, keys) -> dict:
     return payload
 
 
-def _is_finite_number(value) -> bool:
-    """A JSON number that is finite as a float (NaN fails the comparison)."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _stored_activation(entry, house: int) -> ts.Activation | None:
     """The activation of one store entry, or None unless its source_offset
     is a non-negative integer and its values a list of finite numbers."""
     if not isinstance(entry, dict):
         return None
     offset, values = entry.get("source_offset"), entry.get("values")
-    if not (type(offset) is int and offset >= 0  # bool is an int subclass
+    if not (is_number(offset, integer=True) and offset >= 0
             and isinstance(values, list) and set(map(type, values)) <= {int, float}):
         return None
     try:
         array = np.array(values, dtype=np.float64)
     except OverflowError:  # an int beyond the float range
         return None
-    # An int just above the largest float converts to it, so the values
-    # at that magnitude (and NaN) are checked one by one.
-    if not ((np.abs(array) < sys.float_info.max).all() or all(map(_is_finite_number, values))):
+    # An int just above the largest float rounds to it: those (and NaN) go one by one.
+    if not ((np.abs(array) < sys.float_info.max).all() or all(map(is_number, values))):
         return None
     return ts.Activation(source_offset=offset, values=array, house=house)
 
@@ -233,6 +225,8 @@ def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
     if acts is None or None in acts:
         raise DataError(f"{path}: every activation needs a source_offset and values "
                         "(a non-negative integer and a list of finite numbers)")
+    if not is_number(payload["series_start_time"]):
+        raise DataError(f"{path}: series_start_time must be a finite number")
     return acts, payload["series_start_time"]
 
 
@@ -399,8 +393,6 @@ def _test_house(app: ApplianceConfig, house: int | None) -> int:
 def cmd_disaggregate(cfg: ExperimentConfig, appliance: str, kind: str | None = None,
                      baseline: str | None = None, house: int | None = None):
     app = cfg.appliance(appliance)
-    if (kind is None) == (baseline is None):
-        raise UsageError("pass exactly one of --kind or --baseline")
     house = _test_house(app, house)
     aggregate = _load_channel(cfg, house, "aggregate")
     algo = baseline if baseline else kind
@@ -433,10 +425,9 @@ def cmd_disaggregate(cfg: ExperimentConfig, appliance: str, kind: str | None = N
     print(f"wrote estimate for {appliance}/{algo} house {house} -> {est_path}")
 
 
-def _checkpoint_manifest(path: Path, meta: dict) -> dict:
-    """The training manifest in a checkpoint header's meta; a DataError
-    unless it is a JSON object with every key inference reads and a
-    non-negative integer width and seed."""
+def _checkpoint_manifest(path: Path, meta: dict):
+    """(training manifest, window spec) of a checkpoint header's meta; a DataError
+    naming `path` unless the manifest is a JSON object holding a `WindowSpec`."""
     manifest = meta.get("manifest")
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: not a JSON manifest: the checkpoint header's manifest "
@@ -444,10 +435,10 @@ def _checkpoint_manifest(path: Path, meta: dict) -> dict:
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise DataError(f"{path}: manifest lacks {', '.join(missing)}")
-    for key in ("window_width", "seed"):
-        if type(manifest[key]) is not int or manifest[key] < 0:  # bool is an int subclass
-            raise DataError(f"{path}: manifest {key} must be a non-negative integer")
-    return manifest
+    try:
+        return manifest, datagen.WindowSpec(**{key: manifest[key] for key in MANIFEST_KEYS})
+    except DataError as exc:
+        raise DataError(f"{path}: manifest {exc}") from None
 
 
 def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
@@ -457,15 +448,13 @@ def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
     if not ckpt_path.exists():
         raise DataError(f"missing checkpoint {ckpt_path} for {appliance}/{kind}; train first")
     params, meta = load_checkpoint(ckpt_path)
-    manifest = _checkpoint_manifest(ckpt_path, meta)
+    manifest, spec = _checkpoint_manifest(ckpt_path, meta)
     for name, value in params.items():
         if value.dtype != architectures.NETWORK_DTYPE:
             raise DataError(f"{ckpt_path}: tensor {name!r} is {value.dtype}, not "
                             f"{np.dtype(architectures.NETWORK_DTYPE)}; retrain")
 
-    spec = datagen.WindowSpec(manifest["window_width"], manifest["max_power"],
-                              manifest["input_std"])
-    network = architectures.build_network(kind, manifest["window_width"], params)
+    network = architectures.build_network(kind, spec.window_width, params)
     estimate = sliding.disaggregate(network, aggregate, spec, cfg.disagg,
                                     app.activation_params.on_power_threshold)
     return estimate, manifest
@@ -562,7 +551,7 @@ def _read_evaluation(path: Path) -> dict:
     appliance, a house and every metric of each algorithm as a finite number."""
     payload = _read_json_object(path, "evaluation file", ("appliance", "house", "algorithms"))
     if not isinstance(payload["algorithms"], dict) or not all(
-            isinstance(scores, dict) and all(_is_finite_number(scores.get(name))
+            isinstance(scores, dict) and all(is_number(scores.get(name))
                                              for name in metrics.MetricsReport.METRIC_NAMES)
             for scores in payload["algorithms"].values()):
         raise DataError(f"{path}: every algorithm needs each metric as a number, and a finite one")

@@ -15,6 +15,7 @@ from .architectures import BATCH_SIZES, KINDS, UPDATE_BUDGETS, DEFAULT_LEARNING_
 from .errors import ConfigError, DataError
 from .sliding import DisaggConfig
 from .timeseries import DEFAULT_MAX_FORWARD_FILL, DEFAULT_SAMPLE_PERIOD, ActivationParams
+from .util import is_number
 
 CONFIG_VERSION = 1
 
@@ -231,9 +232,7 @@ def _checked(key: str, value, kind, minimum=0):
         if len(set(houses)) < len(houses):
             raise ConfigError(f"{key} must list each house once, got {value!r}")
         return houses
-    # type(), not isinstance(): bool is an int subclass.
-    if type(value) not in ((int,) if kind is int else (int, float)) \
-            or (type(value) is float and not math.isfinite(value)) or value < minimum:
+    if not is_number(value, kind is int) or value < minimum:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {noun} >= {minimum}, got {value!r}")
     return value

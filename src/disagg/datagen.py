@@ -14,8 +14,6 @@ inverse for inference, are methods of `WindowSpec`.
 from __future__ import annotations
 
 import bisect
-import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,6 +22,7 @@ import numpy as np
 
 from .errors import DataError
 from .timeseries import Activation, PowerSeries
+from .util import is_number
 
 PREFETCH_DEPTH = 2  # batches a producer thread may prepare ahead of training
 
@@ -37,13 +36,12 @@ class WindowSpec:
     input_std: float
 
     def __post_init__(self):
-        # Inference reads these from a checkpoint's manifest: refuse nulls,
-        # strings, booleans and JSON's Infinity too.
+        # Inference reads these from a checkpoint's manifest.
         for name in ("window_width", "max_power", "input_std"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value) and value > 0):
-                raise DataError(f"{name} must be positive and finite, got {value!r}")
+            value, integer = getattr(self, name), name == "window_width"
+            if not (is_number(value, integer) and value > 0):
+                raise DataError(f"{name} must be positive and "
+                                f"{'an integer' if integer else 'finite'}, got {value!r}")
 
     def standardize(self, windows) -> np.ndarray:
         """Centre each window (the last axis) on its own mean, divide by the input std."""

@@ -13,12 +13,13 @@ parameters and metadata always produce identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
 
 from ..errors import DataError
-from ..util import canonical_json
+from ..util import canonical_json, is_number
 
 FORMAT_TAG = "disagg-checkpoint-v2"
 DTYPES = ("<f4", "<f8")
@@ -67,7 +68,10 @@ def load_checkpoint(path):
             name, lo, nbytes, shape, dtype = _tensor_entry(path, entry)
             if lo + nbytes > body_size:
                 raise DataError(f"{path}: truncated checkpoint (tensor {name!r})")
-            arr = np.empty(shape, dtype)
+            try:
+                arr = np.empty(shape, dtype)
+            except ValueError:  # a zero dimension beside ones no array holds
+                raise DataError(f"{path}: tensor {name!r} has shape {shape}") from None
             f.seek(body_start + lo)
             f.readinto(arr.reshape(-1).view(np.uint8))
             params[name] = arr
@@ -82,8 +86,8 @@ def _tensor_entry(path, entry):
     except (KeyError, TypeError):
         raise DataError(f"{path}: malformed tensor entry {entry!r}") from None
     if not (isinstance(name, str) and isinstance(shape, list) and dtype in DTYPES
-            and all(type(v) is int and v >= 0 for v in [lo, nbytes, *shape])):
+            and all(is_number(v, integer=True) and v >= 0 for v in [lo, nbytes, *shape])):
         raise DataError(f"{path}: malformed tensor entry {entry!r}")
-    if np.dtype(dtype).itemsize * int(np.prod(shape, dtype=np.int64)) != nbytes:
+    if math.prod(shape) * np.dtype(dtype).itemsize != nbytes:  # exact, never wraps
         raise DataError(f"{path}: tensor {name!r} has shape {shape} but {nbytes} bytes")
     return name, lo, nbytes, shape, dtype

@@ -59,8 +59,8 @@ class Network:
 
     def forward(self, x):
         """Pure forward pass; safe to call concurrently on frozen params."""
-        y = np.asarray(x, dtype=self.dtype)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # also over the input's cast
+            y = np.asarray(x, dtype=self.dtype)
             for layer in self.layers:
                 y = layer.forward(y)
                 _check_finite(y, layer.name, "forward")
@@ -68,9 +68,9 @@ class Network:
 
     def loss_and_gradients(self, x, target):
         """MSE loss (mean over batch and elements) and parameter gradients."""
-        y = np.asarray(x, dtype=self.dtype)
         caches = []
         with np.errstate(over="ignore", invalid="ignore"):
+            y = np.asarray(x, dtype=self.dtype)
             for layer in self.layers:
                 y, cache = layer.forward_cached(y)
                 _check_finite(y, layer.name, "forward")

@@ -29,6 +29,7 @@ from .datagen import WindowSpec
 from .errors import ConfigError
 from .nn.layers import in_lanes
 from .timeseries import PowerSeries
+from .util import is_number
 
 SLIDE_BATCH = 64  # windows per network call
 
@@ -45,10 +46,10 @@ class DisaggConfig:
     probability_threshold: float = 0.5
 
     def __post_init__(self):
-        if type(self.stride) is not int or self.stride < 1:  # bool is an int subclass
+        if not is_number(self.stride, integer=True) or self.stride < 1:
             raise ConfigError(f"stride must be an integer >= 1, got {self.stride!r}")
         threshold = self.probability_threshold
-        if type(threshold) not in (int, float) or not 0.0 <= threshold <= 1.0:
+        if not is_number(threshold) or not 0.0 <= threshold <= 1.0:
             raise ConfigError(f"probability_threshold must lie in [0, 1], got {threshold!r}")
 
 

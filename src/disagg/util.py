@@ -1,7 +1,8 @@
-"""Small shared helpers: seeded RNG derivation, stable JSON, file names."""
+"""Small shared helpers: seeded RNGs, stable JSON, the number rule, file names."""
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -21,6 +22,13 @@ def rng_for(seed: int, *labels) -> np.random.Generator:
 def canonical_json(obj) -> str:
     """Serialize with sorted keys and fixed separators so bytes are stable."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def is_number(value, integer=False) -> bool:
+    """Whether a JSON value is an int (only an int if `integer`) or a float, finite
+    as a float: a bool, NaN, ±Infinity or an int beyond the float range is not."""
+    return (type(value) is not bool and isinstance(value, int if integer else (int, float))
+            and abs(value) <= sys.float_info.max)  # False for NaN; exact for any int
 
 
 def channel_slug(name: str) -> str:

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import traced_peak
 from disagg import architectures, blas, cli, sliding
@@ -22,7 +25,7 @@ from disagg.metrics import MetricsReport
 from disagg.nn import Network, layers, load_checkpoint, save_checkpoint
 from disagg.synthworld import DESK_APPLIANCES, write_world
 from disagg.timeseries import CSV_WRITE_CHUNK, PowerSeries
-from disagg.util import canonical_json
+from disagg.util import canonical_json, is_number
 
 
 # Each command, with the arguments it requires besides --config.
@@ -76,6 +79,38 @@ def world_config(tmp_path, length=700, seed=11, window=24, budget=4, batch=8,
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
+
+
+FLOAT_MAX = int(sys.float_info.max)  # exactly
+
+
+class TestIsNumber:
+    """The one rule for a number read from a file: finite as a float."""
+
+    JSON_VALUES = st.one_of(
+        st.none(), st.booleans(), st.integers(-10**400, 10**400),
+        st.integers(FLOAT_MAX - 2**972, FLOAT_MAX + 2**972),  # the edge of the float range
+        st.floats(), st.text())
+
+    @given(JSON_VALUES, st.booleans())
+    def test_agrees_with_a_float_conversion(self, value, integer):
+        try:
+            finite = (type(value) in ((int,) if integer else (int, float))
+                      and math.isfinite(float(value)))
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        # An int just above the largest float rounds down to it, yet lies beyond it.
+        beyond = type(value) is int and abs(value) > FLOAT_MAX
+        assert is_number(value, integer) is (finite and not beyond)
+
+    @pytest.mark.parametrize("value, expected", [
+        (FLOAT_MAX, True), (-FLOAT_MAX, True), (FLOAT_MAX + 1, False), (sys.float_info.max, True),
+        (0, True), (-0.0, True), (True, False), (float("nan"), False), (float("-inf"), False),
+        ("1", False), (None, False),
+    ], ids=["int-max", "int-min", "int-above-max", "float-max", "zero", "minus-zero", "bool",
+            "nan", "minus-inf", "text", "null"])
+    def test_edges(self, value, expected):
+        assert is_number(value) is expected
 
 
 class TestConfig:
@@ -137,6 +172,9 @@ class TestConfig:
         ("dae", "learning_rate", None),
         ("disagg", "stride", "16"), ("disagg", "stride", 0),
         ("disagg", "probability_threshold", 1.5),
+        pytest.param("appliance", "max_power", 10**400, id="appliance-max_power-10**400"),
+        pytest.param("top", "max_forward_fill", 10**400, id="top-max_forward_fill-10**400"),
+        pytest.param("dae", "learning_rate", 10**400, id="dae-learning_rate-10**400"),
     ])
     def test_wrong_value_rejected_naming_its_key(self, tmp_path, section, key, value):
         (tmp_path / "data").mkdir()
@@ -158,6 +196,27 @@ class TestConfig:
         path.write_text(json.dumps(raw))
         assert main(["extract", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["default", "W-error"])
+    @pytest.mark.parametrize("section, key", [("appliance", "max_power"),
+                                              ("top", "max_forward_fill"),
+                                              ("dae", "learning_rate")])
+    def test_integer_beyond_float_range_exits_1(self, tmp_path, section, key,
+                                                warnings_as_errors):
+        path = world_config(tmp_path)
+        raw = json.loads(path.read_text())
+        target = {"top": raw, "appliance": raw["appliances"][0],
+                  "dae": raw["architectures"]["dae"]}[section]
+        target[key] = 10**400
+        path.write_text(json.dumps(raw))
+        flags = ["-W", "error"] if warnings_as_errors else []
+        child = subprocess.run(
+            [sys.executable, *flags, "-m", "disagg.cli", "extract", "--config", str(path)],
+            env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert child.returncode == 1, child.stderr
+        assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+        assert key in child.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["train_houses", "test_houses"])
     def test_house_listed_twice_exits_1(self, tmp_path, capsys, key):
@@ -738,7 +797,7 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert f"{ckpt}: not a JSON manifest" in err and "retrain" in err
 
-    @pytest.mark.parametrize("key", ["window_width", "seed", "max_power", "input_std"])
+    @pytest.mark.parametrize("key", ["window_width", "max_power", "input_std"])
     def test_manifest_without_key_exits_2(self, tmp_path, capsys, key):
         def drop(manifest):
             del manifest[key]
@@ -748,10 +807,8 @@ class TestCliPipeline:
         assert code == 2 and f"manifest lacks {key}" in err
 
     @pytest.mark.parametrize("key, value, match", [
-        ("window_width", None, "window_width must be a non-negative integer"),
-        ("window_width", 24.5, "window_width must be a non-negative integer"),
-        ("seed", "7", "seed must be a non-negative integer"),
-        ("seed", -1, "seed must be a non-negative integer"),
+        ("window_width", None, "window_width must be positive and an integer"),
+        ("window_width", 24.5, "window_width must be positive and an integer"),
         ("input_std", float("inf"), "input_std must be positive"),
         ("max_power", True, "max_power must be positive"),
     ])
@@ -761,7 +818,16 @@ class TestCliPipeline:
             return manifest
 
         code, err = self._disaggregate_with_manifest(tmp_path, capsys, replace)
-        assert code == 2 and match in err
+        ckpt = tmp_path / "out" / "models" / "kettle_dae.ckpt"
+        assert code == 2 and f"data error: {ckpt}: manifest {match}" in err
+
+    def test_manifest_seed_is_not_read(self, tmp_path, capsys):
+        def drop_seed(manifest):
+            del manifest["seed"]
+            return manifest
+
+        code, err = self._disaggregate_with_manifest(tmp_path, capsys, drop_seed)
+        assert code == 0, err
 
     def _train_with_store(self, tmp_path, capsys, edit, appliance="kettle"):
         """Exit status and stderr of `train --appliance kettle` after `edit`
@@ -797,6 +863,14 @@ class TestCliPipeline:
         code, err, store = self._train_with_store(
             tmp_path, capsys, self._edit_store(lambda payload: payload.pop(key)))
         assert code == 2 and f"activation store lacks {key}" in err and str(store) in err
+
+    @pytest.mark.parametrize("value", ["x", None, float("nan")])
+    def test_store_start_time_not_a_number_exits_2(self, tmp_path, capsys, value):
+        code, err, store = self._train_with_store(
+            tmp_path, capsys,
+            self._edit_store(lambda payload: payload.update(series_start_time=value)))
+        assert code == 2
+        assert err == f"data error: {store}: series_start_time must be a finite number\n"
 
     @pytest.mark.parametrize("key", ["source_offset", "values"])
     def test_store_activation_without_key_exits_2(self, tmp_path, capsys, key):
@@ -872,6 +946,46 @@ class TestCliPipeline:
             env=cli_env(), capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
 
+    @pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["default", "W-error"])
+    def test_aggregate_sample_beyond_float32_exits_3(self, tmp_path, warnings_as_errors):
+        # 1e300 W has no float32 value: the float32 net's input cast gives
+        # Infinity, which the finite checks report, with no cast warning.
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        assert main(["train", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "dae"]) == 0
+        aggregate = tmp_path / "data" / "house_2" / "aggregate.csv"
+        lines = aggregate.read_text().splitlines(keepends=True)
+        lines[10] = lines[10].split(",")[0] + ",1e300\n"
+        aggregate.write_text("".join(lines))
+        flags = ["-W", "error"] if warnings_as_errors else []
+        child = subprocess.run(
+            [sys.executable, *flags, "-m", "disagg.cli", "disaggregate", "--config", str(path),
+             "--appliance", "kettle", "--kind", "dae"],
+            env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert child.returncode == 3, child.stderr
+        assert re.fullmatch(r"numeric failure: non-finite values after forward of layer "
+                            r"'\w+'\n", child.stderr), child.stderr
+        assert not (tmp_path / "out" / "estimates").exists()
+
+    @pytest.mark.parametrize("shape, nbytes", [([10**30], 4 * 10**30), ([2**62, 4], 0),
+                                               ([10**30, 0], 0)],
+                             ids=["beyond-int64", "wraps-int64", "empty-beyond-int64"])
+    def test_checkpoint_dimension_beyond_int64_exits_2(self, tmp_path, capsys, shape, nbytes):
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        main(["train", "--config", str(path), "--appliance", "kettle", "--kind", "dae"])
+        ckpt = tmp_path / "out" / "models" / "kettle_dae.ckpt"
+        header_line, body = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["tensors"][0].update(shape=shape, nbytes=nbytes)
+        ckpt.write_bytes(canonical_json(header).encode() + body)
+        capsys.readouterr()
+        assert main(["disaggregate", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "dae"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {ckpt}: ") and err.count("\n") == 1
+
     def test_non_finite_second_block_of_a_pair_exits_3(self, tmp_path, capsys, monkeypatch,
                                                        lane_jobs):
         # The net's output is non-finite in the second of the two blocks of
@@ -942,6 +1056,15 @@ class TestCliPipeline:
         path = world_config(tmp_path)
         assert main(["disaggregate", "--config", str(path), "--appliance", "kettle",
                      "--kind", "dae", "--baseline", "co"]) == 1
+
+    def test_no_command_is_a_usage_error(self, capsys):
+        assert main([]) == 1
+        assert "the following arguments are required: command" in capsys.readouterr().err
+
+    def test_neither_baseline_nor_kind_is_a_usage_error(self, tmp_path, capsys):
+        path = world_config(tmp_path)
+        assert main(["disaggregate", "--config", str(path), "--appliance", "kettle"]) == 1
+        assert "one of the arguments --kind --baseline is required" in capsys.readouterr().err
 
     @staticmethod
     def _two_train_houses(tmp_path) -> Path:

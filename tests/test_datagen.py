@@ -61,12 +61,18 @@ def synth_pair(library, target_class, spec, rng):
 
 class TestWindowSpec:
     @pytest.mark.parametrize("value", [0, -1.0, float("nan"), None, "500", True,
-                                       float("inf"), float("-inf")])
+                                       float("inf"), float("-inf"),
+                                       pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("name", ["window_width", "max_power", "input_std"])
     def test_rejects_what_is_not_a_positive_number(self, name, value):
         fields = {"window_width": 128, "max_power": 2400.0, "input_std": 500.0, name: value}
         with pytest.raises(DataError, match=f"{name} must be positive"):
             WindowSpec(**fields)
+
+    @pytest.mark.parametrize("value", [24.5, 128.0])
+    def test_window_width_must_be_an_integer(self, value):
+        with pytest.raises(DataError, match="window_width must be positive and an integer"):
+            WindowSpec(value, 2400.0, 500.0)
 
 
 class TestStandardize:

@@ -1170,9 +1170,18 @@ class TestNetwork:
         (lambda h: h["tensors"][0].update(dtype=">f8"), "malformed tensor entry"),
         (lambda h: h["tensors"][0].update(dtype="float32"), "malformed tensor entry"),
         (lambda h: h["tensors"][0].pop("dtype"), "malformed tensor entry"),
+        (lambda h: h["tensors"][0].update(shape=[10**30], nbytes=8 * 10**30),
+         "truncated checkpoint"),
+        (lambda h: h["tensors"][0].update(shape=[10**30], nbytes=128), "has shape"),
+        (lambda h: h["tensors"][0].update(shape=[2**62, 4], nbytes=0), "has shape"),
+        (lambda h: h["tensors"][0].update(shape=[10**30, 0], nbytes=0), "has shape"),
+        (lambda h: h["tensors"][0].update(shape=[4, 10**400], nbytes=0),
+         "malformed tensor entry"),
+        (lambda h: h["tensors"][0].update(shape=[4.0, 4]), "malformed tensor entry"),
     ], ids=["shape-vs-nbytes", "no-tensors", "no-offset", "no-shape", "negative-offset",
             "past-end", "huge-shape", "half-precision", "big-endian", "dtype-name",
-            "no-dtype"])
+            "no-dtype", "beyond-int64", "beyond-int64-vs-nbytes", "wraps-int64",
+            "empty-beyond-int64", "beyond-float", "float-dimension"])
     def test_malformed_header_is_data_error(self, tmp_path, corrupt, match):
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, {"w": np.arange(16.0).reshape(4, 4)})
@@ -1180,8 +1189,9 @@ class TestNetwork:
         header = json.loads(header_line)
         corrupt(header)
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        with pytest.raises(DataError, match=match):
+        with pytest.raises(DataError, match=match) as raised:
             load_checkpoint(path)
+        assert str(raised.value).startswith(f"{path}: ")
 
 
 MIB = 1 << 20
