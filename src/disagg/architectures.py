@@ -124,8 +124,8 @@ def build_lstm(window_width: int, init=None, conv_filters: int = 16,
     u1, u2 = lstm_units
     layers = [
         Reshape("to_channels", (window_width, 1)),
-        Conv1D("conv", 1, conv_filters, filter_size=4, stride=1, border="same",
-               activation="linear", init=_part(init, "conv/"), dtype=dtype),
+        Conv1D("conv", 1, conv_filters, filter_size=4, border="same", init=_part(init, "conv/"),
+               dtype=dtype),
         _bidirectional("bilstm1", conv_filters, u1, init, dtype),
         _bidirectional("bilstm2", 2 * u1, u2, init, dtype),
         Dense("dense", 2 * u2, dense_units, activation="tanh", init=_part(init, "dense/"),
@@ -146,8 +146,8 @@ def build_dae(window_width: int, init=None, conv_filters: int = 8,
     hidden = (window_width - 3) * conv_filters
     layers = [
         Reshape("to_channels", (window_width, 1)),
-        Conv1D("encoder_conv", 1, conv_filters, filter_size=4, stride=1, border="valid",
-               activation="linear", init=_part(init, "encoder_conv/"), dtype=dtype),
+        Conv1D("encoder_conv", 1, conv_filters, filter_size=4, border="valid",
+               init=_part(init, "encoder_conv/"), dtype=dtype),
         Reshape("flatten", (hidden,)),
         Dense("encoder_dense", hidden, hidden, activation="relu",
               init=_part(init, "encoder_dense/"), dtype=dtype),
@@ -156,8 +156,8 @@ def build_dae(window_width: int, init=None, conv_filters: int = 8,
         Dense("decoder_dense", code_units, hidden, activation="relu",
               init=_part(init, "decoder_dense/"), dtype=dtype),
         Reshape("unflatten", (window_width - 3, conv_filters)),
-        Conv1D("decoder_conv", conv_filters, 1, filter_size=4, stride=1, border="valid",
-               activation="linear", init=_part(init, "decoder_conv/"), dtype=dtype),
+        Conv1D("decoder_conv", conv_filters, 1, filter_size=4, border="valid",
+               init=_part(init, "decoder_conv/"), dtype=dtype),
         Reshape("to_sequence", (window_width - 6,)),
     ]
     return _network(layers, init, output_kind="sequence", output_offset=3)
@@ -173,10 +173,10 @@ def build_rectangles(window_width: int, init=None, conv_filters: int = 16,
     width = (window_width - 6) * conv_filters
     layers = [
         Reshape("to_channels", (window_width, 1)),
-        Conv1D("conv1", 1, conv_filters, filter_size=4, stride=1, border="valid",
-               activation="linear", init=_part(init, "conv1/"), dtype=dtype),
-        Conv1D("conv2", conv_filters, conv_filters, filter_size=4, stride=1, border="valid",
-               activation="linear", init=_part(init, "conv2/"), dtype=dtype),
+        Conv1D("conv1", 1, conv_filters, filter_size=4, border="valid",
+               init=_part(init, "conv1/"), dtype=dtype),
+        Conv1D("conv2", conv_filters, conv_filters, filter_size=4, border="valid",
+               init=_part(init, "conv2/"), dtype=dtype),
         Reshape("flatten", (width,)),
     ]
     for idx, units in enumerate(dense_units, start=1):

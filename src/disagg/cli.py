@@ -252,7 +252,9 @@ def _model_base(cfg: ExperimentConfig, appliance: str, kind: str) -> Path:
 
 
 def _train_houses(cfg: ExperimentConfig, appliance: str, stores: dict):
-    """(aggregate, target activations on the aggregate's grid) of every train house."""
+    """(aggregate, target activations on the aggregate's grid) of every train house.
+    An activation off that grid is dropped, as a channel may outlast the
+    aggregate, but a store with none on it is a DataError."""
     houses = []
     for house in cfg.appliance(appliance).train_houses:
         aggregate = _load_channel(cfg, house, "aggregate")
@@ -264,6 +266,10 @@ def _train_houses(cfg: ExperimentConfig, appliance: str, stores: dict):
             offset = a.source_offset + shift
             if 0 <= offset and offset + len(a) <= len(aggregate):
                 house_acts.append(ts.Activation(offset, a.values, house=house))
+        if acts and not house_acts:
+            raise DataError(f"{_store_path(cfg, appliance, house)}: none of its {len(acts)} "
+                            f"activations lies on the aggregate (series_start_time "
+                            f"{channel_start!r}, aggregate start {aggregate.start_time!r})")
         houses.append((aggregate, house_acts))
     return houses
 
@@ -548,8 +554,11 @@ def cmd_evaluate(cfg: ExperimentConfig, appliance: str, algorithms=None,
 
 def _read_evaluation(path: Path) -> dict:
     """An evaluation file; a DataError unless it is a JSON object with an
-    appliance, a house and every metric of each algorithm as a finite number."""
+    appliance (a string), a house (an integer) and every metric of each
+    algorithm as a finite number."""
     payload = _read_json_object(path, "evaluation file", ("appliance", "house", "algorithms"))
+    if not (isinstance(payload["appliance"], str) and is_number(payload["house"], integer=True)):
+        raise DataError(f"{path}: appliance must be a string and house an integer")
     if not isinstance(payload["algorithms"], dict) or not all(
             isinstance(scores, dict) and all(is_number(scores.get(name))
                                              for name in metrics.MetricsReport.METRIC_NAMES)

@@ -249,22 +249,12 @@ class RealWindowSource:
             start = min(a0, total - width)
         raw_input = self.aggregate.values[start : start + width]
 
-        raw_target = np.zeros(width)
-        first = self.index.first_complete(start)
-        if first is not None:
-            raw_target[first.source_offset - start : first.source_offset - start + len(first)] = \
-                first.values
-            placed = first
-        else:
-            # Only reachable when the chosen activation overflows the window.
-            span = min(width, a0 + alen - start) - max(0, a0 - start)
-            rel = max(0, a0 - start)
-            src = max(0, start - a0)
-            raw_target[rel : rel + span] = chosen.values[src : src + span]
+        placed = self.index.first_complete(start)
+        if placed is None:  # only when the chosen activation overflows the window
             placed = chosen
         placement = Placement(self.appliance_id, placed.house, placed.source_offset - start,
                               placed.values, is_target=True)
-        return raw_input, raw_target, (placement,)
+        return raw_input, placement.contribution(width), (placement,)
 
 
 @dataclass

@@ -187,29 +187,24 @@ class Dense:
 
 
 class Conv1D:
-    """1D convolution over the time axis (cross-correlation, no kernel flip).
+    """1D convolution over the time axis (cross-correlation, no kernel flip),
+    stride 1 and linear, as in the paper's nets.
 
     Input (batch, time, in_channels) -> (batch, out_time, filters).
-    Border mode `valid` shortens the output; `same` (stride 1 only) pads
-    filter_size-1 zeros split left/right, with the extra zero on the
-    right when the total is odd.
+    Border mode `valid` shortens the output; `same` pads filter_size-1
+    zeros split left/right, with the extra zero on the right when the
+    total is odd.
     """
 
-    def __init__(self, name, in_channels, num_filters, filter_size, stride=1,
-                 border="valid", activation="linear", init=None, dtype=np.float64):
+    def __init__(self, name, in_channels, num_filters, filter_size, border="valid", init=None,
+                 dtype=np.float64):
         if border not in ("valid", "same"):
             raise DimensionError(f"{name}: unknown border mode {border!r}")
-        if border == "same" and stride != 1:
-            raise DimensionError(f"{name}: border 'same' requires stride 1")
-        if activation not in ACTIVATIONS:
-            raise DimensionError(f"{name}: unsupported activation {activation!r}")
         self.name = name
         self.in_channels = in_channels
         self.num_filters = num_filters
         self.filter_size = filter_size
-        self.stride = stride
         self.border = border
-        self.activation = activation
         self.params = _init_params(name, init, {
             "weights": ((filter_size, in_channels, num_filters),
                         glorot_uniform(filter_size * in_channels, num_filters)),
@@ -217,9 +212,8 @@ class Conv1D:
         }, dtype)
 
     def describe(self):
-        return {"type": "conv1d", "filter_size": self.filter_size, "stride": self.stride,
-                "filters": self.num_filters, "border": self.border,
-                "activation": self.activation}
+        return {"type": "conv1d", "filter_size": self.filter_size, "stride": 1,
+                "filters": self.num_filters, "border": self.border, "activation": "linear"}
 
     def _pads(self):
         if self.border == "valid":
@@ -241,29 +235,25 @@ class Conv1D:
             raise DimensionError(
                 f"{self.name}: input length {x.shape[1]} shorter than filter "
                 f"{self.filter_size}")
-        # windows[b, t, c, j] = x_pad[b, t*stride + j, c]
+        # windows[b, t, c, j] = x_pad[b, t + j, c]
         windows = np.lib.stride_tricks.sliding_window_view(x_pad, self.filter_size, axis=1)
-        windows = windows[:, :: self.stride]
-        z = np.einsum("btcj,jcf->btf", windows, self.params["weights"], optimize=True)
-        z += self.params["bias"]
-        y = _apply_activation(self.activation, z)
-        return y, (x.shape, windows, z, y)
+        y = np.einsum("btcj,jcf->btf", windows, self.params["weights"], optimize=True)
+        y += self.params["bias"]
+        return y, (x.shape, windows)
 
     def backward(self, dy, cache):
-        x_shape, windows, z, y = cache
-        dz = _activation_grad(self.activation, z, y, dy)
+        x_shape, windows = cache
         grads = {
-            "weights": np.einsum("btcj,btf->jcf", windows, dz, optimize=True),
-            "bias": dz.sum(axis=(0, 1)),
+            "weights": np.einsum("btcj,btf->jcf", windows, dy, optimize=True),
+            "bias": dy.sum(axis=(0, 1)),
         }
         left, right = self._pads()
         batch, time, _ = x_shape
-        out_len = dz.shape[1]
-        dx_pad = np.zeros((batch, time + left + right, self.in_channels), dz.dtype)
+        out_len = dy.shape[1]
+        dx_pad = np.zeros((batch, time + left + right, self.in_channels), dy.dtype)
         weights = self.params["weights"]
         for j in range(self.filter_size):
-            # output step t consumed x_pad[t*stride + j]
-            dx_pad[:, j : j + out_len * self.stride : self.stride] += dz @ weights[j].T
+            dx_pad[:, j : j + out_len] += dy @ weights[j].T  # output step t consumed x_pad[t + j]
         dx = dx_pad[:, left : left + time] if (left or right) else dx_pad
         return dx, grads
 

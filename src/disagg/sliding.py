@@ -195,8 +195,7 @@ def disaggregate(network, aggregate: PowerSeries, spec: WindowSpec,
 
     Each block goes straight into the running sums, so memory holds the
     sums (a few arrays of the series' length) and one block of windows,
-    or two where a pair of blocks runs in the lanes.  A network that does
-    not state `runs_own_lanes` runs its blocks one after the other.
+    or two where a pair of blocks runs in the lanes.
     """
     width = spec.window_width
     if config.stride > width:
@@ -209,7 +208,7 @@ def disaggregate(network, aggregate: PowerSeries, spec: WindowSpec,
     else:
         sums = MeanSums(total, network.output_offset)
         combine = combine_mean
-    step = SLIDE_BATCH if getattr(network, "runs_own_lanes", True) else 2 * SLIDE_BATCH
+    step = SLIDE_BATCH if network.runs_own_lanes else 2 * SLIDE_BATCH
     for lo in range(0, len(origins), step):
         first = origins[lo : lo + SLIDE_BATCH]
         second = origins[lo + SLIDE_BATCH : lo + step]

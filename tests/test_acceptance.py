@@ -56,9 +56,8 @@ class TestCriterion1Gradients:
             layer = Dense("d", 6, 5, activation, rng)
             layer.params["bias"][:] = rng.normal(scale=0.1, size=5)
             layer_check(layer, rng.normal(size=(3, 6)))
-        for border, stride in (("valid", 1), ("valid", 2), ("same", 1)):
-            layer = Conv1D("c", 3, 4, filter_size=4, stride=stride, border=border,
-                           activation="tanh", init=rng)
+        for border in ("valid", "same"):
+            layer = Conv1D("c", 3, 4, filter_size=4, border=border, init=rng)
             layer.params["bias"][:] = rng.normal(scale=0.1, size=4)
             layer_check(layer, rng.normal(size=(2, 10, 3)))
         layer_check(LSTM("l", 3, 5, init=rng), rng.normal(size=(2, 8, 3)))

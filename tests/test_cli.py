@@ -591,7 +591,14 @@ class TestCliPipeline:
         (json.dumps({"appliance": "kettle", "house": 2, "algorithms": {
             "dae": dict.fromkeys(MetricsReport.METRIC_NAMES, 0.5) | {"recall": float("inf")}}}),
          "each metric as a number, and a finite one"),
-    ], ids=["truncated", "no-algorithms", "missing-metric", "nan-metric", "infinite-metric"])
+        (json.dumps({"appliance": None, "house": 2, "algorithms": {
+            "co": dict.fromkeys(MetricsReport.METRIC_NAMES, 1.0)}}),
+         "appliance must be a string and house an integer"),
+        (json.dumps({"appliance": "kettle", "house": {"a": [1, 2]}, "algorithms": {
+            "co": dict.fromkeys(MetricsReport.METRIC_NAMES, 1.0)}}),
+         "appliance must be a string and house an integer"),
+    ], ids=["truncated", "no-algorithms", "missing-metric", "nan-metric", "infinite-metric",
+            "null-appliance", "object-house"])
     def test_report_malformed_evaluation_exits_2(self, tmp_path, capsys, text, message):
         path = world_config(tmp_path)
         evaluation = tmp_path / "out" / "evaluation" / "metrics_kettle_house2.json"
@@ -871,6 +878,14 @@ class TestCliPipeline:
             self._edit_store(lambda payload: payload.update(series_start_time=value)))
         assert code == 2
         assert err == f"data error: {store}: series_start_time must be a finite number\n"
+
+    def test_store_off_the_aggregate_exits_2(self, tmp_path, capsys):
+        code, err, store = self._train_with_store(
+            tmp_path, capsys,
+            self._edit_store(lambda payload: payload.update(series_start_time=1e20)))
+        assert code == 2 and str(store) in err
+        assert "activations lies on the aggregate (series_start_time 1e+20" in err
+        assert not list((tmp_path / "out" / "models").glob("*.ckpt"))
 
     @pytest.mark.parametrize("key", ["source_offset", "values"])
     def test_store_activation_without_key_exits_2(self, tmp_path, capsys, key):

@@ -21,6 +21,7 @@ class OracleNetwork:
 
     output_kind = "sequence"
     output_offset = 0
+    runs_own_lanes = True
 
     def __init__(self, target_values, width, stride, max_power):
         padded = np.concatenate([np.zeros(width), target_values, np.zeros(width)])
@@ -37,6 +38,7 @@ class OracleNetwork:
 class ConstantNetwork:
     output_kind = "sequence"
     output_offset = 0
+    runs_own_lanes = True
 
     def __init__(self, value, width, max_power):
         self.value = value / max_power
@@ -98,6 +100,7 @@ class TestSlide:
         class Probe:
             output_kind = "sequence"
             output_offset = 0
+            runs_own_lanes = True
 
             def forward(self, x):
                 seen.append(x.copy())
@@ -162,6 +165,7 @@ class TestSlide:
         class Probe:
             output_kind = "sequence"
             output_offset = 0
+            runs_own_lanes = True
 
             def forward(self, x):
                 captured.append(x.copy())
