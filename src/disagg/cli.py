@@ -13,9 +13,11 @@ Exit codes: 0 ok, 1 usage/config error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -133,28 +135,52 @@ def _load_channel(cfg: ExperimentConfig, house: int, channel: str) -> ts.PowerSe
     return ts.load_csv(path, cfg.sample_period, cfg.max_forward_fill)
 
 
+def _extraction_settings(cfg: ExperimentConfig, appliance: str) -> dict:
+    """The settings an appliance's stores are extracted with, each of which
+    a store records and `_load_store` checks."""
+    return {"sample_period": cfg.sample_period, "max_forward_fill": cfg.max_forward_fill,
+            **dataclasses.asdict(cfg.appliance(appliance).activation_params)}
+
+
 def cmd_extract(cfg: ExperimentConfig):
     """Extract and store activations for every (appliance, house) pair.
 
-    Every channel is read and extracted before the first store is
-    written, so a run that fails writes no store."""
-    extracted = {}  # (appliance, house) -> (channel start time, activations)
-    for name, app in cfg.appliances.items():
-        for house in app.train_houses + app.test_houses:
-            series = _load_channel(cfg, house, name)
-            extracted[name, house] = (series.start_time,
-                                      ts.extract_activations(series, app.activation_params))
-
-    counts = {pair: len(acts) for pair, (_, acts) in extracted.items()}
-    (cfg.out_dir / "activations").mkdir(parents=True, exist_ok=True)
-    while extracted:  # drops each pair's arrays once its store is written
-        (name, house), (start_time, acts) = extracted.popitem()
-        _write_store(_store_path(cfg, name, house), acts, {
-            "appliance": name,
-            "house": house,
-            "sample_period": cfg.sample_period,
-            "series_start_time": start_time,
-        })
+    One channel is held at a time: its activations are written to a
+    temporary file beside their store as soon as it is extracted.  The
+    temporary files replace the stores only once every channel has been
+    extracted, so a run that fails or is interrupted before then leaves
+    every store of an earlier run as it was.  A failed run leaves no
+    temporary file, nor a directory it made."""
+    store_dir = cfg.out_dir / "activations"
+    made = [d for d in (store_dir, *store_dir.parents) if not d.exists()]  # deepest first
+    pending = {}  # store -> its temporary file
+    counts = {}
+    try:
+        store_dir.mkdir(parents=True, exist_ok=True)
+        for name, app in cfg.appliances.items():
+            for house in app.train_houses + app.test_houses:
+                series = _load_channel(cfg, house, name)
+                acts = ts.extract_activations(series, app.activation_params)
+                store = _store_path(cfg, name, house)
+                pending[store] = store.with_name(store.name + ".tmp")
+                _write_store(pending[store], acts, {
+                    "appliance": name,
+                    "house": house,
+                    "series_start_time": series.start_time,
+                    **_extraction_settings(cfg, name),
+                })
+                counts[name, house] = len(acts)
+                del series, acts  # before the next channel is read
+        for store, temporary in pending.items():
+            os.replace(temporary, store)
+    except BaseException:
+        for temporary in pending.values():
+            with contextlib.suppress(OSError):  # not written yet
+                temporary.unlink()
+        for directory in made:
+            with contextlib.suppress(OSError):  # not made yet, or holds another's file
+                directory.rmdir()
+        raise
 
     names = list(cfg.appliances)  # column order = config appliance order
     print("house," + ",".join(channel_slug(n) for n in names))
@@ -214,11 +240,14 @@ def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
     path = _store_path(cfg, appliance, house)
     if not path.exists():
         raise DataError(f"missing activation store {path}; run `disagg extract` first")
+    settings = _extraction_settings(cfg, appliance)
     payload = _read_json_object(path, "activation store",
-                                ("activations", "series_start_time", "sample_period"))
-    if payload["sample_period"] != cfg.sample_period:
-        raise DataError(f"{path}: extracted at {payload['sample_period']!r} s, but the config's "
-                        f"sample_period is {cfg.sample_period} s; run `disagg extract` again")
+                                ("activations", "series_start_time", *settings))
+    for key, value in settings.items():
+        if not (is_number(payload[key]) and payload[key] == value):
+            unit = "W" if "power" in key else "s"  # max_power, on_power_threshold
+            raise DataError(f"{path}: extracted at {payload[key]!r} {unit}, but the config's "
+                            f"{key} is {value} {unit}; run `disagg extract` again")
     acts = None
     if isinstance(payload["activations"], list):
         acts = [_stored_activation(entry, house) for entry in payload["activations"]]
@@ -243,6 +272,12 @@ def _library(cfg: ExperimentConfig, stores: dict) -> dict:
     order; every configured appliance is a key."""
     return {name: tuple(a for house in app.train_houses for a in stores[name, house][0])
             for name, app in cfg.appliances.items()}
+
+
+def _no_activations(cfg: ExperimentConfig, appliance: str) -> DataError:
+    stores = ", ".join(str(_store_path(cfg, appliance, house))
+                       for house in cfg.appliance(appliance).train_houses)
+    return DataError(f"no training activations for {appliance!r} in {stores}")
 
 
 # -- train ----------------------------------------------------------------
@@ -279,8 +314,11 @@ def cmd_train(cfg: ExperimentConfig, appliance: str, kind: str):
     arch = cfg.architectures[kind]
 
     stores = _train_stores(cfg)
+    library = _library(cfg, stores)
+    if not library[appliance]:
+        raise _no_activations(cfg, appliance)
     real, synth, spec = datagen.training_sources(
-        _train_houses(cfg, appliance, stores), _library(cfg, stores), appliance,
+        _train_houses(cfg, appliance, stores), library, appliance,
         app.window_width, app.activation_params.max_power, cfg.std_sample_count,
         rng_for(cfg.seed, "std", appliance, kind))
 
@@ -472,7 +510,7 @@ def _run_baseline(cfg: ExperimentConfig, appliance: str, algo: str, aggregate):
     for name, app in cfg.appliances.items():
         acts = library[name]
         if not acts:
-            raise DataError(f"no training activations for {name!r}; run extract first")
+            raise _no_activations(cfg, name)
         models.append(baselines.fit_states(acts, app.state_count, appliance_id=name))
     model_dicts = [m.to_dict() for m in models]
     models_dir = cfg.out_dir / "baselines"

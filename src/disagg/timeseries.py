@@ -22,6 +22,7 @@ from .errors import DataError
 DEFAULT_SAMPLE_PERIOD = 6
 DEFAULT_MAX_FORWARD_FILL = 180.0
 CSV_WRITE_CHUNK = 4096  # rows formatted per write
+FILL_BLOCK = 4096  # rows snapped and filled at a time
 # Slots beyond which a grid is refused unallocated: the byte offsets of
 # its arrays of 8-byte elements would not fit an index (intp).
 MAX_SLOTS = np.iinfo(np.intp).max // 8
@@ -123,18 +124,22 @@ def read_rows(path, extra_columns: bool = False) -> np.ndarray:
     Values must be finite, watts non-negative and timestamps strictly
     increasing.  Any other input raises DataError, which names the first
     bad line whenever a row fails those checks.
+
+    After the header is sniffed, `np.loadtxt` is handed the path, not an
+    open file: given a path, NumPy's C reader parses the text in chunks
+    instead of taking it one Python line string at a time.
     """
-    with open(path) as f:
-        try:  # a ValueError here includes bytes that are not UTF-8
-            if not _is_header(next(csv.reader([f.readline()]), [])):
-                f.seek(0)
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(f, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                                  usecols=(0, 1) if extra_columns else None)
-        except ValueError as exc:
-            raise DataError(_first_bad_line(path, extra_columns)
-                            or f"{path}: unreadable CSV ({exc})") from None
+    try:  # a ValueError here includes bytes that are not UTF-8
+        with open(path) as f:
+            header = _is_header(next(csv.reader([f.readline()]), []))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                              usecols=(0, 1) if extra_columns else None,
+                              skiprows=int(header))
+    except ValueError as exc:
+        raise DataError(_first_bad_line(path, extra_columns)
+                        or f"{path}: unreadable CSV ({exc})") from None
     if not rows.size:
         return np.empty((0, 2))
     if (rows.shape[1] == 2 and np.isfinite(rows).all() and (rows[:, 1] >= 0).all()
@@ -319,6 +324,9 @@ def fill_gaps(timestamps, values, sample_period: int,
     gaps are read as the meter being off and filled with zeros.  The
     result covers every slot from the first to the last timestamp; a span
     of more than MAX_SLOTS slots is a DataError.
+
+    The grid is filled FILL_BLOCK rows at a time, so apart from the inputs
+    and the result only one block's arrays are held.
     """
     timestamps = np.asarray(timestamps, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -334,22 +342,24 @@ def fill_gaps(timestamps, values, sample_period: int,
     if not span < MAX_SLOTS:
         raise DataError(f"timestamps {start} to {timestamps[-1]} need a grid of {span + 1:.4g} "
                         f"slots of {sample_period} s, more than an index holds")
-    slots = np.rint((timestamps - start) / sample_period).astype(np.int64)
-    # Slots never decrease, so the last pair of each run of equal slots
-    # is the last pair to land on that slot.
-    last = np.append(slots[:-1] != slots[1:], True)
-    slots, values = slots[last], values[last]
-    # Each slot is owned by the last sample at or before it; a sample
-    # followed by a gap longer than max_forward_fill hands zeros to the
-    # slots it owns (meter assumed off).
-    owner = np.zeros(int(slots[-1]) + 1, dtype=np.intp)
-    owner[slots] = np.arange(len(slots))
-    np.maximum.accumulate(owner, out=owner)
-    filled = (np.diff(slots) - 1) * sample_period <= max_forward_fill
-    carried = values.copy()
-    carried[:-1][~filled] = 0.0
-    out = carried[owner]
-    out[slots] = values
+    out = np.empty(int(span) + 1)
+    for lo in range(0, timestamps.size, FILL_BLOCK):
+        hi = min(lo + FILL_BLOCK, timestamps.size)
+        # The slots of the block's rows and of the row after it; the last
+        # row's run is its own slot.
+        slots = np.rint((timestamps[lo : hi + 1] - start) / sample_period).astype(np.int64)
+        if hi == timestamps.size:
+            slots = np.append(slots, slots[-1] + 1)
+        # A row's run is its own slot and the missing slots after it; a row
+        # whose successor lands on its slot has none, so the last pair to
+        # land on a slot is kept.
+        counts = np.diff(slots)
+        # A run of more than max_forward_fill seconds of missing slots
+        # reads zero (meter assumed off), but the row's own slot keeps it.
+        filled = np.where((counts - 1) * sample_period <= max_forward_fill, values[lo:hi], 0.0)
+        out[slots[0] : slots[-1]] = np.repeat(filled, counts)
+        owned = counts > 0
+        out[slots[:-1][owned]] = values[lo:hi][owned]
     return PowerSeries(start_time=float(start), sample_period=sample_period, values=out)
 
 

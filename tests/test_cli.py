@@ -328,6 +328,7 @@ class TestCliPipeline:
     def test_extract_store_bytes_match_canonical_json(self, tmp_path):
         # The store is written one activation at a time; its bytes are those
         # of `canonical_json` of the whole store, also with no activation.
+        # It records every setting the activations were extracted with.
         path = world_config(tmp_path)
         (tmp_path / "data" / "house_2" / "kettle.csv").write_text("timestamp,watts\n")
         assert main(["extract", "--config", str(path)]) == 0
@@ -338,6 +339,8 @@ class TestCliPipeline:
                 acts = ts.extract_activations(series, app.activation_params)
                 payload = {"appliance": name, "house": house,
                            "sample_period": cfg.sample_period,
+                           "max_forward_fill": cfg.max_forward_fill,
+                           **dataclasses.asdict(app.activation_params),
                            "series_start_time": series.start_time,
                            "activations": [{"source_offset": a.source_offset,
                                             "values": a.values.tolist()} for a in acts]}
@@ -372,6 +375,60 @@ class TestCliPipeline:
         assert main(["extract", "--config", str(path)]) == 2
         assert str(channel) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_failed_extract_keeps_the_earlier_stores(self, tmp_path, capsys):
+        # Five stores of the second run are written under temporary names
+        # before its last channel fails; none replaces a store of the first.
+        path = world_config(tmp_path)
+        assert main(["extract", "--config", str(path)]) == 0
+        stores = tmp_path / "out" / "activations"
+        before = {store.name: store.read_bytes() for store in stores.iterdir()}
+        assert len(before) == 6
+        for name in ("kettle", "microwave"):  # channels that now give other stores
+            channel = tmp_path / "data" / "house_1" / f"{name}.csv"
+            channel.write_text("timestamp,watts\n")
+        channel = tmp_path / "data" / "house_2" / "fridge.csv"
+        channel.unlink()
+        channel.mkdir()
+        capsys.readouterr()
+        assert main(["extract", "--config", str(path)]) == 2
+        assert str(channel) in capsys.readouterr().err
+        assert {store.name: store.read_bytes() for store in stores.iterdir()} == before
+
+    def test_interrupted_extract_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = world_config(tmp_path)
+        extract_activations = ts.extract_activations
+        calls = []
+
+        def interrupted(series, params):
+            calls.append(params)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return extract_activations(series, params)
+
+        monkeypatch.setattr(ts, "extract_activations", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["extract", "--config", str(path)])
+        assert len(calls) == 4
+        assert not (tmp_path / "out").exists()
+
+    def test_extract_holds_one_channel_at_a_time(self, tmp_path, capsys):
+        # Three houses of three appliances: nine channels, whose activations
+        # together outweigh any one channel's read and extraction.
+        path = world_config(tmp_path, length=10_000)
+        write_world(tmp_path / "data", houses=(3,), length=10_000, seed=11)
+        raw = json.loads(path.read_text())
+        for entry in raw["appliances"]:
+            entry["train_houses"] = [1, 3]
+        path.write_text(json.dumps(raw))
+        cfg = load_config(path)
+        one_channel = max(
+            traced_peak(lambda: ts.extract_activations(cli._load_channel(cfg, house, name),
+                                                       app.activation_params))
+            for name, app in cfg.appliances.items() for house in (1, 2, 3))
+        peak = traced_peak(lambda: main(["extract", "--config", str(path)]))
+        assert capsys.readouterr().out.count("\n") == 4
+        assert peak < 1.25 * one_channel, (peak, one_channel)
 
     def test_extract_non_utf8_channel_exits_2(self, tmp_path, capsys):
         path = world_config(tmp_path)
@@ -946,6 +1003,44 @@ class TestCliPipeline:
         store = tmp_path / "out" / "activations" / "kettle_house1.json"
         assert str(store) in err and "extracted at 6 s" in err
         assert "sample_period is 30 s" in err and "run `disagg extract` again" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("on_power_threshold", 1100), ("min_on_duration", 18), ("min_off_duration", 6),
+        ("max_power", 2500), ("max_forward_fill", 60),
+    ])
+    def test_store_of_other_extraction_settings_exits_2(self, tmp_path, capsys, key, value):
+        path = world_config(tmp_path)
+        main(["extract", "--config", str(path)])
+        raw = json.loads(path.read_text())
+        if key == "max_forward_fill":
+            raw[key] = value
+        else:
+            raw["appliances"][0][key] = value
+        path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "dae"]) == 2
+        err = capsys.readouterr().err
+        store = tmp_path / "out" / "activations" / "kettle_house1.json"
+        assert str(store) in err and f"the config's {key} is {float(value)}" in err
+        assert "run `disagg extract` again" in err
+        assert not (tmp_path / "out" / "models").exists()
+
+    def test_train_without_activations_of_its_appliance_exits_2(self, tmp_path, capsys):
+        # A threshold above the kettle's 2,000 W leaves every store without
+        # a kettle activation.
+        path = world_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["appliances"][0]["on_power_threshold"] = 2300
+        path.write_text(json.dumps(raw))
+        assert main(["extract", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["1,0,7,7", "2,0,7,9"]
+        assert main(["train", "--config", str(path), "--appliance", "kettle",
+                     "--kind", "dae"]) == 2
+        store = tmp_path / "out" / "activations" / "kettle_house1.json"
+        assert capsys.readouterr().err == (
+            f"data error: no training activations for 'kettle' in {store}\n")
+        assert not (tmp_path / "out" / "models").exists()
 
     def test_lstm_disaggregate_leaves_no_foreground_thread(self, tmp_path):
         # Bidirectional layers run a worker thread; it must not keep the

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
+from disagg import timeseries
 from disagg.errors import DataError
 from disagg.synthworld import DESK_APPLIANCES, make_household, write_world
-from disagg.timeseries import (CSV_WRITE_CHUNK, ActivationParams, PowerSeries,
+from disagg.timeseries import (CSV_WRITE_CHUNK, FILL_BLOCK, ActivationParams, PowerSeries,
                                extract_activations, fill_gaps, load_csv, read_rows,
                                write_rows)
 from disagg.util import channel_slug
@@ -154,7 +155,13 @@ def reference_load_csv(path, sample_period=6, max_forward_fill=180.0):
                                 f"({t} follows {timestamps[-1]})")
             timestamps.append(t)
             values.append(w)
-    if not timestamps:
+    return reference_snap_and_fill(timestamps, values, sample_period, max_forward_fill)
+
+
+def reference_snap_and_fill(timestamps, values, sample_period, max_forward_fill=180.0):
+    """A dict for grid collisions, then the gap loop: the oracle for
+    `fill_gaps` of rows whose timestamps may share a slot."""
+    if not len(timestamps):
         return PowerSeries(start_time=0.0, sample_period=sample_period, values=np.empty(0))
     start = timestamps[0]
     slots = np.rint((np.asarray(timestamps) - start) / sample_period).astype(np.int64)
@@ -252,11 +259,25 @@ class TestLoadCsvOracle:
         "", "timestamp,watts\n", "timestamp,watts\n\n\n", "\n", "TimeStamp , watts\n0,1\n",
         "timestamp\n0,1\n", '"0","5"\r\n"6","7"\r\n', "0,1\r\n\r\n12,2", "0, 1 \n 6 ,2\n",
         "0,1e3\n6,.5\n12,5.\n18,+5\n",
+        # A quoted field over two lines is one row; the header is skipped
+        # before a file without its last newline; CRLF with blank lines.
+        'timestamp,watts\n0,"1\n"\n6,2\n', "timestamp,watts\n0,1\n6,2",
+        "timestamp,watts\r\n\r\n0,1\r\n\r\n\r\n6,2\r\n\r\n",
     ])
     def test_edge_files(self, tmp_path, text):
         path = tmp_path / "channel.csv"
         path.write_bytes(text.encode())
         assert_same_series(load_csv(path), reference_load_csv(path))
+
+
+class TestLoadCsvOracleInSmallBlocks(TestLoadCsvOracle):
+    """The oracle cases again with blocks of 1, 2 and 3 rows, which put
+    block edges between rows that share a slot and inside gaps: at the
+    real block size these cases never cross an edge."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3], ids=lambda block: f"block{block}")
+    def small_block(self, request, monkeypatch):
+        monkeypatch.setattr(timeseries, "FILL_BLOCK", request.param)
 
 
 class TestLoadCsvRejections:
@@ -294,6 +315,14 @@ class TestLoadCsvRejections:
             load_csv(path)
         assert str(exc.value) == f"{path}: {message}"
 
+    def test_byte_order_mark_before_the_header_is_a_bad_row(self, tmp_path):
+        path = tmp_path / "channel.csv"
+        path.write_text("\ufefftimestamp,watts\n0,1\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == (f"{path}: malformed row at line 1: could not convert "
+                                  "string to float: '\\ufefftimestamp'")
+
     def test_header_after_blank_line_is_a_bad_row(self, tmp_path):
         path = tmp_path / "channel.csv"
         path.write_text("\ntimestamp,watts\n0,1\n")
@@ -308,8 +337,8 @@ class TestLoadCsvRejections:
 
 
 def test_load_csv_peak_memory_per_row(tmp_path):
-    # Rows, slots, the kept pairs, the slot owners and the output: at 20M
-    # rows every byte per row is 20 MB.
+    # The parsed rows (16 B) and the grid (8 B), with one block of the
+    # fill: at 20M rows every byte per row is 20 MB.
     rows = 200_000
     path = tmp_path / "channel.csv"
     watts = np.random.default_rng(0).uniform(0, 3000, rows)
@@ -323,7 +352,7 @@ def test_load_csv_peak_memory_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(series) == rows
-    assert peak / rows <= 72, f"load_csv peaked at {peak / rows:.1f} B per row"
+    assert peak / rows <= 32, f"load_csv peaked at {peak / rows:.1f} B per row"
 
 
 class TestReadRows:
@@ -502,6 +531,37 @@ def test_fill_gaps_matches_gap_loop(case):
     timestamps, values, period, fill = case
     assert_same_series(fill_gaps(timestamps, values, period, fill),
                        reference_fill_gaps(timestamps, values, period, fill))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@settings(max_examples=300, deadline=None)
+@given(case=gappy_series())
+def test_fill_gaps_in_small_blocks_matches_gap_loop(block, case):
+    timestamps, values, period, fill = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timeseries, "FILL_BLOCK", block)
+        got = fill_gaps(timestamps, values, period, fill)
+    assert_same_series(got, reference_fill_gaps(timestamps, values, period, fill))
+
+
+@pytest.mark.parametrize("rows", [FILL_BLOCK - 1, FILL_BLOCK, FILL_BLOCK + 1, 2 * FILL_BLOCK + 3],
+                         ids=["B-1", "B", "B+1", "2B+3"])
+@pytest.mark.parametrize("step", [2, 186, 192, 600],
+                         ids=["shared-slot", "filled-gap", "zeroed-gap", "long-gap"])
+@pytest.mark.parametrize("start", [0.0, 1.4e9])
+def test_fill_gaps_across_block_edges(rows, step, start):
+    # On a 6 s grid a step of 2 s lands on the slot before or the slot of
+    # the next row, 186 s leaves a gap of 180 s (filled) and 192 s one of
+    # 186 s (zeroed).  Such steps go to the rows on each side of every
+    # block edge and to the last rows.
+    steps = np.full(rows, 6.0)
+    steps[0] = 0.0
+    for edge in [*range(FILL_BLOCK, rows, FILL_BLOCK), rows]:
+        steps[edge - 2 : edge + 2] = step
+    timestamps = start + np.cumsum(steps)
+    values = np.random.default_rng(rows + step).uniform(0, 3000, rows)
+    assert_same_series(fill_gaps(timestamps, values, 6),
+                       reference_snap_and_fill(timestamps.tolist(), values.tolist(), 6))
 
 
 class TestExtractActivations:
