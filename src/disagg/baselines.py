@@ -22,7 +22,7 @@ from .timeseries import PowerSeries
 CO_MAX_COMBINATIONS = 1_000_000
 CO_BLOCK = 1 << 18  # elements per residual block (samples x combinations)
 FHMM_MAX_JOINT_STATES = 4096
-EMISSION_BLOCK = 4096  # FHMM timesteps per emission and backpointer block
+EMISSION_BLOCK = 512  # FHMM timesteps per emission and backpointer block
 EMISSION_STD_FLOOR = 10.0
 
 
@@ -48,7 +48,7 @@ class ApplianceStateModel:
         object.__setattr__(self, "initial", np.asarray(self.initial, dtype=np.float64))
         object.__setattr__(self, "emission_std", np.asarray(self.emission_std, dtype=np.float64))
         k = len(powers)
-        if powers[0] != 0.0 or np.any(np.diff(powers) <= 0):
+        if not k or powers[0] != 0.0 or np.any(np.diff(powers) <= 0):
             raise DataError("state powers must start at 0 and increase")
         if self.transition.shape != (k, k) or np.any(np.abs(self.transition.sum(axis=1) - 1) > 1e-9):
             raise DataError("transition matrix must be row-stochastic")
@@ -71,13 +71,36 @@ class ApplianceStateModel:
         }
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The finite `values` sorted, each once: `np.unique`'s result, which
+    would import `numpy.ma` on its first call."""
+    ordered = np.sort(values)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
+def _quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`np.quantile(samples, q)` from the sorted samples, with the same
+    operations as its default "linear" method: virtual index (n - 1) * q,
+    then the lerp from the lower neighbour below a fraction of 0.5 and
+    back from the upper one at and above it."""
+    virtual = (len(ordered) - 1) * q
+    lower = np.floor(virtual).astype(np.intp)
+    lower[virtual >= len(ordered) - 1] = -1  # the largest sample, as upper
+    upper = np.where(lower < 0, -1, lower + 1)
+    gamma = virtual - lower
+    below, above = ordered[lower], ordered[upper]
+    step = above - below
+    return np.where(gamma >= 0.5, above - step * (1 - gamma), below + step * gamma)
+
+
 def _kmeans_1d(samples: np.ndarray, k: int, iterations: int = 100) -> np.ndarray:
     """Plain Lloyd iteration on sorted 1-D data with quantile init.
 
     Deterministic; drops clusters that come up empty.
     """
-    centroids = np.quantile(samples, (np.arange(k) + 0.5) / k)
-    centroids = np.unique(centroids)
+    centroids = _distinct(_quantiles(np.sort(samples), (np.arange(k) + 0.5) / k))
     for _ in range(iterations):
         assignment = np.argmin(np.abs(samples[:, None] - centroids[None, :]), axis=1)
         new = []
@@ -85,7 +108,7 @@ def _kmeans_1d(samples: np.ndarray, k: int, iterations: int = 100) -> np.ndarray
             members = samples[assignment == j]
             if members.size:
                 new.append(members.mean())
-        new = np.unique(new)
+        new = _distinct(np.array(new))
         if len(new) == len(centroids) and np.allclose(new, centroids):
             break
         centroids = new
@@ -110,7 +133,7 @@ def fit_states(activations, k: int, appliance_id: str = "appliance") -> Applianc
     if pooled.size == 0:
         raise DataError("activations contain no positive samples")
 
-    distinct = np.unique(pooled)
+    distinct = _distinct(pooled)
     wanted = k - 1
     if distinct.size < wanted:
         warnings.warn(
@@ -245,18 +268,20 @@ def _viterbi(log_init, log_trans, emission):
     contiguous rows and keeps the first maximum, as over the columns of
     log_trans.  Backpointers are stored in blocks of EMISSION_BLOCK steps,
     in the smallest unsigned dtype that holds every state index: uint8 up
-    to 256 states, uint16 up to FHMM_MAX_JOINT_STATES.
+    to 256 states, uint16 up to FHMM_MAX_JOINT_STATES.  The path is
+    returned in that dtype, and the traceback frees each block once it
+    has read it.
     """
     n_states = len(log_init)
+    dtype = np.min_scalar_type(n_states - 1)
     trans_t = np.ascontiguousarray(np.transpose(log_trans))
     scores = np.empty((n_states, n_states))
     states = np.arange(n_states)
     rows = iter(emission)
     first = next(rows, None)
     if first is None:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=dtype)
     delta = log_init + first
-    dtype = np.min_scalar_type(n_states - 1)
     blocks = []
     block = np.zeros((EMISSION_BLOCK, n_states), dtype=dtype)  # row 0: no predecessor
     filled = 1
@@ -272,12 +297,13 @@ def _viterbi(log_init, log_trans, emission):
         delta = scores[states, best]
         delta += row
     blocks.append(block[:filled])
+    del block
 
-    path = np.empty(sum(len(b) for b in blocks), dtype=np.int64)
+    t = sum(len(b) for b in blocks)
+    path = np.empty(t, dtype=dtype)
     state = np.argmax(delta)
-    t = len(path)
-    for block in reversed(blocks):
-        for pointers in block[::-1]:
+    while blocks:
+        for pointers in blocks.pop()[::-1]:
             t -= 1
             path[t] = state
             state = pointers[state]

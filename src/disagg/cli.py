@@ -142,22 +142,40 @@ def _extraction_settings(cfg: ExperimentConfig, appliance: str) -> dict:
             **dataclasses.asdict(cfg.appliance(appliance).activation_params)}
 
 
+def _models_path(cfg: ExperimentConfig) -> Path:
+    return cfg.out_dir / "baselines" / "models.json"
+
+
+def _model_settings(cfg: ExperimentConfig, appliance: str) -> dict:
+    """The settings an appliance's baseline state models are fitted with,
+    each of which `models.json` records and `_run_baseline` checks."""
+    app = cfg.appliance(appliance)
+    return {"state_count": app.state_count, "train_houses": list(app.train_houses),
+            **_extraction_settings(cfg, appliance)}
+
+
 def cmd_extract(cfg: ExperimentConfig):
-    """Extract and store activations for every (appliance, house) pair.
+    """Extract and store activations for every (appliance, house) pair, and
+    fit each appliance's baseline state models from its train houses'.
 
     One channel is held at a time: its activations are written to a
-    temporary file beside their store as soon as it is extracted.  The
-    temporary files replace the stores only once every channel has been
-    extracted, so a run that fails or is interrupted before then leaves
-    every store of an earlier run as it was.  A failed run leaves no
-    temporary file, nor a directory it made."""
+    temporary file beside their store as soon as it is extracted, and an
+    appliance's train-house activations are kept only until its models
+    are fitted.  The temporary files replace the stores and `models.json`
+    only once every channel has been extracted, so a run that fails or is
+    interrupted before then leaves every file of an earlier run as it
+    was.  A failed run leaves no temporary file, nor a directory it made."""
     store_dir = cfg.out_dir / "activations"
-    made = [d for d in (store_dir, *store_dir.parents) if not d.exists()]  # deepest first
-    pending = {}  # store -> its temporary file
+    models_path = _models_path(cfg)
+    made = [d for d in (models_path.parent, store_dir, *store_dir.parents)
+            if not d.exists()]  # deepest first
+    pending = {}  # artifact -> its temporary file
     counts = {}
+    models = {}
     try:
         store_dir.mkdir(parents=True, exist_ok=True)
         for name, app in cfg.appliances.items():
+            train_acts = []  # in `_library`'s order
             for house in app.train_houses + app.test_houses:
                 series = _load_channel(cfg, house, name)
                 acts = ts.extract_activations(series, app.activation_params)
@@ -170,9 +188,20 @@ def cmd_extract(cfg: ExperimentConfig):
                     **_extraction_settings(cfg, name),
                 })
                 counts[name, house] = len(acts)
+                if house in app.train_houses:
+                    train_acts += acts
+                if house == app.train_houses[-1]:
+                    model = (baselines.fit_states(train_acts, app.state_count, appliance_id=name)
+                             if train_acts else None)
+                    models[name] = {"model": model.to_dict() if model else None,
+                                    **_model_settings(cfg, name)}
+                    train_acts = None  # before the test houses are read
                 del series, acts  # before the next channel is read
-        for store, temporary in pending.items():
-            os.replace(temporary, store)
+        models_path.parent.mkdir(exist_ok=True)
+        pending[models_path] = models_path.with_name(models_path.name + ".tmp")
+        pending[models_path].write_text(canonical_json(models))
+        for artifact, temporary in pending.items():
+            os.replace(temporary, artifact)
     except BaseException:
         for temporary in pending.values():
             with contextlib.suppress(OSError):  # not written yet
@@ -208,6 +237,12 @@ def _read_json_object(path: Path, what: str, keys) -> dict:
         payload = json.loads(path.read_text())
     except ValueError as exc:  # also a file that is not UTF-8
         raise DataError(f"{path}: not a JSON {what}: {exc}") from None
+    return _json_object(path, what, payload, keys)
+
+
+def _json_object(path: Path, what: str, payload, keys) -> dict:
+    """`payload`, read from `path`; a DataError naming the file unless it is
+    an object with every one of `keys`."""
     if not isinstance(payload, dict):
         raise DataError(f"{path}: {what} is not a JSON object")
     missing = [key for key in keys if key not in payload]
@@ -235,6 +270,26 @@ def _stored_activation(entry, house: int) -> ts.Activation | None:
     return ts.Activation(source_offset=offset, values=array, house=house)
 
 
+def _same_setting(recorded, value) -> bool:
+    """Whether a setting read from a file is the config's `value`: an equal
+    number (`is_number`), or a list of such numbers where `value` is a list."""
+    if isinstance(value, list):
+        return (isinstance(recorded, list) and len(recorded) == len(value)
+                and all(map(_same_setting, recorded, value)))
+    return is_number(recorded) and recorded == value
+
+
+def _check_settings(source: str, payload: dict, settings: dict):
+    """A DataError naming `source`, the file `payload` was read from, and the
+    first of `settings` that it records with another value than the config's."""
+    for key, value in settings.items():
+        if not _same_setting(payload[key], value):
+            unit = (" W" if "power" in key  # max_power, on_power_threshold
+                    else "" if key in ("state_count", "train_houses") else " s")
+            raise DataError(f"{source}: extracted at {payload[key]!r}{unit}, but the config's "
+                            f"{key} is {value}{unit}; run `disagg extract` again")
+
+
 def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
     """Returns (activations, channel start time) for one store file."""
     path = _store_path(cfg, appliance, house)
@@ -243,11 +298,7 @@ def _load_store(cfg: ExperimentConfig, appliance: str, house: int):
     settings = _extraction_settings(cfg, appliance)
     payload = _read_json_object(path, "activation store",
                                 ("activations", "series_start_time", *settings))
-    for key, value in settings.items():
-        if not (is_number(payload[key]) and payload[key] == value):
-            unit = "W" if "power" in key else "s"  # max_power, on_power_threshold
-            raise DataError(f"{path}: extracted at {payload[key]!r} {unit}, but the config's "
-                            f"{key} is {value} {unit}; run `disagg extract` again")
+    _check_settings(str(path), payload, settings)
     acts = None
     if isinstance(payload["activations"], list):
         acts = [_stored_activation(entry, house) for entry in payload["activations"]]
@@ -504,18 +555,52 @@ def _run_network(cfg: ExperimentConfig, appliance: str, kind: str, aggregate):
     return estimate, manifest
 
 
-def _run_baseline(cfg: ExperimentConfig, appliance: str, algo: str, aggregate):
-    library = _library(cfg, _train_stores(cfg))
+def _stored_model(entry, appliance: str) -> baselines.ApplianceStateModel | None:
+    """The state model of one `models.json` entry, or None unless it is the
+    `to_dict` of a valid model of `appliance`, every array a list of numbers."""
+    depths = {"state_powers": 1, "transition": 2, "initial": 1, "emission_std": 1}
+
+    def numbers(value, depth):
+        return isinstance(value, list) and all(
+            numbers(v, depth - 1) if depth > 1 else is_number(v) for v in value)
+
+    if not (isinstance(entry, dict) and entry.get("appliance_id") == appliance
+            and all(numbers(entry.get(key), depth) for key, depth in depths.items())):
+        return None
+    try:
+        return baselines.ApplianceStateModel(appliance, *(entry[key] for key in depths))
+    except (DataError, ValueError):  # an invalid model; a ragged transition matrix
+        return None
+
+
+def _read_models(cfg: ExperimentConfig) -> list:
+    """The baseline state model of every configured appliance, in config
+    order, from the `models.json` that `extract` fitted them into."""
+    path = _models_path(cfg)
+    if not path.exists():
+        raise DataError(f"missing baseline models {path}; run `disagg extract` first")
+    payload = _read_json_object(path, "baseline models file", cfg.appliances)
     models = []
-    for name, app in cfg.appliances.items():
-        acts = library[name]
-        if not acts:
+    for name in cfg.appliances:
+        settings = _model_settings(cfg, name)
+        entry = _json_object(path, f"the entry of {name!r}", payload[name], ("model", *settings))
+        _check_settings(f"{path} ({name!r})", entry, settings)
+        if entry["model"] is None:
             raise _no_activations(cfg, name)
-        models.append(baselines.fit_states(acts, app.state_count, appliance_id=name))
+        model = _stored_model(entry["model"], name)
+        if model is None:
+            raise DataError(f"{path}: the model of {name!r} is not a valid state model; "
+                            "run `disagg extract` again")
+        models.append(model)
+    return models
+
+
+def _run_baseline(cfg: ExperimentConfig, appliance: str, algo: str, aggregate):
+    models = _read_models(cfg)
+    # The models the estimate is decoded with, as the benchmark's output
+    # check (`perfbench/run.py`) reads them.
     model_dicts = [m.to_dict() for m in models]
-    models_dir = cfg.out_dir / "baselines"
-    models_dir.mkdir(parents=True, exist_ok=True)
-    (models_dir / f"{algo}_models.json").write_text(canonical_json(model_dicts))
+    _models_path(cfg).with_name(f"{algo}_models.json").write_text(canonical_json(model_dicts))
 
     if algo == "co":
         estimates = baselines.co_disaggregate(aggregate, models)

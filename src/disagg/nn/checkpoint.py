@@ -12,6 +12,7 @@ parameters and metadata always produce identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -28,7 +29,10 @@ DTYPES = ("<f4", "<f8")
 def save_checkpoint(path, params: dict, meta: dict | None = None):
     """Write `params` and `meta` to `path`, each tensor's bytes as they are.
 
-    Every tensor must be little-endian float32 or float64.
+    Every tensor must be little-endian float32 or float64.  The file is
+    written as `<path>.tmp` and then renamed onto `path`, so a save that
+    fails or is stopped leaves an earlier file at `path` as it was, and no
+    temporary file.
     """
     names = sorted(params)
     arrays = [np.asarray(params[name]) for name in names]  # keeps a 0-d shape
@@ -42,10 +46,17 @@ def save_checkpoint(path, params: dict, meta: dict | None = None):
                         "offset": offset, "nbytes": arr.nbytes})
         offset += arr.nbytes
     header = {"format": FORMAT_TAG, "meta": meta or {}, "tensors": entries}
-    with open(path, "wb") as f:
-        f.write(canonical_json(header).encode())
-        for arr in arrays:
-            f.write(np.ascontiguousarray(arr).data)
+    temporary = f"{os.fspath(path)}.tmp"
+    try:
+        with open(temporary, "wb") as f:
+            f.write(canonical_json(header).encode())
+            for arr in arrays:
+                f.write(np.ascontiguousarray(arr).data)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # not made yet
+            os.unlink(temporary)
+        raise
 
 
 def load_checkpoint(path):

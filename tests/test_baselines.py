@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import traced_peak
 from disagg import baselines
@@ -9,6 +11,10 @@ from disagg.baselines import (ApplianceStateModel, co_disaggregate, fhmm_disaggr
                               fit_states, _viterbi)
 from disagg.errors import DataError
 from disagg.timeseries import Activation, PowerSeries
+
+
+# Sample powers as activations hold them, with repeats.
+POWERS = st.floats(0.001, 5000.0) | st.sampled_from([1.0, 2.0, 2000.0, 2000.5])
 
 
 def make_model(name, powers, transition=None, initial=None, stds=None):
@@ -73,6 +79,22 @@ class TestFitStates:
             for got, want in ((model.transition, transition), (model.initial, initial),
                               (model.emission_std, std)):
                 assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(POWERS, min_size=0, max_size=60))
+    def test_distinct_is_numpy_unique(self, values):
+        values = np.array(values, dtype=np.float64)
+        assert baselines._distinct(values).tobytes() == np.unique(values).tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(POWERS, min_size=1, max_size=60),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
+           | st.integers(1, 12).map(lambda k: list((np.arange(k) + 0.5) / k)))
+    def test_quantiles_are_numpy_quantile(self, samples, q):
+        # q as fit_states asks, (i + 0.5) / k, and any q in [0, 1].
+        samples, q = np.array(samples), np.array(q)
+        assert (baselines._quantiles(np.sort(samples), q).tobytes()
+                == np.quantile(samples, q).tobytes())
 
     def test_to_dict_lists_every_field(self):
         model = make_model("a", [0.0, 100.0])
@@ -384,8 +406,11 @@ def paper_models(rng):
     return models
 
 
-BLOCK_HORIZONS = [baselines.EMISSION_BLOCK - 1, baselines.EMISSION_BLOCK,
-                  baselines.EMISSION_BLOCK + 1, 2 * baselines.EMISSION_BLOCK + 3]
+# Each side of the first block edge and into a third block, then the same
+# at the eighth edge and into a seventeenth block.
+BLOCK = baselines.EMISSION_BLOCK
+BLOCK_HORIZONS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3,
+                  8 * BLOCK - 1, 8 * BLOCK, 8 * BLOCK + 1, 16 * BLOCK + 3]
 
 
 class TestBlockedDecode:
@@ -428,6 +453,25 @@ class TestBlockedDecode:
         for i, m in enumerate(models):
             np.testing.assert_array_equal(estimates[m.appliance_id].series.values,
                                           m.state_powers[combos[path, i]])
+
+    def test_decode_holds_little_beside_its_backpointers(self, rng):
+        # 100k samples and 72 joint states: the backpointers take one byte
+        # per sample and joint state, 7.2 MB.  The emission block (295 kB),
+        # the path (100 kB) and the estimates, built once the backpointers
+        # are freed, fit beside them.
+        models = paper_models(rng)
+        y = rng.uniform(0, 5000, size=100_000)
+        peak = traced_peak(lambda: fhmm_disaggregate(PowerSeries(0, 6, y), models))
+        assert peak < len(y) * 72 + 2**20
+
+    @pytest.mark.parametrize("n_states, dtype", [(72, np.uint8), (256, np.uint8),
+                                                 (257, np.uint16)])
+    def test_path_in_the_backpointers_dtype(self, rng, n_states, dtype):
+        log_trans = np.log(rng.dirichlet(np.ones(n_states), size=n_states))
+        log_init = np.log(rng.dirichlet(np.ones(n_states)))
+        emission = rng.normal(scale=5.0, size=(10, n_states))
+        assert _viterbi(log_init, log_trans, emission).dtype == dtype
+        assert _viterbi(log_init, log_trans, emission[:0]).dtype == dtype
 
     def test_memory_is_bounded(self, rng):
         # 200k samples, 72 joint states: a float64 emission table alone

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from disagg import architectures, blas, cli, sliding
+from disagg import architectures, baselines, blas, cli, sliding
 from disagg import timeseries as ts
 from disagg.cli import _write_estimate_csv, main
 from disagg.config import ExperimentConfig, load_config, parse_config
@@ -987,11 +987,12 @@ class TestCliPipeline:
         code, err, store = self._train_with_store(tmp_path, capsys, edit)
         assert code == 2 and "every activation needs a source_offset and values" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["train", "--appliance", "kettle", "--kind", "dae"],
-        ["disaggregate", "--appliance", "kettle", "--baseline", "co"],
+    @pytest.mark.parametrize("argv, artifact", [
+        (["train", "--appliance", "kettle", "--kind", "dae"], "activations/kettle_house1.json"),
+        (["disaggregate", "--appliance", "kettle", "--baseline", "co"], "baselines/models.json"),
     ], ids=["train", "baseline"])
-    def test_store_of_another_sample_period_exits_2(self, tmp_path, capsys, argv):
+    def test_store_of_another_sample_period_exits_2(self, tmp_path, capsys, argv, artifact):
+        # `train` reads the stores; a baseline reads the models `extract` fitted.
         path = world_config(tmp_path)
         main(["extract", "--config", str(path)])
         raw = json.loads(path.read_text())
@@ -1000,8 +1001,7 @@ class TestCliPipeline:
         capsys.readouterr()
         assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == 2
         err = capsys.readouterr().err
-        store = tmp_path / "out" / "activations" / "kettle_house1.json"
-        assert str(store) in err and "extracted at 6 s" in err
+        assert str(tmp_path / "out" / artifact) in err and "extracted at 6 s" in err
         assert "sample_period is 30 s" in err and "run `disagg extract` again" in err
 
     @pytest.mark.parametrize("key, value", [
@@ -1201,12 +1201,14 @@ class TestCliPipeline:
         monkeypatch.setattr(cli, "_load_store", counted)
         train_stores = sorted((name, house) for name in ("kettle", "microwave", "fridge")
                               for house in (3, 1))
-        for argv in (["train", "--appliance", "kettle", "--kind", "dae"],
-                     ["synth-preview", "--appliance", "kettle"],
-                     ["disaggregate", "--appliance", "kettle", "--baseline", "co"]):
+        for argv, expected in ((["train", "--appliance", "kettle", "--kind", "dae"],
+                                train_stores),
+                               (["synth-preview", "--appliance", "kettle"], train_stores),
+                               (["disaggregate", "--appliance", "kettle", "--baseline", "co"],
+                                [])):
             reads.clear()
             assert main([*argv, "--config", str(path)]) == 0
-            assert sorted(reads) == train_stores, argv[0]
+            assert sorted(reads) == expected, argv[0]
 
     def test_unreadable_test_house_store_is_not_read(self, tmp_path):
         path = world_config(tmp_path)
@@ -1243,6 +1245,211 @@ class TestCliPipeline:
                      "--count", "0"]) == 0
         payload = json.loads(preview.read_text())
         assert payload["count"] == 0 and payload["windows"] == []
+
+
+class TestBaselineModels:
+    """`extract` fits every appliance's baseline state models into
+    `baselines/models.json`; a baseline command decodes with them."""
+
+    @staticmethod
+    def _baseline(path, capsys, algo="co"):
+        """Exit status and stderr of `disaggregate --baseline algo` for the kettle."""
+        capsys.readouterr()
+        code = main(["disaggregate", "--config", str(path), "--appliance", "kettle",
+                     "--baseline", algo])
+        return code, capsys.readouterr().err
+
+    @staticmethod
+    def _edit(change, appliance="kettle", part=None):
+        """An edit of `models.json` that runs `change` on an appliance's entry,
+        or on one `part` of it."""
+        def edit(text):
+            payload = json.loads(text)
+            change(payload[appliance] if part is None else payload[appliance][part])
+            return canonical_json(payload)
+        return edit
+
+    @pytest.mark.parametrize("algo", cli.BASELINE_ALGOS)
+    def test_baseline_reads_no_store_and_fits_nothing(self, tmp_path, monkeypatch, algo):
+        path = world_config(tmp_path)
+        assert main(["extract", "--config", str(path)]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "_load_store", lambda *args: calls.append("_load_store"))
+        monkeypatch.setattr(baselines, "fit_states",
+                            lambda *args, **kwargs: calls.append("fit_states"))
+        assert main(["disaggregate", "--config", str(path), "--appliance", "kettle",
+                     "--baseline", algo]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("algo", cli.BASELINE_ALGOS)
+    def test_estimates_equal_a_refit_from_the_stores(self, tmp_path, algo):
+        # Train houses 3, then 1, and three fridge states: 12 joint states.
+        path = world_config(tmp_path)
+        write_world(tmp_path / "data", houses=(3,), length=700, seed=11)
+        raw = json.loads(path.read_text())
+        for entry in raw["appliances"]:
+            entry["train_houses"] = [3, 1]
+        raw["appliances"][2]["state_count"] = 3
+        path.write_text(json.dumps(raw))
+        assert main(["extract", "--config", str(path)]) == 0
+        assert main(["disaggregate", "--config", str(path), "--appliance", "kettle",
+                     "--baseline", algo]) == 0
+
+        cfg = load_config(path)
+        library = cli._library(cfg, cli._train_stores(cfg))
+        models = [baselines.fit_states(library[name], app.state_count, appliance_id=name)
+                  for name, app in cfg.appliances.items()]
+        model_dicts = [m.to_dict() for m in models]
+        decode = baselines.co_disaggregate if algo == "co" else baselines.fhmm_disaggregate
+        expected = decode(cli._load_channel(cfg, 2, "aggregate"), models)["kettle"]
+        reference = tmp_path / "reference.csv"
+        cli._write_estimate_csv(reference, expected)
+        out = tmp_path / "out"
+        estimate = out / "estimates" / f"kettle_{algo}_house2.csv"
+        assert estimate.read_bytes() == reference.read_bytes()
+        report = json.loads(estimate.with_suffix(".json").read_text())
+        assert report["baseline_models"] == model_dicts
+        assert report["estimated_energy_watt_samples"] == float(np.sum(expected.series.values))
+        assert (out / "baselines" / f"{algo}_models.json").read_text() == canonical_json(
+            model_dicts)
+        assert (out / "baselines" / "models.json").read_text() == canonical_json({
+            name: {"model": model.to_dict(), "state_count": app.state_count,
+                   "train_houses": [3, 1], "sample_period": 6,
+                   "max_forward_fill": cfg.max_forward_fill,
+                   **dataclasses.asdict(app.activation_params)}
+            for model, (name, app) in zip(models, cfg.appliances.items())})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("state_count", 3, "extracted at 2, but the config's state_count is 3"),
+        ("train_houses", [1, 3], "extracted at [1], but the config's train_houses is [1, 3]"),
+        ("sample_period", 30, "extracted at 6 s, but the config's sample_period is 30 s"),
+        ("max_forward_fill", 60,
+         "extracted at 180.0 s, but the config's max_forward_fill is 60.0 s"),
+        ("on_power_threshold", 1100,
+         "extracted at 1000.0 W, but the config's on_power_threshold is 1100.0 W"),
+        ("min_on_duration", 18, "extracted at 12.0 s, but the config's min_on_duration is 18.0 s"),
+        ("min_off_duration", 6, "extracted at 0.0 s, but the config's min_off_duration is 6.0 s"),
+        ("max_power", 2500, "extracted at 2400.0 W, but the config's max_power is 2500.0 W"),
+    ], ids=["state_count", "train_houses", "sample_period", "max_forward_fill",
+            "on_power_threshold", "min_on_duration", "min_off_duration", "max_power"])
+    def test_models_of_other_settings_exit_2(self, tmp_path, capsys, key, value, message):
+        path = world_config(tmp_path)
+        assert main(["extract", "--config", str(path)]) == 0
+        raw = json.loads(path.read_text())
+        if key in ("sample_period", "max_forward_fill"):
+            raw[key] = value
+        else:
+            raw["appliances"][0][key] = value
+        path.write_text(json.dumps(raw))
+        code, err = self._baseline(path, capsys)
+        models = tmp_path / "out" / "baselines" / "models.json"
+        assert code == 2
+        assert err == f"data error: {models} ('kettle'): {message}; run `disagg extract` again\n"
+        assert not (tmp_path / "out" / "estimates").exists()
+
+    @pytest.mark.parametrize("algo", cli.BASELINE_ALGOS)
+    def test_appliance_without_train_activation_exits_2(self, tmp_path, capsys, algo):
+        # A threshold above the kettle's 2,000 W: extract records no kettle model.
+        path = world_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["appliances"][0]["on_power_threshold"] = 2300
+        path.write_text(json.dumps(raw))
+        assert main(["extract", "--config", str(path)]) == 0
+        models = json.loads((tmp_path / "out" / "baselines" / "models.json").read_text())
+        assert models["kettle"]["model"] is None and models["fridge"]["model"] is not None
+        code, err = self._baseline(path, capsys, algo)
+        store = tmp_path / "out" / "activations" / "kettle_house1.json"
+        assert code == 2
+        assert err == f"data error: no training activations for 'kettle' in {store}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (None, "missing baseline models"),
+        (lambda text: '{"oops', "not a JSON baseline models file"),
+        (lambda text: "[1, 2]", "baseline models file is not a JSON object"),
+        (lambda text: "{}", "baseline models file lacks kettle, microwave, fridge"),
+        (lambda text: text.replace('"microwave"', '"oven"', 1),
+         "baseline models file lacks microwave"),
+        (lambda text: json.dumps(json.loads(text) | {"fridge": [1]}),
+         "the entry of 'fridge' is not a JSON object"),
+        (_edit(lambda entry: entry.pop("model")), "the entry of 'kettle' lacks model"),
+        (_edit(lambda entry: entry.pop("train_houses")),
+         "the entry of 'kettle' lacks train_houses"),
+        (_edit(lambda entry: entry.update(model="x")), "the model of 'kettle' is not a valid"),
+        (_edit(lambda model: model.update(appliance_id="fridge"), part="model"),
+         "the model of 'kettle' is not a valid"),
+        (_edit(lambda model: model.pop("initial"), part="model"),
+         "the model of 'kettle' is not a valid"),
+        (_edit(lambda model: model["state_powers"].__setitem__(1, "2000"), part="model"),
+         "the model of 'kettle' is not a valid"),
+        (_edit(lambda model: model["emission_std"].__setitem__(1, float("nan")), part="model"),
+         "the model of 'kettle' is not a valid"),
+        (_edit(lambda model: model["emission_std"].__setitem__(1, -1.0), part="model"),
+         "the model of 'kettle' is not a valid"),
+        (_edit(lambda model: model.update(state_powers=[]), part="model"),
+         "the model of 'kettle' is not a valid"),
+        (_edit(lambda model: model.update(state_powers=[5.0, 2000.0]), part="model"),
+         "the model of 'kettle' is not a valid"),
+        (_edit(lambda model: model["transition"][1].pop(), part="model"),
+         "the model of 'kettle' is not a valid"),
+        (_edit(lambda model: model.update(transition=[0.5, 0.5]), part="model"),
+         "the model of 'kettle' is not a valid"),
+        (_edit(lambda model: model["transition"][0].__setitem__(0, 0.9), part="model"),
+         "the model of 'kettle' is not a valid"),
+    ], ids=["missing", "truncated", "non-object", "empty-object", "no-appliance",
+            "non-object-entry", "no-model", "no-setting", "non-object-model",
+            "other-appliance", "no-field", "string-power", "nan-std", "negative-std",
+            "no-state", "first-state-on", "ragged-transition", "flat-transition",
+            "non-stochastic-transition"])
+    def test_malformed_models_exit_2(self, tmp_path, capsys, edit, message):
+        path = world_config(tmp_path)
+        assert main(["extract", "--config", str(path)]) == 0
+        models = tmp_path / "out" / "baselines" / "models.json"
+        if edit is None:
+            models.unlink()
+        else:
+            models.write_text(edit(models.read_text()))
+        for algo in cli.BASELINE_ALGOS:
+            code, err = self._baseline(path, capsys, algo)
+            assert code == 2 and str(models) in err and message in err
+            assert err.startswith("data error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "estimates").exists()
+
+    def test_failed_extract_keeps_the_earlier_models(self, tmp_path, capsys):
+        # The second run would record no kettle model; its last channel fails.
+        path = world_config(tmp_path)
+        assert main(["extract", "--config", str(path)]) == 0
+        models = tmp_path / "out" / "baselines" / "models.json"
+        before = models.read_bytes()
+        (tmp_path / "data" / "house_1" / "kettle.csv").write_text("timestamp,watts\n")
+        channel = tmp_path / "data" / "house_2" / "fridge.csv"
+        channel.unlink()
+        channel.mkdir()
+        assert main(["extract", "--config", str(path)]) == 2
+        assert models.read_bytes() == before
+        assert [p.name for p in models.parent.iterdir()] == ["models.json"]
+        # A run that made `baselines/` removes it.
+        models.unlink()
+        models.parent.rmdir()
+        assert main(["extract", "--config", str(path)]) == 2
+        assert not models.parent.exists() and (tmp_path / "out" / "activations").exists()
+
+    def test_fit_warnings_come_from_extract(self, tmp_path):
+        # One kettle level of 2,000 W cannot give three states.
+        path = world_config(tmp_path)
+        rows = [f"{6 * i},{2000 if 100 <= i < 110 else 0}" for i in range(700)]
+        (tmp_path / "data" / "house_1" / "kettle.csv").write_text(
+            "\n".join(["timestamp,watts", *rows]) + "\n")
+        raw = json.loads(path.read_text())
+        raw["appliances"][0]["state_count"] = 3
+        path.write_text(json.dumps(raw))
+        with pytest.warns(UserWarning, match="kettle: only 1 distinct on-levels; "
+                                             "reducing states from 3 to 2"):
+            assert main(["extract", "--config", str(path)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for algo in cli.BASELINE_ALGOS:
+                assert main(["disaggregate", "--config", str(path), "--appliance", "kettle",
+                             "--baseline", algo]) == 0
 
 
 def run_pipeline(config_path):

@@ -4,8 +4,11 @@ pytest and hypothesis are installed for the tests, so nothing else would
 catch an accidental import of one of them."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
+
+from test_cli import cli_env, world_config
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "disagg"
 
@@ -43,3 +46,20 @@ def test_no_module_imports_the_desk_simulator():
             if any(name.rpartition(".")[2] == "synthworld" for name in names):
                 importers.append(path.relative_to(PACKAGE).as_posix())
     assert not importers
+
+
+def test_extract_and_fhmm_leave_numpy_ma_unimported(tmp_path):
+    # `np.unique` and `np.quantile` import `numpy.ma` on their first call,
+    # about 16 ms and 1.4 MB of a command's peak.  A child process, since
+    # the test runner has imported it already.
+    path = world_config(tmp_path)
+    script = ("import sys\n"
+              "from disagg.cli import main\n"
+              "for argv in (['extract'], ['disaggregate', '--appliance', 'kettle',\n"
+              "                           '--baseline', 'fhmm']):\n"
+              "    assert main([*argv, '--config', sys.argv[1]]) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    child = subprocess.run([sys.executable, "-c", script, str(path)], env=cli_env(),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "False"

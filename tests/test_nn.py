@@ -20,6 +20,7 @@ from disagg.errors import DataError, DimensionError, NumericError
 from disagg.nn import (LSTM, MOMENTUM, Bidirectional, Conv1D, Dense, NesterovSGD,
                        Network, Reshape, clip_gradients, layers, load_checkpoint,
                        save_checkpoint)
+from disagg.nn import checkpoint
 from disagg.nn.layers import _in_parallel, _sigmoid_into, in_lanes
 from disagg.nn.optim import GRADIENT_CLIP_BOUND, STEP_BLOCK
 
@@ -1113,6 +1114,28 @@ class TestNetwork:
         save_checkpoint(a, net.parameters(), meta={"step": 3})
         save_checkpoint(b, net.parameters(), meta={"step": 3})
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("failure", [OSError(28, "No space left on device"),
+                                         KeyboardInterrupt()], ids=["os-error", "interrupt"])
+    def test_failed_save_keeps_the_earlier_checkpoint(self, rng, tmp_path, monkeypatch,
+                                                      failure):
+        # The second save fails once its header is written, before any tensor.
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, self._tiny(rng).parameters(), meta={"step": 3})
+        before = path.read_bytes()
+
+        class TensorWriteFails:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def ascontiguousarray(self, arr):
+                raise failure
+
+        monkeypatch.setattr(checkpoint, "np", TensorWriteFails())
+        with pytest.raises(type(failure)):
+            save_checkpoint(path, self._tiny(rng).parameters(), meta={"step": 4})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_empty_tensor_roundtrip(self, tmp_path):
         # Empty and 0-d tensors keep their shapes.
